@@ -11,14 +11,13 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import convergence, dynamics, equilibrium, generators, serialize
 from .metrics import metrics as compute_metrics
 from .errors import (CapacityError, ConstructionError, DocumentError,
                      LemmaCheckError, TraceError)
-from .model import ALL_OTHERS, INF, Mode, Params, TargetSets
+from .model import INF, Mode, Params
 
 
 class _UsageError(Exception):
@@ -43,13 +42,14 @@ def _read_doc(path: str):
         return serialize.parse_document(json.load(fh))
 
 
-def _params_from_args(args, default_mode: Optional[str] = None) -> Params:
-    k = serialize.parse_k(args.k if args.k == "inf" else int(args.k), "--k") \
-        if isinstance(args.k, str) else serialize.parse_k(args.k, "--k")
-    c_s = serialize.parse_cost(args.cs, "--cs")
-    c_l = serialize.parse_cost(args.cl, "--cl")
-    mode_name = args.mode or default_mode or ("directed" if c_l == 0 else "bidirected")
-    return Params(k=k, c_s=c_s, c_l=c_l, mode=Mode(mode_name))
+def _params(k: str, c_s: str, c_l: str, mode: Optional[str]) -> Params:
+    """Parameters from flag or sweep-row text; the mode defaults to directed
+    exactly when listening is free."""
+    k = serialize.parse_k(k if k == "inf" else int(k), "--k")
+    c_s = serialize.parse_cost(c_s, "--cs")
+    c_l = serialize.parse_cost(c_l, "--cl")
+    mode = mode or ("directed" if c_l == 0 else "bidirected")
+    return Params(k=k, c_s=c_s, c_l=c_l, mode=Mode(mode))
 
 
 def _add_param_flags(sub):
@@ -58,8 +58,6 @@ def _add_param_flags(sub):
     sub.add_argument("--cs", default="1", help="speaking cost (decimal or p/q)")
     sub.add_argument("--cl", default="0", help="listening cost (decimal or p/q)")
     sub.add_argument("--mode", choices=["bidirected", "directed"], default=None)
-    sub.add_argument("--format", choices=["json", "csv", "dot"], default=None,
-                     help="output format override where applicable")
 
 
 def build_parser() -> _Parser:
@@ -117,7 +115,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
-    params = _params_from_args(args)
+    params = _params(args.k, args.cs, args.cl, args.mode)
     meta = {"generator": args.family}
     fam = args.family
     if fam == "empty":
@@ -215,16 +213,11 @@ def _cmd_census(args) -> int:
     if args.sweep:
         with open(args.sweep, encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
-                params = Params(k=serialize.parse_k(
-                                    row["k"] if row["k"] == "inf" else int(row["k"])),
-                                c_s=serialize.parse_cost(row["c_s"], "c_s"),
-                                c_l=serialize.parse_cost(row["c_l"], "c_l"),
-                                mode=Mode(args.mode) if args.mode else (
-                                    Mode.DIRECTED if Fraction(row["c_l"]) == 0
-                                    else Mode.BIDIRECTED))
-                _census_rows(args.n, params, writer)
+                _census_rows(args.n, _params(row["k"], row["c_s"], row["c_l"],
+                                             args.mode), writer)
     else:
-        _census_rows(args.n, _params_from_args(args), writer)
+        _census_rows(args.n, _params(args.k, args.cs, args.cl, args.mode),
+                     writer)
     _write(args.output, buf.getvalue())
     return 0
 

@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .dynamics import Classification, EdgeKind, MoveKind, classify
+from .dynamics import Classification, EdgeKind, MoveKind, apply_move, classify
 from .errors import ConstructionError, LemmaCheckError
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
-                    TargetSets, speaking_reach)
-from .scc import condensation, dag_reachability
+                    speaking_reach)
+from .scc import condensation, dag_reachability, topological_order
 
 
 class Role(Enum):
@@ -174,10 +174,6 @@ def _find_addable(net: BidirectedNetwork, params: Params
 
 # -- invariant predicates for the constructed path ---------------------------
 
-def _count_large(net: BidirectedNetwork, params: Params) -> int:
-    return len(condense(net, params).large)
-
-
 def lemma_checks(net_before: BidirectedNetwork, net_after: BidirectedNetwork,
                  step_label: int, params: Params) -> List[Tuple[str, bool]]:
     """Concrete pass/fail predicates around one proof step.  ``net_before``
@@ -186,14 +182,15 @@ def lemma_checks(net_before: BidirectedNetwork, net_after: BidirectedNetwork,
     _require(params)
     c = params.c_s
     results: List[Tuple[str, bool]] = []
-    before_large = _count_large(net_before, params)
-    after_large = _count_large(net_after, params)
+    before_large = len(condense(net_before, params).large)
+    cg = condense(net_after, params)
+    after_large = len(cg.large)
 
     if step_label == 1:
-        cg = condense(net_after, params)
         # L27: the condensation is acyclic (a topological order exists).
         results.append(("L27_condensation_acyclic",
-                        _is_acyclic(len(cg.components), cg.dag_edges)))
+                        len(topological_order(len(cg.components), cg.dag_edges))
+                        == len(cg.components)))
         # L28: with no removable edges, every edge head's reach closure
         # (head included) holds at least c vertices.
         ok28 = all(1 + len(speaking_reach(net_after, params, v)) >= c
@@ -236,21 +233,6 @@ def lemma_checks(net_before: BidirectedNetwork, net_after: BidirectedNetwork,
         results.append(("L25_step8_large_count_nonincreasing",
                         after_large <= before_large))
     return results
-
-
-def _is_acyclic(num: int, dag_edges: Set[Tuple[int, int]]) -> bool:
-    indeg = [0] * num
-    out = [[] for _ in range(num)]
-    for a, b in dag_edges:
-        out[a].append(b)
-        indeg[b] += 1
-    order = [i for i in range(num) if indeg[i] == 0]
-    for i in order:
-        for j in out[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
-    return len(order) == num
 
 
 def _pre_step_checks(net: BidirectedNetwork, params: Params,
@@ -432,6 +414,11 @@ def _one_proof_step(net: BidirectedNetwork, params: Params, cg: ComponentGraph,
     raise ConstructionError("step 8 found no qualifying small root component")
 
 
+# the classification a certificate move must have at its turn
+_CERT_RULE = {MoveKind.ADD_SPEAKING: Classification.ADDABLE,
+              MoveKind.REMOVE_SPEAKING: Classification.REMOVABLE}
+
+
 def validate_certificate(cert: PathCertificate, start: BidirectedNetwork,
                          params: Params) -> bool:
     """Replay every move, requiring it to classify as addable/removable at
@@ -439,17 +426,11 @@ def validate_certificate(cert: PathCertificate, start: BidirectedNetwork,
     from .equilibrium import is_stable
     net = start.copy()
     for mv in cert.moves:
-        cls = classify(net, params, ALL_OTHERS, EdgeKind.SPEAKING, mv.u, mv.v)
-        if mv.kind is MoveKind.ADD_SPEAKING:
-            if cls is not Classification.ADDABLE:
-                return False
-            net.add_speaking(mv.u, mv.v)
-        elif mv.kind is MoveKind.REMOVE_SPEAKING:
-            if cls is not Classification.REMOVABLE:
-                return False
-            net.remove_speaking(mv.u, mv.v)
-        else:
+        expected = _CERT_RULE.get(mv.kind)
+        if expected is None or classify(net, params, ALL_OTHERS, EdgeKind.SPEAKING,
+                                        mv.u, mv.v) is not expected:
             return False
+        apply_move(net, mv)
     if net != cert.final:
         return False
     return is_stable(net, params).stable

@@ -12,7 +12,7 @@ Runs are driven by Python's ``random.Random`` (MT19937) seeded with the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
@@ -43,8 +43,16 @@ class MoveKind(Enum):
     NO_CHANGE = "."
 
 
-_MUTATING = {MoveKind.ADD_SPEAKING, MoveKind.REMOVE_SPEAKING,
-             MoveKind.ADD_LISTENING, MoveKind.REMOVE_LISTENING}
+_APPLY = {MoveKind.ADD_SPEAKING: BidirectedNetwork.add_speaking,
+          MoveKind.REMOVE_SPEAKING: BidirectedNetwork.remove_speaking,
+          MoveKind.ADD_LISTENING: BidirectedNetwork.add_listening,
+          MoveKind.REMOVE_LISTENING: BidirectedNetwork.remove_listening}
+
+# move fired by an addable/removable classification of a typed edge
+_FIRES = {(Classification.ADDABLE, EdgeKind.SPEAKING): MoveKind.ADD_SPEAKING,
+          (Classification.ADDABLE, EdgeKind.LISTENING): MoveKind.ADD_LISTENING,
+          (Classification.REMOVABLE, EdgeKind.SPEAKING): MoveKind.REMOVE_SPEAKING,
+          (Classification.REMOVABLE, EdgeKind.LISTENING): MoveKind.REMOVE_LISTENING}
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +65,7 @@ class Move:
 
     @property
     def mutating(self) -> bool:
-        return self.kind in _MUTATING
+        return self.kind in _APPLY
 
 
 @dataclass
@@ -131,24 +139,36 @@ def iter_typed_pairs(n: int):
                     yield kind, u, v
 
 
+def _witnesses(net: BidirectedNetwork, params: Params, targets: TargetSets):
+    for kind, u, v in iter_typed_pairs(net.n):
+        cls = classify(net, params, targets, kind, u, v)
+        if cls is Classification.ADDABLE or cls is Classification.REMOVABLE:
+            yield kind, u, v, cls
+
+
 def find_witness(net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS
                  ) -> Optional[Tuple[EdgeKind, int, int, Classification]]:
     """First addable or removable typed edge in deterministic order, or None."""
-    for kind, u, v in iter_typed_pairs(net.n):
-        cls = classify(net, params, targets, kind, u, v)
-        if cls in (Classification.ADDABLE, Classification.REMOVABLE):
-            return (kind, u, v, cls)
-    return None
+    return next(_witnesses(net, params, targets), None)
 
 
 def scan_witnesses(net: BidirectedNetwork, params: Params,
                    targets: TargetSets = ALL_OTHERS
                    ) -> List[Tuple[EdgeKind, int, int, Classification]]:
-    return [(kind, u, v, cls)
-            for kind, u, v in iter_typed_pairs(net.n)
-            for cls in [classify(net, params, targets, kind, u, v)]
-            if cls in (Classification.ADDABLE, Classification.REMOVABLE)]
+    return list(_witnesses(net, params, targets))
+
+
+def apply_move(net: BidirectedNetwork, move) -> None:
+    """Apply a recorded ``Move`` or ``CertMove`` to ``net`` (NO_CHANGE does
+    nothing); a move inconsistent with the network raises TraceError."""
+    method = _APPLY.get(move.kind)
+    if method is None:
+        return
+    try:
+        method(net, move.u, move.v)
+    except ValueError as exc:
+        raise TraceError(f"inconsistent move {move}: {exc}") from exc
 
 
 def step(net: BidirectedNetwork, params: Params, targets: TargetSets,
@@ -161,19 +181,11 @@ def step(net: BidirectedNetwork, params: Params, targets: TargetSets,
     if v >= u:
         v += 1
     cls = classify(net, params, targets, kind, u, v)
-    if cls is Classification.ADDABLE:
-        if kind is EdgeKind.SPEAKING:
-            net.add_speaking(u, v)
-            return Move(MoveKind.ADD_SPEAKING, kind, u, v, step_index)
-        net.add_listening(u, v)
-        return Move(MoveKind.ADD_LISTENING, kind, u, v, step_index)
-    if cls is Classification.REMOVABLE:
-        if kind is EdgeKind.SPEAKING:
-            net.remove_speaking(u, v)
-            return Move(MoveKind.REMOVE_SPEAKING, kind, u, v, step_index)
-        net.remove_listening(u, v)
-        return Move(MoveKind.REMOVE_LISTENING, kind, u, v, step_index)
-    return Move(MoveKind.NO_CHANGE, kind, u, v, step_index)
+    if cls is not Classification.ADDABLE and cls is not Classification.REMOVABLE:
+        return Move(MoveKind.NO_CHANGE, kind, u, v, step_index)
+    move = Move(_FIRES[cls, kind], kind, u, v, step_index)
+    apply_move(net, move)
+    return move
 
 
 def run(initial: BidirectedNetwork, params: Params,
@@ -207,18 +219,8 @@ def run(initial: BidirectedNetwork, params: Params,
 def replay(trace: Trace) -> BidirectedNetwork:
     """Re-apply the trace's moves; raises TraceError on any inconsistency."""
     net = trace.initial.copy()
-    try:
-        for mv in trace.moves:
-            if mv.kind is MoveKind.ADD_SPEAKING:
-                net.add_speaking(mv.u, mv.v)
-            elif mv.kind is MoveKind.REMOVE_SPEAKING:
-                net.remove_speaking(mv.u, mv.v)
-            elif mv.kind is MoveKind.ADD_LISTENING:
-                net.add_listening(mv.u, mv.v)
-            elif mv.kind is MoveKind.REMOVE_LISTENING:
-                net.remove_listening(mv.u, mv.v)
-    except ValueError as exc:
-        raise TraceError(f"inconsistent move {mv}: {exc}") from exc
+    for mv in trace.moves:
+        apply_move(net, mv)
     if net != trace.final:
         raise TraceError("replayed final network differs from recorded final")
     return net
@@ -246,26 +248,18 @@ def never_readd_check(trace: Trace) -> NeverReaddResult:
             if u != v and not net.has_speaking(u, v)
             and not net.has_listening(v, u)}
     for mv in trace.moves:
-        try:
-            if mv.kind is MoveKind.ADD_SPEAKING:
-                if (mv.u, mv.v) in dead:
-                    return NeverReaddResult(ok=False, applicable=True)
-                net.add_speaking(mv.u, mv.v)
-            elif mv.kind is MoveKind.ADD_LISTENING:
-                # listening edge (u, v) is the second half of pair (v, u)
-                if (mv.v, mv.u) in dead:
-                    return NeverReaddResult(ok=False, applicable=True)
-                net.add_listening(mv.u, mv.v)
-            elif mv.kind is MoveKind.REMOVE_SPEAKING:
-                net.remove_speaking(mv.u, mv.v)
-                if not net.has_listening(mv.v, mv.u):
-                    dead.add((mv.u, mv.v))
-            elif mv.kind is MoveKind.REMOVE_LISTENING:
-                net.remove_listening(mv.u, mv.v)
-                if not net.has_speaking(mv.v, mv.u):
-                    dead.add((mv.v, mv.u))
-        except ValueError as exc:
-            raise TraceError(f"inconsistent move {mv}: {exc}") from exc
+        if mv.kind is MoveKind.NO_CHANGE:
+            continue
+        # pair (a, b) is the speaking edge (a, b) plus the listening edge
+        # (b, a), so a listening move on (u, v) belongs to pair (v, u)
+        listening = mv.kind in (MoveKind.ADD_LISTENING, MoveKind.REMOVE_LISTENING)
+        a, b = (mv.v, mv.u) if listening else (mv.u, mv.v)
+        if (a, b) in dead and mv.kind in (MoveKind.ADD_SPEAKING,
+                                          MoveKind.ADD_LISTENING):
+            return NeverReaddResult(ok=False, applicable=True)
+        apply_move(net, mv)
+        if not net.has_speaking(a, b) and not net.has_listening(b, a):
+            dead.add((a, b))
     if net != trace.final:
         raise TraceError("trace does not replay to its recorded final network")
     return NeverReaddResult(ok=True, applicable=True)

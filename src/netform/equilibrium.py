@@ -7,12 +7,11 @@ used to validate the scan on small instances rather than trusted blindly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .dynamics import Classification, EdgeKind, classify, scan_witnesses
+from .dynamics import Classification, EdgeKind, scan_witnesses
 from .errors import CapacityError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
                     agent_utility, welfare)
@@ -31,7 +30,6 @@ class EfficiencyReport:
     best_welfare: Fraction
     argmax_nets: List[BidirectedNetwork]
     searched: int
-    mode: str  # "exhaustive" | "sampled"
 
 
 @dataclass
@@ -176,24 +174,13 @@ def iter_all_networks(n: int, mode: Mode) -> Iterator[BidirectedNetwork]:
         yield net_from_mask(n, mask, mode)
 
 
-def efficient_search(n: int, params: Params, targets: TargetSets = ALL_OTHERS,
-                     mode: str = "exhaustive", sample_size: int = 10000,
-                     seed: int = 0) -> EfficiencyReport:
-    """Welfare maxima over all networks on n agents (exhaustive) or over a
-    seeded random sample (flagged)."""
+def efficient_search(n: int, params: Params,
+                     targets: TargetSets = ALL_OTHERS) -> EfficiencyReport:
+    """Welfare maxima over all networks on n agents (exhaustive)."""
     best: Optional[Fraction] = None
     argmax: List[BidirectedNetwork] = []
     searched = 0
-    if mode == "exhaustive":
-        nets = iter_all_networks(n, params.mode)
-    elif mode == "sampled":
-        bits = enumeration_bits(n, params.mode)
-        rng = random.Random(seed)
-        nets = (net_from_mask(n, rng.getrandbits(bits), params.mode)
-                for _ in range(sample_size))
-    else:
-        raise ValueError(f"unknown search mode {mode!r}")
-    for net in nets:
+    for net in iter_all_networks(n, params.mode):
         searched += 1
         w = welfare(net, params, targets)
         if best is None or w > best:
@@ -202,7 +189,7 @@ def efficient_search(n: int, params: Params, targets: TargetSets = ALL_OTHERS,
         elif w == best:
             argmax.append(net)
     return EfficiencyReport(best_welfare=best, argmax_nets=argmax,
-                            searched=searched, mode=mode)
+                            searched=searched)
 
 
 def poa_pos(n: int, params: Params,

@@ -9,6 +9,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dynamics import run
+from .generators import random_net
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets)
 from .scc import strongly_connected_components
@@ -125,8 +126,6 @@ def metrics(net: BidirectedNetwork, params: Params,
 
 class StructureFamily(Enum):
     OPEN_CLOSED_TRIANGLE = "open-closed-triangle"
-    POLARIZED = "polarized"
-    BROADCAST = "broadcast"
 
 
 def has_open_and_closed_triangle(net: BidirectedNetwork, mode: Mode) -> bool:
@@ -146,21 +145,6 @@ def has_open_and_closed_triangle(net: BidirectedNetwork, mode: Mode) -> bool:
     return closed and open_
 
 
-def _family_predicate(family: StructureFamily, net, params, targets) -> bool:
-    if family is StructureFamily.OPEN_CLOSED_TRIANGLE:
-        return has_open_and_closed_triangle(net, params.mode)
-    if family is StructureFamily.POLARIZED:
-        if not net.speaking:
-            return False
-        m = metrics(net, params, targets)
-        return m.polarization is not None and m.polarization < Fraction(1, 10)
-    if family is StructureFamily.BROADCAST:
-        comps = strongly_connected_components(
-            net.n, lambda v: net.successors(v, params.mode))
-        return 2 * max(len(c) for c in comps) >= net.n and bool(net.speaking)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def structure_search(family: StructureFamily, params: Params,
                      budget: int, targets: TargetSets = ALL_OTHERS,
                      ns: Sequence[int] = (4, 5, 6, 7, 8),
@@ -177,29 +161,16 @@ def structure_search(family: StructureFamily, params: Params,
     while spent < budget:
         n = ns[attempt % len(ns)]
         attempt += 1
-        start = _random_start(n, params.mode, rng)
+        p = rng.choice((0.15, 0.3, 0.5))
+        start = random_net(n, p, p if params.mode is Mode.BIDIRECTED else 0,
+                           rng.getrandbits(63))
         spent += 1
         trace = run(start, params, targets,
                     seed=rng.getrandbits(63),
                     max_steps=min(max_steps_per_run, max(1, budget - spent)),
                     scan_interval=2 * n * (n - 1))
         spent += trace.steps_sampled
-        if trace.converged and _family_predicate(family, trace.final, params,
-                                                 targets):
+        if trace.converged and has_open_and_closed_triangle(trace.final,
+                                                            params.mode):
             return trace.final
     return None
-
-
-def _random_start(n: int, mode: Mode, rng: random.Random) -> BidirectedNetwork:
-    net = BidirectedNetwork(n)
-    p = rng.choice((0.15, 0.3, 0.5))
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < p:
-                net.add_speaking(u, v)
-    if mode is Mode.BIDIRECTED:
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < p:
-                    net.add_listening(u, v)
-    return net

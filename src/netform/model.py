@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 #: Sentinel for an unbounded path-length horizon.  Code must branch on it
 #: explicitly; several results hold only in the unbounded regime.

@@ -74,23 +74,32 @@ def condensation(n: int, successors: Callable[[int], Sequence[int]]
     return comps, comp_of, dag_edges
 
 
-def dag_reachability(num: int, dag_edges: Set[Tuple[int, int]]) -> List[Set[int]]:
-    """For each component index, the set of component indices reachable from
-    it, including itself."""
+def topological_order(num: int, dag_edges: Set[Tuple[int, int]]) -> List[int]:
+    """Kahn topological order of the graph on 0..num-1.  It is shorter than
+    ``num`` exactly when the graph has a cycle."""
     out = [[] for _ in range(num)]
     indeg = [0] * num
     for a, b in dag_edges:
         out[a].append(b)
         indeg[b] += 1
-    # Kahn topological order; the condensation is acyclic by construction.
     order = [i for i in range(num) if indeg[i] == 0]
     for i in order:
         for j in out[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
                 order.append(j)
+    return order
+
+
+def dag_reachability(num: int, dag_edges: Set[Tuple[int, int]]) -> List[Set[int]]:
+    """For each component index, the set of component indices reachable from
+    it, including itself."""
+    out = [[] for _ in range(num)]
+    for a, b in dag_edges:
+        out[a].append(b)
     reach: List[Set[int]] = [set() for _ in range(num)]
-    for i in reversed(order):
+    # the condensation is acyclic by construction: the order covers every index
+    for i in reversed(topological_order(num, dag_edges)):
         acc = {i}
         for j in out[i]:
             acc |= reach[j]

@@ -10,9 +10,9 @@ import json
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .convergence import CertMove, PathCertificate
+from .convergence import PathCertificate
 from .dynamics import (Classification, EdgeKind, Move, MoveKind, Trace,
-                       replay)
+                       apply_move)
 from .errors import DocumentError
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets)
@@ -96,15 +96,13 @@ def _parse_targets(raw, n: int, where: str) -> Dict[int, frozenset]:
     return out
 
 
-def parse_document(doc: dict) -> Tuple[BidirectedNetwork, Params, TargetSets, dict]:
-    if not isinstance(doc, dict):
-        raise DocumentError("document: expected a JSON object")
-    unknown = set(doc) - _DOC_FIELDS
-    if unknown:
-        raise DocumentError(f"document: unknown fields {sorted(unknown)}")
-    for req in ("n", "k", "c_s", "c_l", "mode", "speaking", "listening"):
+def _parse_game(doc: dict, edge_keys: Tuple[str, str], where: str
+                ) -> Tuple[BidirectedNetwork, Params, TargetSets]:
+    """Network, parameters and targets from a document or record header whose
+    edge lists sit under ``edge_keys``."""
+    for req in ("n", "k", "c_s", "c_l", "mode", *edge_keys):
         if req not in doc:
-            raise DocumentError(f"document: missing field {req!r}")
+            raise DocumentError(f"{where}: missing field {req!r}")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DocumentError(f"n: expected a positive integer, got {n!r}")
@@ -118,11 +116,41 @@ def parse_document(doc: dict) -> Tuple[BidirectedNetwork, Params, TargetSets, di
                         c_l=parse_cost(doc["c_l"], "c_l"), mode=mode)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    net = BidirectedNetwork(n,
-                            _parse_edges(doc["speaking"], n, "speaking"),
-                            _parse_edges(doc["listening"], n, "listening"))
+    speaking, listening = edge_keys
+    net = BidirectedNetwork(n, _parse_edges(doc[speaking], n, speaking),
+                            _parse_edges(doc[listening], n, listening))
     targets = TargetSets(speak=_parse_targets(doc.get("targets_s", {}), n, "targets_s"),
                          listen=_parse_targets(doc.get("targets_l", {}), n, "targets_l"))
+    return net, params, targets
+
+
+def _game_fields(net: BidirectedNetwork, params: Params, targets: TargetSets,
+                 prefix: str) -> dict:
+    """Header fields for a network, its parameters and its targets; the edge
+    lists are keyed ``prefix + "speaking"`` and ``prefix + "listening"``."""
+    fields = {
+        "n": net.n,
+        "k": format_k(params.k),
+        "c_s": format_cost(params.c_s),
+        "c_l": format_cost(params.c_l),
+        "mode": params.mode.value,
+        prefix + "speaking": [list(e) for e in sorted(net.speaking)],
+        prefix + "listening": [list(e) for e in sorted(net.listening)],
+    }
+    if targets.speak:
+        fields["targets_s"] = {str(v): sorted(t) for v, t in sorted(targets.speak.items())}
+    if targets.listen:
+        fields["targets_l"] = {str(v): sorted(t) for v, t in sorted(targets.listen.items())}
+    return fields
+
+
+def parse_document(doc: dict) -> Tuple[BidirectedNetwork, Params, TargetSets, dict]:
+    if not isinstance(doc, dict):
+        raise DocumentError("document: expected a JSON object")
+    unknown = set(doc) - _DOC_FIELDS
+    if unknown:
+        raise DocumentError(f"document: unknown fields {sorted(unknown)}")
+    net, params, targets = _parse_game(doc, ("speaking", "listening"), "document")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise DocumentError("meta: expected an object")
@@ -132,19 +160,7 @@ def parse_document(doc: dict) -> Tuple[BidirectedNetwork, Params, TargetSets, di
 def emit_document(net: BidirectedNetwork, params: Params,
                   targets: TargetSets = ALL_OTHERS,
                   meta: Optional[dict] = None) -> dict:
-    doc = {
-        "n": net.n,
-        "k": format_k(params.k),
-        "c_s": format_cost(params.c_s),
-        "c_l": format_cost(params.c_l),
-        "mode": params.mode.value,
-        "speaking": [list(e) for e in sorted(net.speaking)],
-        "listening": [list(e) for e in sorted(net.listening)],
-    }
-    if targets.speak:
-        doc["targets_s"] = {str(v): sorted(t) for v, t in sorted(targets.speak.items())}
-    if targets.listen:
-        doc["targets_l"] = {str(v): sorted(t) for v, t in sorted(targets.listen.items())}
+    doc = _game_fields(net, params, targets, "")
     if meta:
         doc["meta"] = meta
     return doc
@@ -190,49 +206,44 @@ def to_dot(net: BidirectedNetwork,
 # -- trace / certificate text ---------------------------------------------------
 
 def trace_to_text(trace: Trace) -> str:
-    header = {
-        "record": "trace",
-        "seed": trace.seed,
-        "rng_id": trace.rng_id,
-        "n": trace.initial.n,
-        "k": format_k(trace.params.k),
-        "c_s": format_cost(trace.params.c_s),
-        "c_l": format_cost(trace.params.c_l),
-        "mode": trace.params.mode.value,
-        "initial_speaking": [list(e) for e in sorted(trace.initial.speaking)],
-        "initial_listening": [list(e) for e in sorted(trace.initial.listening)],
-        "converged": trace.converged,
-        "steps_sampled": trace.steps_sampled,
-    }
-    if trace.targets.speak:
-        header["targets_s"] = {str(v): sorted(t)
-                               for v, t in sorted(trace.targets.speak.items())}
-    if trace.targets.listen:
-        header["targets_l"] = {str(v): sorted(t)
-                               for v, t in sorted(trace.targets.listen.items())}
+    header = {"record": "trace", "seed": trace.seed, "rng_id": trace.rng_id,
+              "converged": trace.converged,
+              "steps_sampled": trace.steps_sampled,
+              **_game_fields(trace.initial, trace.params, trace.targets,
+                             "initial_")}
     lines = [json.dumps(header, sort_keys=True), "step,kind,edge,u,v"]
     lines.extend(f"{m.step_index},{m.kind.value},{m.edge_kind.value},{m.u},{m.v}"
                  for m in trace.moves)
     return "\n".join(lines) + "\n"
 
 
+def _trace_field(header: dict, key: str, kind: type):
+    if key not in header:
+        raise DocumentError(f"trace: missing field {key!r}")
+    value = header[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise DocumentError(f"{key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def trace_from_text(text: str) -> Trace:
+    """Parse a trace record and replay its moves.  A malformed record raises
+    DocumentError, a move inconsistent with the network TraceError."""
     lines = text.splitlines()
     if len(lines) < 2:
         raise DocumentError("trace: missing header or column line")
-    header = json.loads(lines[0])
-    if header.get("record") != "trace":
+    try:
+        header = json.loads(lines[0])
+    except ValueError:
+        raise DocumentError("trace: header line is not JSON") from None
+    if not isinstance(header, dict) or header.get("record") != "trace":
         raise DocumentError("trace: not a trace record")
-    n = header["n"]
-    params = Params(k=parse_k(header["k"]), c_s=parse_cost(header["c_s"], "c_s"),
-                    c_l=parse_cost(header["c_l"], "c_l"),
-                    mode=Mode(header["mode"]))
-    initial = BidirectedNetwork(
-        n, [tuple(e) for e in header["initial_speaking"]],
-        [tuple(e) for e in header["initial_listening"]])
-    targets = TargetSets(
-        speak=_parse_targets(header.get("targets_s", {}), n, "targets_s"),
-        listen=_parse_targets(header.get("targets_l", {}), n, "targets_l"))
+    initial, params, targets = _parse_game(
+        header, ("initial_speaking", "initial_listening"), "trace")
+    seed = _trace_field(header, "seed", int)
+    rng_id = _trace_field(header, "rng_id", str)
+    converged = _trace_field(header, "converged", bool)
+    steps_sampled = _trace_field(header, "steps_sampled", int)
     moves = []
     for row in lines[2:]:
         if not row:
@@ -243,42 +254,19 @@ def trace_from_text(text: str) -> Trace:
                               int(u_s), int(v_s), int(step_s)))
         except ValueError as exc:
             raise DocumentError(f"trace: malformed move row {row!r}") from exc
-    trace = Trace(seed=header["seed"], params=params, initial=initial,
-                  moves=moves, final=initial.copy(),
-                  converged=header["converged"],
-                  steps_sampled=header["steps_sampled"], targets=targets,
-                  rng_id=header["rng_id"])
-    trace.final = replay_moves(trace)
-    return trace
-
-
-def replay_moves(trace: Trace) -> BidirectedNetwork:
-    net = trace.initial.copy()
-    for mv in trace.moves:
-        if mv.kind is MoveKind.ADD_SPEAKING:
-            net.add_speaking(mv.u, mv.v)
-        elif mv.kind is MoveKind.REMOVE_SPEAKING:
-            net.remove_speaking(mv.u, mv.v)
-        elif mv.kind is MoveKind.ADD_LISTENING:
-            net.add_listening(mv.u, mv.v)
-        elif mv.kind is MoveKind.REMOVE_LISTENING:
-            net.remove_listening(mv.u, mv.v)
-    return net
+    final = initial.copy()
+    for mv in moves:
+        apply_move(final, mv)
+    return Trace(seed=seed, params=params, initial=initial, moves=moves,
+                 final=final, converged=converged, steps_sampled=steps_sampled,
+                 targets=targets, rng_id=rng_id)
 
 
 def certificate_to_text(cert: PathCertificate, start: BidirectedNetwork,
                         params: Params) -> str:
-    header = {
-        "record": "certificate",
-        "n": start.n,
-        "k": format_k(params.k),
-        "c_s": format_cost(params.c_s),
-        "c_l": format_cost(params.c_l),
-        "mode": params.mode.value,
-        "initial_speaking": [list(e) for e in sorted(start.speaking)],
-        "initial_listening": [list(e) for e in sorted(start.listening)],
-        "retired_edges": [list(e) for e in sorted(cert.retired_edges)],
-    }
+    header = {"record": "certificate",
+              "retired_edges": [list(e) for e in sorted(cert.retired_edges)],
+              **_game_fields(start, params, ALL_OTHERS, "initial_")}
     lines = [json.dumps(header, sort_keys=True), "step,kind,u,v,step_label"]
     lines.extend(f"{i},{m.kind.value},{m.u},{m.v},{m.step_label}"
                  for i, m in enumerate(cert.moves))

@@ -2,6 +2,7 @@
 PASS/FAIL line (visible even under pytest capture)."""
 
 import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -249,7 +250,8 @@ def _pipeline(workdir):
          "-o", str(workdir / "g.dot")],
     ]
     for cmd in cmds:
-        proc = subprocess.run(["netform", *cmd], capture_output=True)
+        proc = subprocess.run([sys.executable, "-m", "netform", *cmd],
+                              capture_output=True)
         assert proc.returncode == 0, (cmd, proc.stderr)
     for path in sorted(workdir.iterdir()):
         outs.append((path.name, path.read_bytes()))

@@ -5,6 +5,7 @@ import pytest
 from netform import (INF, BidirectedNetwork, Mode, Params, Role, condense,
                      construct_path, is_stable, lemma_checks, strip_removables,
                      validate_certificate)
+from netform.convergence import CertMove
 from netform.dynamics import MoveKind
 from netform.errors import LemmaCheckError
 from netform.generators import cycle, empty, random_net
@@ -188,12 +189,23 @@ class TestLemmaChecks:
 
     def test_tampered_certificate_rejected(self):
         # negative control: injecting a non-addable move must fail replay
-        from netform.convergence import CertMove
         start = two_cycles(3)
         p = di(2)
         cert = construct_path(start, p)
         assert validate_certificate(cert, start, p)
         cert.moves.insert(0, CertMove(MoveKind.ADD_SPEAKING, 0, 1, 5))
+        assert not validate_certificate(cert, start, p)
+
+    @pytest.mark.parametrize("move", [
+        CertMove(MoveKind.NO_CHANGE, 0, 1, 1),
+        CertMove(MoveKind.ADD_LISTENING, 1, 0, 1),
+        # (0, 1) closes a 3-cycle: removing it loses 2 reach at cost 2
+        CertMove(MoveKind.REMOVE_SPEAKING, 0, 1, 1)])
+    def test_certificate_move_kinds_rejected(self, move):
+        start = two_cycles(3)
+        p = di(2)
+        cert = construct_path(start, p)
+        cert.moves.insert(0, move)
         assert not validate_certificate(cert, start, p)
 
     def test_lemma_check_error_is_assertion(self):

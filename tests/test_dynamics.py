@@ -156,6 +156,20 @@ class TestNeverReadd:
         res = never_readd_check(tr)
         assert res.applicable and not res.ok and not res
 
+    @pytest.mark.parametrize("readd, final", [
+        (Move(MoveKind.ADD_SPEAKING, EdgeKind.SPEAKING, 0, 1, 1),
+         BidirectedNetwork(2, [(0, 1)])),
+        (Move(MoveKind.ADD_LISTENING, EdgeKind.LISTENING, 1, 0, 1),
+         BidirectedNetwork(2, [], [(1, 0)]))])
+    def test_listening_removal_kills_pair(self, readd, final):
+        # removing listening edge (1, 0) leaves pair (0, 1) with neither half
+        tr = Trace(seed=0, params=bi(), initial=BidirectedNetwork(2, [], [(1, 0)]),
+                   moves=[Move(MoveKind.REMOVE_LISTENING, EdgeKind.LISTENING,
+                               1, 0, 0), readd],
+                   final=final, converged=False, steps_sampled=2)
+        res = never_readd_check(tr)
+        assert res.applicable and not res.ok
+
     def test_vacuous_for_directed(self):
         p = Params(k=INF, c_s=F(1), mode=Mode.DIRECTED)
         tr = run(empty(3), p, seed=0, max_steps=5, scan_interval=5)

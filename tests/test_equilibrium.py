@@ -108,7 +108,7 @@ class TestEfficiency:
         # [PAPER] the cycle is the efficient network at n=3, c=1/2;
         # both rotations attain the maximum (uniqueness up to orientation)
         rep = efficient_search(3, bi())
-        assert rep.best_welfare == 9 and rep.mode == "exhaustive"
+        assert rep.best_welfare == 9
         assert any(net == cycle(3) for net in rep.argmax_nets)
         lifted_cycles = {cycle(3).canonical(),
                          BidirectedNetwork(3, [(0, 2), (2, 1), (1, 0)],
@@ -133,10 +133,6 @@ class TestEfficiency:
         for rep in (efficient_search(3, bi()),
                     efficient_search(2, bi(k=1, cs=F(2), cl=F(2)))):
             assert all(all_complete(net) for net in rep.argmax_nets)
-
-    def test_sampled_mode_flagged(self):
-        rep = efficient_search(3, bi(), mode="sampled", sample_size=50)
-        assert rep.mode == "sampled" and rep.searched == 50
 
 
 class TestPoAPoS:

@@ -1,13 +1,16 @@
+import copy
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netform import (INF, BidirectedNetwork, Mode, Params, TargetSets,
                      construct_path, run)
 from netform.cli import main
 from netform.dynamics import scan_witnesses
-from netform.errors import DocumentError
+from netform.errors import DocumentError, TraceError
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
                                 kautz, random_net)
 from netform.metrics import (StructureFamily, clustering_coefficient,
@@ -134,6 +137,140 @@ class TestTraces:
     def test_bad_trace_text_rejected(self):
         with pytest.raises(DocumentError):
             trace_from_text("{}\nstep,kind,u,v\n")
+
+
+# a valid trace header on 3 vertices; with the row "0,-s,s,0,1" it replays
+BASE_TRACE = {"record": "trace", "seed": 3, "rng_id": "python-random-mt19937",
+              "n": 3, "k": "inf", "c_s": "1/2", "c_l": "1/2",
+              "mode": "bidirected", "initial_speaking": [[0, 1]],
+              "initial_listening": [[1, 0]], "converged": False,
+              "steps_sampled": 1}
+
+
+def _trace_text(header, rows=("0,-s,s,0,1",)):
+    head = header if isinstance(header, str) else json.dumps(header)
+    return "\n".join([head, "step,kind,edge,u,v", *rows]) + "\n"
+
+
+def _without(key):
+    return {k: v for k, v in BASE_TRACE.items() if k != key}
+
+
+class TestTraceDefects:
+    def test_base_trace_replays(self):
+        tr = trace_from_text(_trace_text(BASE_TRACE))
+        assert tr.final == BidirectedNetwork(3, [], [(1, 0)])
+
+    @pytest.mark.parametrize("text, error, match", [
+        pytest.param(_trace_text(_without("seed")), DocumentError,
+                     "missing field 'seed'", id="missing-seed"),
+        pytest.param(_trace_text({**BASE_TRACE, "mode": "weird"}),
+                     DocumentError, "^mode:", id="unknown-mode"),
+        pytest.param(_trace_text({**BASE_TRACE, "initial_speaking": [[0, 1], [2, 2]]}),
+                     DocumentError, r"initial_speaking\[1\]: self-pair",
+                     id="self-pair"),
+        pytest.param(_trace_text({**BASE_TRACE, "n": "5"}), DocumentError,
+                     "^n:", id="string-n"),
+        pytest.param(_trace_text("{not json"), DocumentError, "not JSON",
+                     id="non-json-header"),
+        pytest.param(_trace_text("[1]"), DocumentError, "not a trace record",
+                     id="list-header"),
+        pytest.param(_trace_text(BASE_TRACE, ["0,-s,s,1,2"]), TraceError,
+                     r"speaking edge \(1, 2\) not present",
+                     id="remove-absent-edge"),
+        pytest.param(_trace_text({**BASE_TRACE, "seed": 1.5}), DocumentError,
+                     "^seed: expected int", id="float-seed"),
+        pytest.param(_trace_text({**BASE_TRACE, "rng_id": 7}), DocumentError,
+                     "^rng_id: expected str", id="int-rng-id"),
+        pytest.param(_trace_text({**BASE_TRACE, "converged": 1}), DocumentError,
+                     "^converged: expected bool", id="int-converged"),
+        pytest.param(_trace_text({**BASE_TRACE, "steps_sampled": True}),
+                     DocumentError, "^steps_sampled: expected int",
+                     id="bool-steps"),
+    ])
+    def test_defect_raises_named_error(self, text, error, match):
+        with pytest.raises(error, match=match):
+            trace_from_text(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40)
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+
+FUZZ_DOCS = [
+    emit_document(random_net(5, 0.5, 0.5, 3), bi(k=2),
+                  targets=TargetSets(speak={0: frozenset({1, 2})},
+                                     listen={3: frozenset({4})}),
+                  meta={"generator": "random"}),
+    emit_document(cycle(4, lifted=False), Params(k=INF, c_s=F(2),
+                                                 mode=Mode.DIRECTED)),
+]
+
+FUZZ_TRACES = [
+    trace_to_text(run(random_net(4, 0.4, 0.4, 1), bi(), seed=1, max_steps=60,
+                      targets=TargetSets(speak={0: frozenset({1, 2})}))),
+    trace_to_text(run(random_net(5, 0.3, 0.0, 2),
+                      Params(k=2, c_s=F(1, 2), mode=Mode.DIRECTED), seed=2,
+                      max_steps=60)),
+]
+
+
+def _mutate_mapping(data, mapping):
+    """Drop a key, swap in a random JSON value, or corrupt one entry of a
+    list value."""
+    key = data.draw(st.sampled_from(sorted(mapping)))
+    op = data.draw(st.sampled_from(("drop", "swap", "entry")))
+    if op == "drop":
+        del mapping[key]
+    elif op == "swap" or not isinstance(mapping[key], list) or not mapping[key]:
+        mapping[key] = data.draw(JSON_VALUES)
+    else:
+        entries = mapping[key]
+        i = data.draw(st.integers(0, len(entries) - 1))
+        if isinstance(entries[i], list):
+            entries[i][data.draw(st.integers(0, len(entries[i]) - 1))] = \
+                data.draw(JSON_VALUES)
+        else:
+            entries[i] = data.draw(JSON_VALUES)
+
+
+class TestFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_document_parses_or_raises_document_error(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCS)))
+        _mutate_mapping(data, doc)
+        try:
+            parse_document(doc)
+        except DocumentError:
+            pass
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_trace_parses_or_raises(self, data):
+        text = data.draw(st.sampled_from(FUZZ_TRACES))
+        lines = text.splitlines()
+        op = data.draw(st.sampled_from(("header", "truncate", "row")))
+        if op == "truncate":
+            text = text[:data.draw(st.integers(0, len(text)))]
+        elif op == "row":
+            i = data.draw(st.integers(2, len(lines) - 1))
+            fields = lines[i].split(",")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                st.text(max_size=4) | st.integers(-3, 40).map(str))
+            lines[i] = ",".join(fields)
+            text = "\n".join(lines) + "\n"
+        else:
+            header = json.loads(lines[0])
+            _mutate_mapping(data, header)
+            text = "\n".join([json.dumps(header), *lines[1:]]) + "\n"
+        try:
+            trace_from_text(text)
+        except (DocumentError, TraceError):
+            pass
 
 
 class TestMetrics:
