@@ -164,7 +164,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     net, params, targets, _ = _read_doc(args.input)
-    report = equilibrium.is_stable(net, params, targets)
+    report = (equilibrium.is_bi_pairwise_stable if args.bi_pairwise
+              else equilibrium.is_stable)(net, params, targets)
     out = {
         "stable": report.stable,
         "witnesses": [[k.value, u, v, cls.value]
@@ -173,8 +174,7 @@ def _cmd_check(args) -> int:
         "symmetric": equilibrium.check_symmetric(net, params, targets),
     }
     if args.bi_pairwise:
-        bi = equilibrium.is_bi_pairwise_stable(net, params, targets)
-        out["bi_pairwise"] = bi.bi_pairwise
+        out["bi_pairwise"] = report.bi_pairwise
     if args.nash_oracle:
         out["nash"] = equilibrium.brute_force_nash(net, params, targets)
     _write(args.output, json.dumps(out, sort_keys=True, indent=2) + "\n")
@@ -212,7 +212,12 @@ def _cmd_census(args) -> int:
                      "bi_pairwise", "complete", "symmetric"])
     if args.sweep:
         with open(args.sweep, encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
+            rows = csv.DictReader(fh, restval="")
+            missing = {"k", "c_s", "c_l"}.difference(rows.fieldnames or ())
+            if missing:
+                raise DocumentError(f"{args.sweep}: missing column(s) "
+                                    f"{', '.join(sorted(missing))}")
+            for row in rows:
                 _census_rows(args.n, _params(row["k"], row["c_s"], row["c_l"],
                                              args.mode), writer)
     else:

@@ -3,7 +3,8 @@
 Each round samples one typed ordered pair uniformly from the 2*n*(n-1)
 possibilities and applies the strict add/remove rule for its owner: an
 absent edge is added iff adding it strictly increases the owner's utility,
-a present edge is removed iff removing it strictly increases it.
+a present edge is removed iff removing it strictly increases it, decided
+from reach balls without touching the network (see ``ReachBalls``).
 
 Runs are driven by Python's ``random.Random`` (MT19937) seeded with the
 64-bit seed recorded in the trace, so a trace replays bit-identically.
@@ -88,47 +89,76 @@ class PotentialMeasure:
     value: int
 
 
-def _owner_reach_count(net, params, targets, kind: EdgeKind, u: int) -> int:
-    # Toggling an outgoing speaking edge of u can only change u's forward
-    # reach, and toggling an outgoing listening edge of u only its backward
-    # reach: a shortest live path never revisits its endpoint, so edges
-    # incident to u in the other role cannot appear on it.
-    if kind is EdgeKind.SPEAKING:
-        return targets.speak_count(u, _bfs(net, params.k, u, True, params.mode))
-    return targets.listen_count(u, _bfs(net, params.k, u, False, params.mode))
+class ReachBalls:
+    """Reach balls of one unchanged network, each built by one BFS on first
+    use, and the edge rule decided from them.  A speaking edge moves only its
+    owner's forward ball, a listening edge only the backward one.  Adding the
+    live step u -> v gives u the reach ``B_k(u) | {v} | B_{k-1}(v)``, as a
+    shortest path from v never re-enters v; removing a present live step
+    takes one BFS that skips it.  A dead pair (bidirected, partner half
+    absent) moves no reach: a present dead edge is removable iff its cost is
+    above 0, an absent one is never addable.  So a scan runs one BFS per
+    vertex and direction plus one per present live edge."""
+
+    __slots__ = ("net", "params", "_balls", "_counts", "_rules")
+
+    def __init__(self, net: BidirectedNetwork, params: Params,
+                 targets: TargetSets = ALL_OTHERS):
+        self.net, self.params = net, params
+        self._balls = ({}, {})  # [forward][vertex]
+        self._counts = (targets.listen_count, targets.speak_count)
+        # gains and losses are integers: gain > c iff gain >= floor(c) + 1,
+        # and lost < c iff lost <= ceil(c) - 1
+        self._rules = tuple((c.numerator // c.denominator + 1,
+                             -(-c.numerator // c.denominator) - 1)
+                            for c in (params.c_l, params.c_s))
+
+    def ball(self, x: int, forward: bool) -> Tuple[set, set]:
+        """``(B_k(x), B_{k-1}(x))``, neither containing x."""
+        got = self._balls[forward].get(x)
+        if got is None:
+            seen, last = _bfs(self.net, self.params.k, x, forward,
+                              self.params.mode)
+            inner = seen.difference(last) if last else seen
+            got = self._balls[forward][x] = (seen, inner)
+        return got
+
+    def gain(self, u: int, v: int, forward: bool) -> int:
+        """Targets u newly reaches when the live step between u and v
+        (u -> v forward, v -> u backward) is added."""
+        added = (self.ball(v, forward)[1] | {v}) - self.ball(u, forward)[0]
+        added.discard(u)
+        return self._counts[forward](u, added)
+
+    def classify(self, kind: EdgeKind, u: int, v: int) -> Classification:
+        net, forward = self.net, kind is EdgeKind.SPEAKING
+        directed = self.params.mode is Mode.DIRECTED
+        if forward:
+            present = (u, v) in net.speaking
+            live = directed or (v, u) in net.listening
+        else:
+            present = (u, v) in net.listening
+            # listening is implicit and free (c_l = 0) in the reduced model:
+            # a listening edge there is dead and never fires
+            live = not directed and (v, u) in net.speaking
+        add_min, lost_max = self._rules[forward]
+        if not present:
+            return (Classification.ADDABLE
+                    if live and self.gain(u, v, forward) >= add_min
+                    else Classification.STAY_ABSENT)
+        lost = 0
+        if live:
+            kept = _bfs(net, self.params.k, u, forward, self.params.mode, v)[0]
+            lost = self._counts[forward](u, self.ball(u, forward)[0] - kept)
+        return (Classification.REMOVABLE if lost <= lost_max
+                else Classification.STAY_PRESENT)
 
 
 def classify(net: BidirectedNetwork, params: Params, targets: TargetSets,
              kind: EdgeKind, u: int, v: int) -> Classification:
     """Addable/removable status of the typed edge (u, v) for its owner u."""
     net._check_pair(u, v)
-    if kind is EdgeKind.LISTENING and params.mode is Mode.DIRECTED:
-        # Listening is implicit and free in the reduced model; toggling a
-        # listening edge never strictly changes any utility.
-        return (Classification.STAY_PRESENT if net.has_listening(u, v)
-                else Classification.STAY_ABSENT)
-
-    if kind is EdgeKind.SPEAKING:
-        present = net.has_speaking(u, v)
-        cost = params.c_s
-        add, remove = net.add_speaking, net.remove_speaking
-    else:
-        present = net.has_listening(u, v)
-        cost = params.c_l
-        add, remove = net.add_listening, net.remove_listening
-
-    base = _owner_reach_count(net, params, targets, kind, u)
-    if present:
-        remove(u, v)
-        alt = _owner_reach_count(net, params, targets, kind, u)
-        add(u, v)
-        lost = base - alt
-        return Classification.REMOVABLE if lost < cost else Classification.STAY_PRESENT
-    add(u, v)
-    alt = _owner_reach_count(net, params, targets, kind, u)
-    remove(u, v)
-    gain = alt - base
-    return Classification.ADDABLE if gain > cost else Classification.STAY_ABSENT
+    return ReachBalls(net, params, targets).classify(kind, u, v)
 
 
 def iter_typed_pairs(n: int):
@@ -139,9 +169,11 @@ def iter_typed_pairs(n: int):
                     yield kind, u, v
 
 
-def _witnesses(net: BidirectedNetwork, params: Params, targets: TargetSets):
+def _witnesses(net: BidirectedNetwork, params: Params, targets: TargetSets,
+               balls: Optional[ReachBalls] = None):
+    balls = balls or ReachBalls(net, params, targets)
     for kind, u, v in iter_typed_pairs(net.n):
-        cls = classify(net, params, targets, kind, u, v)
+        cls = balls.classify(kind, u, v)
         if cls is Classification.ADDABLE or cls is Classification.REMOVABLE:
             yield kind, u, v, cls
 
@@ -154,9 +186,11 @@ def find_witness(net: BidirectedNetwork, params: Params,
 
 
 def scan_witnesses(net: BidirectedNetwork, params: Params,
-                   targets: TargetSets = ALL_OTHERS
+                   targets: TargetSets = ALL_OTHERS,
+                   balls: Optional[ReachBalls] = None
                    ) -> List[Tuple[EdgeKind, int, int, Classification]]:
-    return list(_witnesses(net, params, targets))
+    """Every addable or removable typed edge; ``balls`` are net's own."""
+    return list(_witnesses(net, params, targets, balls))
 
 
 def apply_move(net: BidirectedNetwork, move) -> None:

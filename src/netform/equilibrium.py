@@ -7,11 +7,12 @@ used to validate the scan on small instances rather than trusted blindly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .dynamics import Classification, EdgeKind, scan_witnesses
+from .dynamics import Classification, EdgeKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
                     agent_utility, welfare)
@@ -43,8 +44,9 @@ class PoAResult:
 
 
 def is_stable(net: BidirectedNetwork, params: Params,
-              targets: TargetSets = ALL_OTHERS) -> StabilityReport:
-    witnesses = scan_witnesses(net, params, targets)
+              targets: TargetSets = ALL_OTHERS,
+              balls: Optional[ReachBalls] = None) -> StabilityReport:
+    witnesses = scan_witnesses(net, params, targets, balls)
     return StabilityReport(stable=not witnesses, witnesses=witnesses)
 
 
@@ -59,39 +61,35 @@ def is_bi_pairwise_stable(net: BidirectedNetwork, params: Params,
                           targets: TargetSets = ALL_OTHERS) -> StabilityReport:
     """No single removal helps its owner, and every joint addition of a
     speaking edge with its return listening edge that strictly helps the
-    speaker strictly harms the listener."""
-    report = is_stable(net, params, targets)
-    removable = [w for w in report.witnesses
-                 if w[3] is Classification.REMOVABLE]
-    if removable:
+    speaker strictly harms the listener.  The addition makes u -> v live,
+    which moves only u's speaking and v's listening reach: both deltas come
+    from the scan's reach balls."""
+    balls = ReachBalls(net, params, targets)
+    report = is_stable(net, params, targets, balls)
+    if any(w[3] is Classification.REMOVABLE for w in report.witnesses):
         report.bi_pairwise = False
         return report
-    work = net.copy()
+    directed = params.mode is Mode.DIRECTED
+    # integer gains: > c_s iff >= floor(c_s) + 1, >= c_l iff >= ceil(c_l)
+    speak_min, listen_min = math.floor(params.c_s) + 1, math.ceil(params.c_l)
     for u in range(net.n):
         for v in range(net.n):
             if u == v:
                 continue
-            add_s = not work.has_speaking(u, v)
-            add_l = not work.has_listening(v, u)
-            if not (add_s or add_l):
+            add_s = (u, v) not in net.speaking
+            add_l = (v, u) not in net.listening
+            if not add_s and (directed or not add_l):
+                continue  # the step u -> v is live already: nothing changes
+            gain_u = balls.gain(u, v, True)
+            if gain_u < (speak_min if add_s else 1):
                 continue
-            before_u = agent_utility(work, params, targets, u)
-            before_v = agent_utility(work, params, targets, v)
-            if add_s:
-                work.add_speaking(u, v)
-            if add_l:
-                work.add_listening(v, u)
-            after_u = agent_utility(work, params, targets, u)
-            after_v = agent_utility(work, params, targets, v)
-            if add_s:
-                work.remove_speaking(u, v)
-            if add_l:
-                work.remove_listening(v, u)
-            if after_u > before_u and not after_v < before_v:
-                report.bi_pairwise = False
-                report.bi_pairwise_witness = (u, v, after_u - before_u,
-                                              after_v - before_v)
-                return report
+            gain_v = 0 if directed else balls.gain(v, u, False)
+            if gain_v < (listen_min if add_l else 0):
+                continue
+            report.bi_pairwise = False
+            report.bi_pairwise_witness = (u, v, gain_u - params.c_s * add_s,
+                                          gain_v - params.c_l * add_l)
+            return report
     report.bi_pairwise = True
     return report
 

@@ -9,7 +9,8 @@ edges alone are live.
 
 Costs are exact ``Fraction`` values: the addable/removable rules use strict
 inequalities, so boundary cases like cost == gain must not depend on
-floating-point rounding.
+floating-point rounding.  Reach gains and losses are integers, so the rules
+compare them with the integer thresholds ``floor(c) + 1`` and ``ceil(c) - 1``.
 """
 
 from __future__ import annotations
@@ -214,9 +215,14 @@ def live_pair(net: BidirectedNetwork, mode: Mode, u: int, v: int) -> bool:
     return net.has_speaking(u, v) and net.has_listening(v, u)
 
 
-def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode) -> set:
+def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,
+         skip=None):
+    """The only reach search: the ball of v, vertices within k live steps
+    (never v), and its last layer, those at distance exactly k (empty when
+    the search ran out first, so always for k = INF).  ``skip`` leaves out
+    v's own step to that vertex: the ball after removing that live edge."""
     step = net.successors if forward else net.predecessors
-    seen = {v}
+    seen = {v} if skip is None else {v, skip}
     frontier = [v]
     depth = 0
     while frontier and depth < k:
@@ -227,23 +233,25 @@ def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode) -> set:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
+        if depth == 1 and skip is not None:
+            seen.discard(skip)  # still reachable by a longer path
         frontier = nxt
     seen.discard(v)
-    return seen
+    return seen, frontier
 
 
 def speaking_reach(net: BidirectedNetwork, params: Params, v: int) -> set:
     """Vertices reachable from v by live paths of length at most k; never v."""
     if not 0 <= v < net.n:
         raise ValueError(f"vertex {v} out of range")
-    return _bfs(net, params.k, v, True, params.mode)
+    return _bfs(net, params.k, v, True, params.mode)[0]
 
 
 def listening_reach(net: BidirectedNetwork, params: Params, v: int) -> set:
     """Vertices u such that v lies in u's speaking reach (backward closure)."""
     if not 0 <= v < net.n:
         raise ValueError(f"vertex {v} out of range")
-    return _bfs(net, params.k, v, False, params.mode)
+    return _bfs(net, params.k, v, False, params.mode)[0]
 
 
 @dataclass(frozen=True)

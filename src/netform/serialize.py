@@ -1,7 +1,8 @@
 """Network documents (JSON), DOT export, and trace/certificate text formats.
 
 All emission is sorted so output is byte-identical across runs for the same
-input.
+input.  Parsing refuses more than ``MAX_AGENTS`` agents and costs it could
+not write back, among them any decimal exponent above ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .errors import DocumentError
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets)
 
+MAX_AGENTS = 10_000  # a network allocates four per-vertex lists up front
+MAX_EXPONENT = 4300  # Python's default int/str digit limit
+
 _DOC_FIELDS = {"n", "k", "c_s", "c_l", "mode", "speaking", "listening",
                "targets_s", "targets_l", "meta"}
 
@@ -27,10 +31,19 @@ def parse_cost(text, where: str = "cost") -> Fraction:
     if isinstance(text, bool) or isinstance(text, float):
         raise DocumentError(f"{where}: expected an exact string or integer, "
                             f"got {text!r}")
+    try:  # Fraction would build 10**exponent before any check
+        exponent = abs(int(text.lower().partition("e")[2] or 0))
+    except (AttributeError, ValueError):
+        exponent = 0  # an integer, or malformed: Fraction reports it
+    if exponent > MAX_EXPONENT:
+        raise DocumentError(f"{where}: exponent of {text!r} exceeds "
+                            f"{MAX_EXPONENT}")
     try:
-        return Fraction(text)
+        cost = Fraction(text)
+        format_cost(cost)  # more than 4300 digits cannot be written back
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise DocumentError(f"{where}: cannot parse {text!r} exactly") from exc
+    return cost
 
 
 def format_cost(c: Fraction) -> str:
@@ -106,6 +119,8 @@ def _parse_game(doc: dict, edge_keys: Tuple[str, str], where: str
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DocumentError(f"n: expected a positive integer, got {n!r}")
+    if n > MAX_AGENTS:
+        raise DocumentError(f"n: {n} exceeds the cap of {MAX_AGENTS} agents")
     try:
         mode = Mode(doc["mode"])
     except ValueError:

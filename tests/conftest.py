@@ -1,12 +1,23 @@
 """Shared helpers: an independent reachability oracle (simple-path
 enumeration, no BFS) and small strategies for property tests."""
 
+import os
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+import netform
 from netform import INF, BidirectedNetwork, Mode, Params
+
+
+def child_env() -> dict:
+    """Environment for a child ``python -m netform`` that imports the same
+    netform sources as this test run, installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(netform.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
 
 
 def oracle_live(net: BidirectedNetwork, mode: Mode, u: int, v: int) -> bool:

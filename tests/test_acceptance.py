@@ -251,7 +251,7 @@ def _pipeline(workdir):
     ]
     for cmd in cmds:
         proc = subprocess.run([sys.executable, "-m", "netform", *cmd],
-                              capture_output=True)
+                              capture_output=True, env=conftest.child_env())
         assert proc.returncode == 0, (cmd, proc.stderr)
     for path in sorted(workdir.iterdir()):
         outs.append((path.name, path.read_bytes()))

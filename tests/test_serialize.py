@@ -1,11 +1,14 @@
 import copy
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from netform import (INF, BidirectedNetwork, Mode, Params, TargetSets,
                      construct_path, run)
 from netform.cli import main
@@ -16,9 +19,9 @@ from netform.generators import (balanced_flower, complete_net, cycle, empty,
 from netform.metrics import (StructureFamily, clustering_coefficient,
                              diameter, has_open_and_closed_triangle, metrics,
                              structure_search)
-from netform.serialize import (certificate_to_text, emit_document, parse_cost,
-                               parse_document, parse_k, to_dot,
-                               trace_from_text, trace_to_text)
+from netform.serialize import (MAX_AGENTS, certificate_to_text,
+                               emit_document, parse_cost, parse_document,
+                               parse_k, to_dot, trace_from_text, trace_to_text)
 
 
 def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
@@ -38,6 +41,28 @@ class TestCosts:
     def test_garbage_rejected_with_location(self):
         with pytest.raises(DocumentError, match="c_s"):
             parse_cost("two", "c_s")
+
+    def test_huge_exponent_rejected_before_fraction(self):
+        for text in ("1e4301", "1E-4301", "2.5e+9_999"):
+            with pytest.raises(DocumentError, match="exponent"):
+                parse_cost(text, "c_s")
+        assert parse_cost("1e300") == 10 ** 300
+
+    def test_unwritable_cost_rejected(self):
+        # 10**4300 has 4301 digits, one more than int/str conversion allows
+        with pytest.raises(DocumentError, match="c_l"):
+            parse_cost("1e4300", "c_l")
+
+    def test_giant_exponent_fails_fast(self):
+        # in a child process, so a regression fails on the timeout instead of
+        # hanging the suite while Fraction builds 10**999999999
+        code = ("from netform.errors import DocumentError\n"
+                "from netform.serialize import parse_cost\n"
+                "try:\n    parse_cost('1e999999999')\n"
+                "except DocumentError:\n    print('rejected')\n")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, timeout=30)
+        assert out.stdout.strip() == "rejected", out.stderr
 
     def test_k_parsing(self):
         assert parse_k("inf") == INF
@@ -84,6 +109,16 @@ class TestDocuments:
         del doc["mode"]
         with pytest.raises(DocumentError, match="mode"):
             parse_document(doc)
+
+    def test_agent_cap(self):
+        # at cap + 1 only, so a broken guard allocates little
+        doc = emit_document(empty(2), bi())
+        doc["n"] = MAX_AGENTS + 1
+        with pytest.raises(DocumentError, match=f"^n: {MAX_AGENTS + 1}"):
+            parse_document(doc)
+        header = {**BASE_TRACE, "n": MAX_AGENTS + 1}
+        with pytest.raises(DocumentError, match="^n:"):
+            trace_from_text(_trace_text(header))
 
     def test_decimal_cost_directed_document(self):
         doc = emit_document(empty(3), Params(k=2, c_s="1.5",
@@ -386,6 +421,24 @@ class TestCli:
         assert self.run_cli("export-dot", "-i", str(doc), "--annotate") == 0
         dot = capsys.readouterr().out
         assert dot.startswith("digraph") and "red" not in dot
+
+    @pytest.mark.parametrize("header", ["c_s,c_l", "k,c_l", "k,c_s"])
+    def test_sweep_missing_column(self, tmp_path, capsys, header):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(header + "\n1,1\n")
+        assert self.run_cli("census", "--n", "2", "--sweep", str(sweep),
+                            "--mode", "directed") == 1
+        missing = ({"k", "c_s", "c_l"} - set(header.split(","))).pop()
+        assert capsys.readouterr().err == \
+            f"error: {sweep}: missing column(s) {missing}\n"
+
+    def test_sweep_rows(self, tmp_path, capsys):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text("k,c_s,c_l\n1,1/2,0\ninf,2,0\n")
+        assert self.run_cli("census", "--n", "2", "--sweep", str(sweep),
+                            "--mode", "directed") == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 1 + 2 * 4 and rows[1].startswith("1,1/2,0,0,")
 
     def test_exit_codes(self, tmp_path, capsys):
         assert self.run_cli("generate", "flower", "--n", "26") == 1  # no finite k
