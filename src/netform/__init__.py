@@ -5,9 +5,9 @@ from .model import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
                     TargetSets, UtilityBreakdown, agent_utility, live_pair,
                     listening_reach, speaking_reach, utility, welfare)
 from .dynamics import (Classification, EdgeKind, Move, MoveKind,
-                       NeverReaddResult, PotentialMeasure, Trace, classify,
-                       find_witness, never_readd_check, potential, replay,
-                       run, scan_witnesses, step)
+                       NeverReaddResult, ReachBalls, Trace, classify,
+                       find_witness, never_readd_check, replay, run,
+                       scan_witnesses, step)
 from .equilibrium import (EfficiencyReport, PoAResult, StabilityReport,
                           all_complete, brute_force_nash, check_symmetric,
                           efficient_search, is_bi_pairwise_stable, is_stable,
@@ -18,8 +18,8 @@ from .generators import (FlowerSpec, KautzSpec, balanced_flower, complete_net,
 from .convergence import (CertMove, ComponentGraph, PathCertificate, Role,
                           condense, construct_path, lemma_checks,
                           strip_removables, validate_certificate)
-from .metrics import (StructureFamily, StructureMetrics, clustering_coefficient,
-                      diameter, metrics, structure_search)
+from .metrics import (StructureMetrics, clustering_coefficient, diameter,
+                      metrics, structure_search)
 from .errors import (CapacityError, ConstructionError, DocumentError,
                      LemmaCheckError, TraceError)
 

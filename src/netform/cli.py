@@ -17,7 +17,7 @@ from . import convergence, dynamics, equilibrium, generators, serialize
 from .metrics import metrics as compute_metrics
 from .errors import (CapacityError, ConstructionError, DocumentError,
                      LemmaCheckError, TraceError)
-from .model import INF, Mode, Params
+from .model import ALL_OTHERS, INF, Mode, Params, agent_utility
 
 
 class _UsageError(Exception):
@@ -194,14 +194,17 @@ def _cmd_path(args) -> int:
 def _census_rows(n: int, params: Params, writer):
     for mask, net in enumerate(equilibrium.iter_all_networks(n, params.mode)):
         report = equilibrium.is_bi_pairwise_stable(net, params)
+        # one utility list for the welfare and symmetric columns
+        utilities = [agent_utility(net, params, ALL_OTHERS, v)
+                     for v in range(net.n)]
         writer.writerow([
             serialize.format_k(params.k), str(params.c_s), str(params.c_l),
             mask,
-            str(equilibrium.welfare(net, params)),
+            str(sum(utilities)),
             int(report.stable),
             int(bool(report.bi_pairwise)),
             int(equilibrium.all_complete(net)),
-            int(equilibrium.check_symmetric(net, params)),
+            int(len(set(utilities)) <= 1),
         ])
 
 
@@ -280,7 +283,3 @@ def main(argv=None) -> int:
     except (LemmaCheckError, ConstructionError, TraceError) as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

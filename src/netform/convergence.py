@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .dynamics import Classification, EdgeKind, MoveKind, apply_move, classify
+from .dynamics import Classification, EdgeKind, MoveKind, ReachBalls, apply_move
 from .errors import ConstructionError, LemmaCheckError
-from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
-                    speaking_reach)
+from .model import BidirectedNetwork, INF, Mode, Params, speaking_reach
 from .scc import condensation, dag_reachability, topological_order
 
 
@@ -126,24 +125,20 @@ def condense(net: BidirectedNetwork, params: Params) -> ComponentGraph:
                           roles=roles, comp_reach=comp_reach)
 
 
-def _removable(net, params, u, v) -> bool:
-    return classify(net, params, ALL_OTHERS, EdgeKind.SPEAKING, u, v) \
-        is Classification.REMOVABLE
+def _addable(balls: ReachBalls, u: int, v: int) -> bool:
+    return balls.classify(EdgeKind.SPEAKING, u, v) is Classification.ADDABLE
 
 
-def _addable(net, params, u, v) -> bool:
-    return classify(net, params, ALL_OTHERS, EdgeKind.SPEAKING, u, v) \
-        is Classification.ADDABLE
-
-
-def _strip_inplace(net: BidirectedNetwork, params: Params,
-                   moves: Optional[List[CertMove]] = None) -> List[Tuple[int, int]]:
+def _strip_inplace(balls: ReachBalls, moves: Optional[List[CertMove]] = None
+                   ) -> List[Tuple[int, int]]:
+    net = balls.net
     removed = []
     progress = True
     while progress:
         progress = False
         for (u, v) in sorted(net.speaking):
-            if _removable(net, params, u, v):
+            if balls.classify(EdgeKind.SPEAKING, u, v) \
+                    is Classification.REMOVABLE:
                 net.remove_speaking(u, v)
                 removed.append((u, v))
                 if moves is not None:
@@ -159,15 +154,15 @@ def strip_removables(net: BidirectedNetwork, params: Params
     lexicographic order, plus the deletion sequence."""
     _require(params)
     out = net.copy()
-    removed = _strip_inplace(out, params)
+    removed = _strip_inplace(ReachBalls(out, params))
     return out, removed
 
 
-def _find_addable(net: BidirectedNetwork, params: Params
-                  ) -> Optional[Tuple[int, int]]:
+def _find_addable(balls: ReachBalls) -> Optional[Tuple[int, int]]:
+    net = balls.net
     for u in range(net.n):
         for v in range(net.n):
-            if u != v and not net.has_speaking(u, v) and _addable(net, params, u, v):
+            if u != v and not net.has_speaking(u, v) and _addable(balls, u, v):
                 return (u, v)
     return None
 
@@ -235,34 +230,33 @@ def lemma_checks(net_before: BidirectedNetwork, net_after: BidirectedNetwork,
     return results
 
 
-def _pre_step_checks(net: BidirectedNetwork, params: Params,
-                     cg: ComponentGraph, addable: Tuple[int, int]
-                     ) -> List[Tuple[str, bool]]:
+def _pre_step_checks(balls: ReachBalls, cg: ComponentGraph,
+                     addable: Tuple[int, int]) -> List[Tuple[str, bool]]:
     u, v = addable
     results = [("L26_addable_spans_components",
                 cg.comp_of[u] != cg.comp_of[v])]
     # L30 holds for the strict largeness threshold only when c > 1; at
     # c <= 1 an addable edge can exist in a pure-singleton condensation.
-    if params.c_s > 1:
+    if balls.params.c_s > 1:
         results.append(("L30_large_component_exists", bool(cg.large)))
     # L31 spot check: an edge from any vertex that cannot reach a large
     # component into that component is addable.
     for i in sorted(cg.large):
         target = min(cg.components[i])
-        for x in range(net.n):
+        for x in range(balls.net.n):
             if cg.comp_of[x] != i and i not in cg.comp_reach[cg.comp_of[x]]:
                 results.append(("L31_edge_into_unreached_large_addable",
-                                _addable(net, params, x, target)))
+                                _addable(balls, x, target)))
                 break
         break
     return results
 
 
-def _apply_add(net, params, moves, u, v, label):
-    if not _addable(net, params, u, v):
+def _apply_add(balls: ReachBalls, moves, u, v, label):
+    if not _addable(balls, u, v):
         raise LemmaCheckError(
             f"step {label} selected edge ({u}, {v}) that is not addable")
-    net.add_speaking(u, v)
+    balls.net.add_speaking(u, v)
     moves.append(CertMove(MoveKind.ADD_SPEAKING, u, v, label))
 
 
@@ -274,6 +268,7 @@ def construct_path(start: BidirectedNetwork, params: Params,
     evaluated and a failure raises ``LemmaCheckError``."""
     _require(params)
     net = start.copy()
+    balls = ReachBalls(net, params)
     n = net.n
     if max_moves is None:
         max_moves = 50 * n ** 3 + 200
@@ -290,27 +285,26 @@ def construct_path(start: BidirectedNetwork, params: Params,
                     raise LemmaCheckError(f"lemma predicate {name} failed")
 
     pre_strip = net.copy()
-    _strip_inplace(net, params, moves)
+    _strip_inplace(balls, moves)
     record(lemma_checks(pre_strip, net, 1, params))
 
     while True:
         if len(moves) > max_moves:
             raise ConstructionError(
                 f"move budget {max_moves} exceeded (n={n}, c={params.c_s})")
-        addable = _find_addable(net, params)
+        addable = _find_addable(balls)
         if addable is None:
             break  # step 2: stable
         for (u, v) in retired:
-            if net.has_speaking(u, v) is False and _addable(net, params, u, v):
+            if net.has_speaking(u, v) is False and _addable(balls, u, v):
                 record([("L25_retired_edge_never_addable_again", False)])
         cg = condense(net, params)
-        record(_pre_step_checks(net, params, cg, addable))
+        record(_pre_step_checks(balls, cg, addable))
         before = net.copy()
-        label = _one_proof_step(net, params, cg, moves, retired, metadata,
-                                addable)
+        label = _one_proof_step(balls, cg, moves, retired, metadata, addable)
         post_add = net.copy()
         strip_start = len(moves)
-        _strip_inplace(net, params, moves)
+        _strip_inplace(balls, moves)
         record(lemma_checks(before, net, label, params))
         record(lemma_checks(post_add, net, 1, params))
         if label == 7 and params.c_s > 1:
@@ -323,21 +317,22 @@ def construct_path(start: BidirectedNetwork, params: Params,
     cert = PathCertificate(moves=moves, final=net, retired_edges=retired,
                            lemma_results=lemma_results, metadata=metadata)
     for (u, v) in retired:
-        if not net.has_speaking(u, v) and _addable(net, params, u, v):
+        if not net.has_speaking(u, v) and _addable(balls, u, v):
             record([("L25_retired_edge_never_addable_again", False)])
     return cert
 
 
-def _one_proof_step(net: BidirectedNetwork, params: Params, cg: ComponentGraph,
+def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
                     moves: List[CertMove], retired: Set[Tuple[int, int]],
                     metadata: Dict[str, object],
                     addable: Tuple[int, int]) -> int:
+    net = balls.net
     large = sorted(cg.large, key=lambda i: min(cg.components[i]))
 
     # Small-cost fallback: an addable edge with no strictly-large component
     # (possible only for c <= 1, where strips never change any reach set).
     if not large:
-        _apply_add(net, params, moves, addable[0], addable[1], 4)
+        _apply_add(balls, moves, addable[0], addable[1], 4)
         return 4
 
     # Step 5: a large root that can reach a distinct large component; wire
@@ -352,7 +347,7 @@ def _one_proof_step(net: BidirectedNetwork, params: Params, cg: ComponentGraph,
             leaf = min(leaves, key=lambda j: min(cg.components[j]))
             l_i = min(cg.components[leaf])
             r_i = min(cg.components[t])
-            _apply_add(net, params, moves, l_i, r_i, 5)
+            _apply_add(balls, moves, l_i, r_i, 5)
             return 5
 
     # Step 6: several mutually unreachable large components; merge two.
@@ -363,9 +358,9 @@ def _one_proof_step(net: BidirectedNetwork, params: Params, cg: ComponentGraph,
                     continue
                 r1 = min(cg.components[t1])
                 r2 = min(cg.components[t2])
-                _apply_add(net, params, moves, r2, r1, 6)
-                if not cg.components[t2] <= speaking_reach(net, params, r1):
-                    _apply_add(net, params, moves, r1, r2, 6)
+                _apply_add(balls, moves, r2, r1, 6)
+                if not cg.components[t2] <= balls.ball(r1, True)[0]:
+                    _apply_add(balls, moves, r1, r2, 6)
                 return 6
         raise ConstructionError("multiple large components but none unreachable "
                                 "from another")
@@ -378,13 +373,13 @@ def _one_proof_step(net: BidirectedNetwork, params: Params, cg: ComponentGraph,
     small_leaves = [i for i in cg.full_leaves() if i not in cg.large]
     if small_leaves:
         s_j = min(min(cg.components[i]) for i in small_leaves)
-        _apply_add(net, params, moves, s_j, r1, 7)
+        _apply_add(balls, moves, s_j, r1, 7)
         return 7
 
     # Step 8: the unique large component reaches nothing outside itself and
     # everything reaches it; connect it into a small root component whose
     # reach outside the large component strictly exceeds c.
-    c = params.c_s
+    c = balls.params.c_s
     t1_vertices = cg.components[t1]
     candidates = []
     for i in cg.full_roots():
@@ -406,8 +401,8 @@ def _one_proof_step(net: BidirectedNetwork, params: Params, cg: ComponentGraph,
             continue
         r_k = entry[1]
         for s_k in sorted(cg.components[i]):
-            if _addable(net, params, r_k, s_k):
-                _apply_add(net, params, moves, r_k, s_k, 8)
+            if _addable(balls, r_k, s_k):
+                _apply_add(balls, moves, r_k, s_k, 8)
                 retired.add((r_k, s_k))
                 metadata["t_k"].append({"t_k": entry[0], "r_k": r_k, "s_k": s_k})
                 return 8
@@ -423,14 +418,16 @@ def validate_certificate(cert: PathCertificate, start: BidirectedNetwork,
                          params: Params) -> bool:
     """Replay every move, requiring it to classify as addable/removable at
     its turn, and require the terminal network to match and be stable."""
-    from .equilibrium import is_stable
     net = start.copy()
+    balls = ReachBalls(net, params)
     for mv in cert.moves:
         expected = _CERT_RULE.get(mv.kind)
-        if expected is None or classify(net, params, ALL_OTHERS, EdgeKind.SPEAKING,
-                                        mv.u, mv.v) is not expected:
+        if expected is None:
+            return False
+        net._check_pair(mv.u, mv.v)
+        if balls.classify(EdgeKind.SPEAKING, mv.u, mv.v) is not expected:
             return False
         apply_move(net, mv)
     if net != cert.final:
         return False
-    return is_stable(net, params).stable
+    return next(balls.witnesses(), None) is None

@@ -82,16 +82,10 @@ class Trace:
     rng_id: str = RNG_ID
 
 
-@dataclass(frozen=True)
-class PotentialMeasure:
-    complete_pairs: int
-    edge_count: int
-    value: int
-
-
 class ReachBalls:
-    """Reach balls of one unchanged network, each built by one BFS on first
-    use, and the edge rule decided from them.  A speaking edge moves only its
+    """Reach balls of one network, each built by one BFS on first use and
+    dropped when ``net.revision`` moves, and the edge rule decided from them.
+    Hold one for the network's life.  A speaking edge moves only its
     owner's forward ball, a listening edge only the backward one.  Adding the
     live step u -> v gives u the reach ``B_k(u) | {v} | B_{k-1}(v)``, as a
     shortest path from v never re-enters v; removing a present live step
@@ -100,12 +94,13 @@ class ReachBalls:
     above 0, an absent one is never addable.  So a scan runs one BFS per
     vertex and direction plus one per present live edge."""
 
-    __slots__ = ("net", "params", "_balls", "_counts", "_rules")
+    __slots__ = ("net", "params", "_balls", "_revision", "_counts", "_rules")
 
     def __init__(self, net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS):
         self.net, self.params = net, params
-        self._balls = ({}, {})  # [forward][vertex]
+        self._balls = ({}, {})  # [forward][vertex], valid at _revision
+        self._revision = net.revision
         self._counts = (targets.listen_count, targets.speak_count)
         # gains and losses are integers: gain > c iff gain >= floor(c) + 1,
         # and lost < c iff lost <= ceil(c) - 1
@@ -115,6 +110,9 @@ class ReachBalls:
 
     def ball(self, x: int, forward: bool) -> Tuple[set, set]:
         """``(B_k(x), B_{k-1}(x))``, neither containing x."""
+        if self._revision != self.net.revision:
+            self._balls = ({}, {})
+            self._revision = self.net.revision
         got = self._balls[forward].get(x)
         if got is None:
             seen, last = _bfs(self.net, self.params.k, x, forward,
@@ -153,6 +151,14 @@ class ReachBalls:
         return (Classification.REMOVABLE if lost <= lost_max
                 else Classification.STAY_PRESENT)
 
+    def witnesses(self):
+        """Every addable or removable typed edge, in ``iter_typed_pairs``
+        order, as ``(kind, u, v, classification)``."""
+        for kind, u, v in iter_typed_pairs(self.net.n):
+            cls = self.classify(kind, u, v)
+            if cls is Classification.ADDABLE or cls is Classification.REMOVABLE:
+                yield kind, u, v, cls
+
 
 def classify(net: BidirectedNetwork, params: Params, targets: TargetSets,
              kind: EdgeKind, u: int, v: int) -> Classification:
@@ -169,28 +175,18 @@ def iter_typed_pairs(n: int):
                     yield kind, u, v
 
 
-def _witnesses(net: BidirectedNetwork, params: Params, targets: TargetSets,
-               balls: Optional[ReachBalls] = None):
-    balls = balls or ReachBalls(net, params, targets)
-    for kind, u, v in iter_typed_pairs(net.n):
-        cls = balls.classify(kind, u, v)
-        if cls is Classification.ADDABLE or cls is Classification.REMOVABLE:
-            yield kind, u, v, cls
-
-
 def find_witness(net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS
                  ) -> Optional[Tuple[EdgeKind, int, int, Classification]]:
     """First addable or removable typed edge in deterministic order, or None."""
-    return next(_witnesses(net, params, targets), None)
+    return next(ReachBalls(net, params, targets).witnesses(), None)
 
 
 def scan_witnesses(net: BidirectedNetwork, params: Params,
-                   targets: TargetSets = ALL_OTHERS,
-                   balls: Optional[ReachBalls] = None
+                   targets: TargetSets = ALL_OTHERS
                    ) -> List[Tuple[EdgeKind, int, int, Classification]]:
-    """Every addable or removable typed edge; ``balls`` are net's own."""
-    return list(_witnesses(net, params, targets, balls))
+    """Every addable or removable typed edge."""
+    return list(ReachBalls(net, params, targets).witnesses())
 
 
 def apply_move(net: BidirectedNetwork, move) -> None:
@@ -205,20 +201,20 @@ def apply_move(net: BidirectedNetwork, move) -> None:
         raise TraceError(f"inconsistent move {move}: {exc}") from exc
 
 
-def step(net: BidirectedNetwork, params: Params, targets: TargetSets,
-         rng: random.Random, step_index: int = 0) -> Move:
-    """One dynamics round.  Mutates ``net`` when the sampled edge fires."""
-    n = net.n
+def step(balls: ReachBalls, rng: random.Random, step_index: int = 0) -> Move:
+    """One dynamics round.  Mutates ``balls.net`` when the sampled edge
+    fires."""
+    n = balls.net.n
     kind = EdgeKind.SPEAKING if rng.randrange(2) == 0 else EdgeKind.LISTENING
     u = rng.randrange(n)
     v = rng.randrange(n - 1)
     if v >= u:
         v += 1
-    cls = classify(net, params, targets, kind, u, v)
+    cls = balls.classify(kind, u, v)
     if cls is not Classification.ADDABLE and cls is not Classification.REMOVABLE:
         return Move(MoveKind.NO_CHANGE, kind, u, v, step_index)
     move = Move(_FIRES[cls, kind], kind, u, v, step_index)
-    apply_move(net, move)
+    apply_move(balls.net, move)
     return move
 
 
@@ -236,15 +232,16 @@ def run(initial: BidirectedNetwork, params: Params,
     if max_steps < 1 or scan_interval < 1:
         raise ValueError("max_steps and scan_interval must be >= 1")
     net = initial.copy()
+    balls = ReachBalls(net, params, targets)
     rng = random.Random(seed)
     moves: List[Move] = []
-    converged = find_witness(net, params, targets) is None
+    converged = next(balls.witnesses(), None) is None
     steps = 0
     while not converged and steps < max_steps:
-        moves.append(step(net, params, targets, rng, steps))
+        moves.append(step(balls, rng, steps))
         steps += 1
         if steps % scan_interval == 0:
-            converged = find_witness(net, params, targets) is None
+            converged = next(balls.witnesses(), None) is None
     return Trace(seed=seed, params=params, initial=initial.copy(), moves=moves,
                  final=net, converged=converged, steps_sampled=steps,
                  targets=targets)
@@ -298,10 +295,3 @@ def never_readd_check(trace: Trace) -> NeverReaddResult:
         raise TraceError("trace does not replay to its recorded final network")
     return NeverReaddResult(ok=True, applicable=True)
 
-
-def potential(net: BidirectedNetwork) -> PotentialMeasure:
-    """Complete-pair count plus total edge count (convergence instrumentation).
-    A pair (u, v) is complete when u speaks to v and v listens back."""
-    p = sum(1 for (u, v) in net.speaking if net.has_listening(v, u))
-    m = len(net.speaking) + len(net.listening)
-    return PotentialMeasure(complete_pairs=p, edge_count=m, value=p + m)

@@ -44,9 +44,8 @@ class PoAResult:
 
 
 def is_stable(net: BidirectedNetwork, params: Params,
-              targets: TargetSets = ALL_OTHERS,
-              balls: Optional[ReachBalls] = None) -> StabilityReport:
-    witnesses = scan_witnesses(net, params, targets, balls)
+              targets: TargetSets = ALL_OTHERS) -> StabilityReport:
+    witnesses = scan_witnesses(net, params, targets)
     return StabilityReport(stable=not witnesses, witnesses=witnesses)
 
 
@@ -65,7 +64,8 @@ def is_bi_pairwise_stable(net: BidirectedNetwork, params: Params,
     which moves only u's speaking and v's listening reach: both deltas come
     from the scan's reach balls."""
     balls = ReachBalls(net, params, targets)
-    report = is_stable(net, params, targets, balls)
+    witnesses = list(balls.witnesses())
+    report = StabilityReport(stable=not witnesses, witnesses=witnesses)
     if any(w[3] is Classification.REMOVABLE for w in report.witnesses):
         report.bi_pairwise = False
         return report

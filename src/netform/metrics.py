@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -124,35 +123,19 @@ def metrics(net: BidirectedNetwork, params: Params,
     )
 
 
-class StructureFamily(Enum):
-    OPEN_CLOSED_TRIANGLE = "open-closed-triangle"
-
-
 def has_open_and_closed_triangle(net: BidirectedNetwork, mode: Mode) -> bool:
-    adj = undirected_projection(net, mode)
-    closed = False
-    open_ = False
-    for v in range(net.n):
-        for a in adj[v]:
-            for b in adj[v]:
-                if a < b:
-                    if b in adj[a]:
-                        closed = True
-                    else:
-                        open_ = True
-        if closed and open_:
-            return True
-    return closed and open_
+    """Some wedge of the live projection is closed and some is open."""
+    return 0 < clustering_coefficient(net, mode) < 1
 
 
-def structure_search(family: StructureFamily, params: Params,
-                     budget: int, targets: TargetSets = ALL_OTHERS,
+def structure_search(params: Params, budget: int,
+                     targets: TargetSets = ALL_OTHERS,
                      ns: Sequence[int] = (4, 5, 6, 7, 8),
                      seed: int = 0,
                      max_steps_per_run: int = 4000
                      ) -> Optional[BidirectedNetwork]:
     """Random-restart search over dynamics fixed points for a STABLE network
-    exhibiting the named structure.  The budget counts network states
+    with both an open and a closed triangle.  The budget counts network states
     examined (every dynamics step plus every start); returns the first hit
     or None once the budget is exhausted."""
     rng = random.Random(seed)
@@ -167,8 +150,7 @@ def structure_search(family: StructureFamily, params: Params,
         spent += 1
         trace = run(start, params, targets,
                     seed=rng.getrandbits(63),
-                    max_steps=min(max_steps_per_run, max(1, budget - spent)),
-                    scan_interval=2 * n * (n - 1))
+                    max_steps=min(max_steps_per_run, max(1, budget - spent)))
         spent += trace.steps_sampled
         if trace.converged and has_open_and_closed_triangle(trace.final,
                                                             params.mode):

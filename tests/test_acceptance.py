@@ -17,8 +17,8 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
 from netform.equilibrium import iter_all_networks
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
                                 kautz, lift, random_net, unbalanced_flower)
-from netform.metrics import (StructureFamily, diameter,
-                             has_open_and_closed_triangle, structure_search)
+from netform.metrics import (diameter, has_open_and_closed_triangle,
+                             structure_search)
 
 
 def report(cid: int, ok: bool, detail: str):
@@ -220,8 +220,7 @@ def test_criterion_7_invariant_suite_bulk():
 
 def test_criterion_8_open_and_closed_triangle_exists():
     params = Params(k=2, c_s=F(3, 2), c_l=F(0), mode=Mode.DIRECTED)
-    found = structure_search(StructureFamily.OPEN_CLOSED_TRIANGLE, params,
-                             budget=10 ** 5)
+    found = structure_search(params, budget=10 ** 5)
     ok = (found is not None and is_stable(found, params).stable
           and has_open_and_closed_triangle(found, params.mode))
     report(8, ok,

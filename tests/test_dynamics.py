@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Move, MoveKind, Params, Trace, classify,
-                     find_witness, never_readd_check, potential, replay, run,
+                     EdgeKind, Mode, Move, MoveKind, Params, ReachBalls, Trace,
+                     classify, find_witness, never_readd_check, replay, run,
                      scan_witnesses, step)
 from netform.dynamics import iter_typed_pairs
 from netform.errors import TraceError
@@ -76,18 +76,20 @@ class TestStep:
     def test_empty_bidirected_never_fires(self):
         # [DERIVED] no lone edge pays for itself at positive costs
         net = empty(2)
+        balls = ReachBalls(net, bi(k=1))
         rng = random.Random(0)
         for i in range(50):
-            mv = step(net, bi(k=1), ALL_OTHERS, rng, i)
+            mv = step(balls, rng, i)
             assert mv.kind is MoveKind.NO_CHANGE and not mv.mutating
         assert not net.speaking and not net.listening
 
     def test_dead_edge_gets_removed_when_sampled(self):
         # listening priced out so completing the pair is never profitable
         net = BidirectedNetwork(2, [(0, 1)])
+        balls = ReachBalls(net, bi(cl=F(2)))
         rng = random.Random(0)
         while True:
-            mv = step(net, bi(cl=F(2)), ALL_OTHERS, rng)
+            mv = step(balls, rng)
             if mv.mutating:
                 assert mv.kind is MoveKind.REMOVE_SPEAKING and (mv.u, mv.v) == (0, 1)
                 break
@@ -95,10 +97,9 @@ class TestStep:
     def test_sampling_covers_all_typed_pairs(self):
         rng = random.Random(3)
         seen = set()
-        net = empty(3)
-        p = Params(k=1, c_s=F(2), c_l=F(2))
+        balls = ReachBalls(empty(3), Params(k=1, c_s=F(2), c_l=F(2)))
         for i in range(600):
-            mv = step(net, p, ALL_OTHERS, rng, i)
+            mv = step(balls, rng, i)
             seen.add((mv.edge_kind, mv.u, mv.v))
         assert seen == set(iter_typed_pairs(3))
 
@@ -185,22 +186,9 @@ class TestNeverReadd:
 
 
 class TestPotential:
-    def test_empty(self):
-        m = potential(empty(3))
-        assert (m.complete_pairs, m.edge_count, m.value) == (0, 0, 0)  # [TRIVIAL]
-
-    def test_lifted_3cycle(self):
-        # [DERIVED] 3 complete pairs, 6 edges
-        m = potential(cycle(3))
-        assert (m.complete_pairs, m.edge_count, m.value) == (3, 6, 9)
-
-    def test_lone_edge(self):
-        m = potential(BidirectedNetwork(2, [(0, 1)]))
-        assert (m.complete_pairs, m.edge_count, m.value) == (0, 1, 1)
-
     def test_value_not_above_start_when_start_unaddable(self):
         # weaker, literally testable form of the potential argument: from a
-        # start with no addable edges, the dynamics only shed potential
+        # start with no addable edges, the dynamics only shed edges
         for seed in range(5):
             start = random_net(5, 0.6, 0.6, seed)
             p = bi(cs=F(5), cl=F(5))  # costs above n-1: nothing is ever addable
@@ -208,7 +196,11 @@ class TestPotential:
                            for *_, cls in scan_witnesses(start, p))
             tr = run(start, p, seed=seed)
             assert tr.converged
-            assert potential(tr.final).value <= potential(start).value
+            assert not any(mv.kind in (MoveKind.ADD_SPEAKING,
+                                       MoveKind.ADD_LISTENING)
+                           for mv in tr.moves)
+            assert tr.final.speaking <= start.speaking
+            assert tr.final.listening <= start.listening
 
 
 class TestWitnessScan:

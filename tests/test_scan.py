@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import net_from_bits
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Params, TargetSets, classify, find_witness,
-                     is_bi_pairwise_stable, is_stable, scan_witnesses)
-from netform.dynamics import iter_typed_pairs
+                     EdgeKind, Mode, Move, MoveKind, Params, ReachBalls,
+                     TargetSets, classify, find_witness, is_bi_pairwise_stable,
+                     is_stable, scan_witnesses)
+from netform.dynamics import apply_move, iter_typed_pairs
 from netform.generators import random_net
 from scan_oracles import bi_pairwise_by_utility, classify_by_toggle
 
@@ -169,3 +170,30 @@ class TestReadOnly:
         for check in READ_ONLY_CHECKS:
             check(net, params, tsets)
             assert net == before and net.revision == revision, check
+
+
+class TestStaleBalls:
+    @given(cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_reach_balls_across_mutations(self, case, data):
+        # every pair is classified before each toggle, so each ball is
+        # cached when the network moves under it
+        net, params, tsets = case
+        balls = ReachBalls(net, params, tsets)
+        pairs = list(iter_typed_pairs(net.n))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            for kind, u, v in pairs:
+                assert balls.classify(kind, u, v) is \
+                    classify_by_toggle(net, params, tsets, kind, u, v), \
+                    (kind, u, v)
+            kind, u, v = data.draw(st.sampled_from(pairs))
+            if kind is EdgeKind.SPEAKING:
+                move = (MoveKind.REMOVE_SPEAKING if net.has_speaking(u, v)
+                        else MoveKind.ADD_SPEAKING)
+            else:
+                move = (MoveKind.REMOVE_LISTENING if net.has_listening(u, v)
+                        else MoveKind.ADD_LISTENING)
+            apply_move(net, Move(move, kind, u, v, 0))
+        for kind, u, v in pairs:
+            assert balls.classify(kind, u, v) is \
+                classify_by_toggle(net, params, tsets, kind, u, v), (kind, u, v)

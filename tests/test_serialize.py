@@ -16,8 +16,8 @@ from netform.dynamics import scan_witnesses
 from netform.errors import DocumentError, TraceError
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
                                 kautz, random_net)
-from netform.metrics import (StructureFamily, clustering_coefficient,
-                             diameter, has_open_and_closed_triangle, metrics,
+from netform.metrics import (clustering_coefficient, diameter,
+                             has_open_and_closed_triangle, metrics,
                              structure_search)
 from netform.serialize import (MAX_AGENTS, certificate_to_text,
                                emit_document, parse_cost, parse_document,
@@ -361,8 +361,7 @@ class TestMetrics:
 class TestStructureSearch:
     def test_zero_budget_finds_nothing(self):
         p = Params(k=2, c_s=F(3, 2), mode=Mode.DIRECTED)
-        assert structure_search(StructureFamily.OPEN_CLOSED_TRIANGLE, p,
-                                budget=0) is None  # [TRIVIAL]
+        assert structure_search(p, budget=0) is None  # [TRIVIAL]
 
     def test_triangle_predicate(self):
         net = BidirectedNetwork(4, [(0, 1), (1, 2), (2, 0)])
