@@ -118,31 +118,42 @@ def _cmd_generate(args) -> int:
     params = _params(args.k, args.cs, args.cl, args.mode)
     meta = {"generator": args.family}
     fam = args.family
+    cap = serialize.MAX_AGENTS
+    # the agent count, refused above a document's cap before anything is
+    # built; d >= 2 at least doubles the Kautz count per level, so a D past
+    # the cap's bit length is over the cap without taking the whole power
+    if fam == "kautz":
+        d, D = _req(args.d, "--d"), _req(args.D, "--D")
+        flag = "--d/--D"
+        n = generators.kautz_order(d, min(D, cap.bit_length() + 1))
+    else:
+        n, flag = _req(args.n, "--n"), "--n"
+    if n > cap:
+        raise _UsageError(f"{flag}: the {fam} network would have more than "
+                          f"{cap} agents, the cap of a document")
     if fam == "empty":
-        net = generators.empty(_req(args.n, "--n"))
+        net = generators.empty(n)
     elif fam == "cycle":
-        net = generators.cycle(_req(args.n, "--n"),
-                               lifted=args.lifted or params.mode is Mode.BIDIRECTED)
+        net = generators.cycle(
+            n, lifted=args.lifted or params.mode is Mode.BIDIRECTED)
     elif fam == "flower":
         if params.k == INF:
             raise _UsageError("flower requires a finite --k")
-        net, spec = generators.balanced_flower(_req(args.n, "--n"), params.k)
+        net, spec = generators.balanced_flower(n, params.k)
         meta.update(petal_len=spec.petal_len, q=spec.q, center=spec.center)
     elif fam == "unbalanced-flower":
         if params.k == INF:
             raise _UsageError("unbalanced-flower requires a finite --k")
-        net = generators.unbalanced_flower(_req(args.n, "--n"), params.k)
+        net = generators.unbalanced_flower(n, params.k)
     elif fam == "kautz":
-        net, spec = generators.kautz(_req(args.d, "--d"), _req(args.D, "--D"),
-                                     lifted=args.lifted)
+        net, spec = generators.kautz(d, D, lifted=args.lifted)
         meta.update(d=spec.d, D=spec.D)
     elif fam == "random":
-        net = generators.random_net(_req(args.n, "--n"), args.ps, args.pl,
-                                    args.seed)
+        net = generators.random_net(n, args.ps, args.pl, args.seed)
         meta.update(p_s=args.ps, p_l=args.pl, seed=args.seed)
     else:  # complete
-        net = generators.complete_net(_req(args.n, "--n"),
-                                      bidirected=params.mode is Mode.BIDIRECTED)
+        net = generators.complete_net(
+            n, bidirected=params.mode is Mode.BIDIRECTED)
     doc = serialize.emit_document(net, params, meta=meta)
     _write(args.output, serialize.document_text(doc))
     return 0
@@ -274,7 +285,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DocumentError, FileNotFoundError, ValueError) as exc:
+    except (DocumentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:

@@ -31,20 +31,12 @@ Every emitted move is re-verified with ``classify`` before it is applied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from .dynamics import Classification, EdgeKind, MoveKind, ReachBalls, apply_move
 from .errors import ConstructionError, LemmaCheckError
-from .model import BidirectedNetwork, INF, Mode, Params, speaking_reach
+from .model import BidirectedNetwork, INF, Mode, Params
 from .scc import condensation, dag_reachability, topological_order
-
-
-class Role(Enum):
-    ROOT = "root"
-    LEAF = "leaf"
-    ISOLATED = "isolated"
-    INTERNAL = "internal"
 
 
 @dataclass
@@ -53,8 +45,6 @@ class ComponentGraph:
     comp_of: List[int]
     dag_edges: Set[Tuple[int, int]]  # direct condensation edges
     large: FrozenSet[int]  # component indices with size strictly above c
-    roles: Dict[int, Role]  # roles of large components, within the
-    # reachability graph restricted to large components
     comp_reach: List[Set[int]]  # component indices reachable incl. self
 
     def vertex_reach(self, i: int) -> Set[int]:
@@ -87,7 +77,6 @@ class PathCertificate:
     final: BidirectedNetwork
     retired_edges: Set[Tuple[int, int]]
     lemma_results: List[Tuple[str, bool]] = field(default_factory=list)
-    metadata: Dict[str, object] = field(default_factory=dict)
 
 
 def _require(params: Params):
@@ -106,31 +95,16 @@ def condense(net: BidirectedNetwork, params: Params) -> ComponentGraph:
     comp_reach = dag_reachability(len(comps), dag_edges)
     c = params.c_s
     large = frozenset(i for i, comp in enumerate(comps) if len(comp) > c)
-    # Large-restricted reachability graph: edge i -> j iff large j is
-    # reachable from large i through anything.
-    roles: Dict[int, Role] = {}
-    for i in large:
-        out = any(j in large and j != i for j in comp_reach[i])
-        inc = any(i in comp_reach[j] for j in large if j != i)
-        if out and inc:
-            roles[i] = Role.INTERNAL
-        elif out:
-            roles[i] = Role.ROOT
-        elif inc:
-            roles[i] = Role.LEAF
-        else:
-            roles[i] = Role.ISOLATED
     return ComponentGraph(components=[frozenset(c_) for c_ in comps],
                           comp_of=comp_of, dag_edges=dag_edges, large=large,
-                          roles=roles, comp_reach=comp_reach)
+                          comp_reach=comp_reach)
 
 
 def _addable(balls: ReachBalls, u: int, v: int) -> bool:
     return balls.classify(EdgeKind.SPEAKING, u, v) is Classification.ADDABLE
 
 
-def _strip_inplace(balls: ReachBalls, moves: Optional[List[CertMove]] = None
-                   ) -> List[Tuple[int, int]]:
+def _strip_inplace(balls: ReachBalls) -> List[CertMove]:
     net = balls.net
     removed = []
     progress = True
@@ -140,9 +114,7 @@ def _strip_inplace(balls: ReachBalls, moves: Optional[List[CertMove]] = None
             if balls.classify(EdgeKind.SPEAKING, u, v) \
                     is Classification.REMOVABLE:
                 net.remove_speaking(u, v)
-                removed.append((u, v))
-                if moves is not None:
-                    moves.append(CertMove(MoveKind.REMOVE_SPEAKING, u, v, 1))
+                removed.append(CertMove(MoveKind.REMOVE_SPEAKING, u, v, 1))
                 progress = True
                 break
     return removed
@@ -155,7 +127,7 @@ def strip_removables(net: BidirectedNetwork, params: Params
     _require(params)
     out = net.copy()
     removed = _strip_inplace(ReachBalls(out, params))
-    return out, removed
+    return out, [(m.u, m.v) for m in removed]
 
 
 def _find_addable(balls: ReachBalls) -> Optional[Tuple[int, int]]:
@@ -169,16 +141,14 @@ def _find_addable(balls: ReachBalls) -> Optional[Tuple[int, int]]:
 
 # -- invariant predicates for the constructed path ---------------------------
 
-def lemma_checks(net_before: BidirectedNetwork, net_after: BidirectedNetwork,
-                 step_label: int, params: Params) -> List[Tuple[str, bool]]:
-    """Concrete pass/fail predicates around one proof step.  ``net_before``
-    is the network just before the step fired and ``net_after`` the network
-    after the step plus the following strip."""
-    _require(params)
-    c = params.c_s
+def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
+                 step_label: int, balls: ReachBalls) -> List[Tuple[str, bool]]:
+    """Concrete pass/fail predicates around one proof step.  ``cg_before``
+    condenses the network just before the step fired, ``cg`` the network
+    after the step plus the following strip, which ``balls`` holds."""
+    net_after, c = balls.net, balls.params.c_s
     results: List[Tuple[str, bool]] = []
-    before_large = len(condense(net_before, params).large)
-    cg = condense(net_after, params)
+    before_large = len(cg_before.large)
     after_large = len(cg.large)
 
     if step_label == 1:
@@ -188,7 +158,7 @@ def lemma_checks(net_before: BidirectedNetwork, net_after: BidirectedNetwork,
                         == len(cg.components)))
         # L28: with no removable edges, every edge head's reach closure
         # (head included) holds at least c vertices.
-        ok28 = all(1 + len(speaking_reach(net_after, params, v)) >= c
+        ok28 = all(1 + len(balls.ball(v, True)[0]) >= c
                    for (_, v) in net_after.speaking)
         results.append(("L28_edge_heads_reach_at_least_c", ok28))
         # L29: small leaf components are singletons, and edgeless ones when
@@ -275,7 +245,6 @@ def construct_path(start: BidirectedNetwork, params: Params,
     moves: List[CertMove] = []
     retired: Set[Tuple[int, int]] = set()
     lemma_results: List[Tuple[str, bool]] = []
-    metadata: Dict[str, object] = {"t_k": []}
 
     def record(checks):
         lemma_results.extend(checks)
@@ -284,9 +253,15 @@ def construct_path(start: BidirectedNetwork, params: Params,
                 if not ok:
                     raise LemmaCheckError(f"lemma predicate {name} failed")
 
-    pre_strip = net.copy()
-    _strip_inplace(balls, moves)
-    record(lemma_checks(pre_strip, net, 1, params))
+    # Each network state is condensed once: before the first strip, after
+    # each proof step's add and after each strip that removed an edge.  The
+    # graph after a strip drives the next step and is the "after" of both
+    # checks around it.
+    cg_start = condense(net, params)
+    stripped = _strip_inplace(balls)
+    moves.extend(stripped)
+    cg = condense(net, params) if stripped else cg_start
+    record(lemma_checks(cg_start, cg, 1, balls))
 
     while True:
         if len(moves) > max_moves:
@@ -298,33 +273,27 @@ def construct_path(start: BidirectedNetwork, params: Params,
         for (u, v) in retired:
             if net.has_speaking(u, v) is False and _addable(balls, u, v):
                 record([("L25_retired_edge_never_addable_again", False)])
-        cg = condense(net, params)
         record(_pre_step_checks(balls, cg, addable))
-        before = net.copy()
-        label = _one_proof_step(balls, cg, moves, retired, metadata, addable)
-        post_add = net.copy()
-        strip_start = len(moves)
-        _strip_inplace(balls, moves)
-        record(lemma_checks(before, net, label, params))
-        record(lemma_checks(post_add, net, 1, params))
+        label = _one_proof_step(balls, cg, moves, retired, addable)
+        cg_add = condense(net, params)
+        stripped = _strip_inplace(balls)
+        moves.extend(stripped)
+        cg_after = condense(net, params) if stripped else cg_add
+        record(lemma_checks(cg, cg_after, label, balls))
+        record(lemma_checks(cg_add, cg_after, 1, balls))
         if label == 7 and params.c_s > 1:
             # At c <= 1 every removable edge has zero reach loss, so the
             # strip after step 7 may fire without changing any reach set;
             # only for c > 1 does step 7 leave nothing removable.
-            record([("L35_step7_leaves_nothing_removable",
-                     len(moves) == strip_start)])
+            record([("L35_step7_leaves_nothing_removable", not stripped)])
+        cg = cg_after
 
-    cert = PathCertificate(moves=moves, final=net, retired_edges=retired,
-                           lemma_results=lemma_results, metadata=metadata)
-    for (u, v) in retired:
-        if not net.has_speaking(u, v) and _addable(balls, u, v):
-            record([("L25_retired_edge_never_addable_again", False)])
-    return cert
+    return PathCertificate(moves=moves, final=net, retired_edges=retired,
+                           lemma_results=lemma_results)
 
 
 def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
                     moves: List[CertMove], retired: Set[Tuple[int, int]],
-                    metadata: Dict[str, object],
                     addable: Tuple[int, int]) -> int:
     net = balls.net
     large = sorted(cg.large, key=lambda i: min(cg.components[i]))
@@ -338,8 +307,8 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
     # Step 5: a large root that can reach a distinct large component; wire
     # one of its large leaves back up to the root.
     for t in large:
-        if cg.roles.get(t) is not Role.ROOT:
-            continue
+        if any(t in cg.comp_reach[j] for j in large if j != t):
+            continue  # reached by another large component: not a root
         reach_large = [j for j in large if j != t and j in cg.comp_reach[t]]
         leaves = [j for j in reach_large
                   if not any(x in cg.large and x != j for x in cg.comp_reach[j])]
@@ -389,22 +358,17 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
         if len(outside) > c:
             candidates.append(i)
     for i in sorted(candidates, key=lambda i: min(cg.components[i])):
-        # designate the entry point of a path from the small root into the
-        # large component: the first edge (t_k, r_k) crossing into it.
-        entry = None
+        # the entry point of a path from the small root into the large
+        # component: the head r_k of the first edge (t_k, r_k) crossing in
         reach_i = cg.vertex_reach(i)
-        for (a, b) in sorted(net.speaking):
-            if a in reach_i and a not in t1_vertices and b in t1_vertices:
-                entry = (a, b)
-                break
-        if entry is None:
+        r_k = next((b for (a, b) in sorted(net.speaking) if a in reach_i
+                    and a not in t1_vertices and b in t1_vertices), None)
+        if r_k is None:
             continue
-        r_k = entry[1]
         for s_k in sorted(cg.components[i]):
             if _addable(balls, r_k, s_k):
                 _apply_add(balls, moves, r_k, s_k, 8)
                 retired.add((r_k, s_k))
-                metadata["t_k"].append({"t_k": entry[0], "r_k": r_k, "s_k": s_k})
                 return 8
     raise ConstructionError("step 8 found no qualifying small root component")
 

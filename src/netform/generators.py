@@ -128,22 +128,28 @@ def kautz_labels(d: int, D: int) -> List[Tuple[int, ...]]:
     return sorted(labels)
 
 
+def kautz_order(d: int, D: int) -> int:
+    """Vertex count of ``kautz(d, D)``, known before any label is built."""
+    if d < 2 or D < 2:
+        raise ValueError("kautz needs d >= 2 and D >= 2")
+    return (d + 1) * d ** (D - 1)
+
+
 def kautz(d: int, D: int, lifted: bool = False
           ) -> Tuple[BidirectedNetwork, KautzSpec]:
     """Shift-register graph on length-D no-repeat strings over {0..d}:
     (d+1)*d^(D-1) vertices, uniform out-degree d, measured diameter D."""
-    if d < 2 or D < 2:
-        raise ValueError("kautz needs d >= 2 and D >= 2")
+    n = kautz_order(d, D)
     labels = kautz_labels(d, D)
     index = {lab: i for i, lab in enumerate(labels)}
-    net = BidirectedNetwork(len(labels))
+    net = BidirectedNetwork(n)
     for lab in labels:
         for y in range(d + 1):
             if y != lab[-1]:
                 net.add_speaking(index[lab], index[lab[1:] + (y,)])
     if lifted:
         net = lift(net)
-    return net, KautzSpec(d=d, D=D, n=len(labels))
+    return net, KautzSpec(d=d, D=D, n=n)
 
 
 def random_net(n: int, p_s: float, p_l: float, seed: int) -> BidirectedNetwork:

@@ -207,14 +207,6 @@ class BidirectedNetwork:
                 f"listening={sorted(self.listening)})")
 
 
-def live_pair(net: BidirectedNetwork, mode: Mode, u: int, v: int) -> bool:
-    """True iff the step u -> v is traversable under the given mode."""
-    net._check_pair(u, v)
-    if mode is Mode.DIRECTED:
-        return net.has_speaking(u, v)
-    return net.has_speaking(u, v) and net.has_listening(v, u)
-
-
 def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,
          skip=None):
     """The only reach search: the ball of v, vertices within k live steps

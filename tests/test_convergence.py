@@ -1,16 +1,18 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
-from netform import (INF, BidirectedNetwork, Mode, Params, Role, condense,
-                     construct_path, is_stable, lemma_checks, strip_removables,
-                     validate_certificate)
+from netform import (INF, BidirectedNetwork, Mode, Params, ReachBalls,
+                     condense, construct_path, is_stable, lemma_checks,
+                     strip_removables, validate_certificate)
 from netform.convergence import CertMove
 from netform.dynamics import MoveKind
 from netform.errors import LemmaCheckError
 from netform.generators import cycle, empty, random_net
 from netform.scc import (condensation, dag_reachability,
                          strongly_connected_components)
+from netform.serialize import certificate_to_text
 
 
 def di(c=2):
@@ -47,7 +49,7 @@ class TestCondense:
         # [TRIVIAL] both components large at c=2, both isolated
         cg = condense(two_cycles(3), di(2))
         assert len(cg.components) == 2 and cg.large == {0, 1}
-        assert all(cg.roles[i] is Role.ISOLATED for i in cg.large)
+        assert all(cg.comp_reach[i] & cg.large == {i} for i in cg.large)
 
     def test_cycle_plus_feeder(self):
         # [DERIVED] vertex 3 points into a 3-cycle; the cycle is the only
@@ -55,7 +57,7 @@ class TestCondense:
         net = BidirectedNetwork(4, [(0, 1), (1, 2), (2, 0), (3, 0)])
         cg = condense(net, di(2))
         assert cg.large == {cg.comp_of[0]}
-        assert cg.roles[cg.comp_of[0]] is Role.ISOLATED
+        assert cg.comp_reach[cg.comp_of[0]] == {cg.comp_of[0]}
         assert cg.comp_of[3] not in cg.large
 
     def test_strictly_large_threshold(self):
@@ -132,14 +134,13 @@ class TestConstructPath:
             assert all(m.step_label != 4 for m in cert.moves)
 
     def test_retired_edges_recorded_for_step8(self):
-        # step 8 retires its edge and logs the entry vertex t_k
+        # step 8 retires its edge
         p = di(2)
         for seed in range(60):
             start = random_net(8, 0.2, 0.0, seed)
             cert = construct_path(start, p)
             eights = [m for m in cert.moves if m.step_label == 8]
             assert len(cert.retired_edges) == len(eights)
-            assert len(cert.metadata["t_k"]) == len(eights)
             for m in eights:
                 assert (m.u, m.v) in cert.retired_edges
 
@@ -156,6 +157,32 @@ class TestConstructPath:
     def test_requires_directed_unbounded(self):
         with pytest.raises(ValueError):
             construct_path(empty(3), Params(k=INF, c_s=F(1), c_l=F(1)))
+
+
+# (n, c_s, speaking density, seed) of random directed starts; together their
+# certificates use step labels 1, 4, 5, 6, 7 and 8
+GOLDEN_STARTS = [(14, "1", 0.1, 0), (14, "3/2", 0.1, 10), (14, "2", 0.1, 10),
+                 (6, "1", 0.1, 3), (6, "1", 0.2, 9), (6, "1", 0.2, 11),
+                 (6, "3/2", 0.3, 9), (8, "3/2", 0.2, 2), (8, "1", 0.3, 5),
+                 (10, "1", 0.3, 6), (10, "2", 0.3, 0), (10, "3", 0.3, 1)]
+GOLDEN_SHA256 = \
+    "1b9c822a04279c90b4d6a11bb4ce64c82875b647509529a009fb313e758e79b6"
+
+
+def test_construct_path_golden():
+    # certificate bytes and every lemma result are pinned: a refactor of the
+    # constructor must not change which moves it emits or what it checks
+    digest = hashlib.sha256()
+    labels = set()
+    for n, c, density, seed in GOLDEN_STARTS:
+        p = di(c)
+        start = random_net(n, density, 0.0, seed)
+        cert = construct_path(start, p, assert_lemmas=False)
+        labels |= {m.step_label for m in cert.moves}
+        digest.update(certificate_to_text(cert, start, p).encode())
+        digest.update(repr(cert.lemma_results).encode())
+    assert labels == {1, 4, 5, 6, 7, 8}
+    assert digest.hexdigest() == GOLDEN_SHA256
 
 
 class TestLemmaChecks:
@@ -175,7 +202,8 @@ class TestLemmaChecks:
 
     def test_predicates_on_stable_graph(self):
         net = cycle(6, lifted=False)
-        results = dict(lemma_checks(net, net, 1, di(2)))
+        cg = condense(net, di(2))
+        results = dict(lemma_checks(cg, cg, 1, ReachBalls(net, di(2))))
         assert results["L27_condensation_acyclic"]
         assert results["L28_edge_heads_reach_at_least_c"]
         assert results["L29_leaves_isolated_or_large"]
@@ -184,7 +212,8 @@ class TestLemmaChecks:
     def test_broken_invariant_detected(self):
         # negative control: a net whose edge head reaches nothing flunks L28
         bad = BidirectedNetwork(3, [(0, 1)])
-        results = dict(lemma_checks(bad, bad, 1, di(3)))
+        cg = condense(bad, di(3))
+        results = dict(lemma_checks(cg, cg, 1, ReachBalls(bad, di(3))))
         assert results["L28_edge_heads_reach_at_least_c"] is False
 
     def test_tampered_certificate_rejected(self):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
-                     TargetSets, agent_utility, live_pair, listening_reach,
+                     TargetSets, agent_utility, listening_reach,
                      speaking_reach, utility, welfare)
 from netform.generators import balanced_flower, cycle, empty
 
@@ -73,14 +73,16 @@ class TestLiveSemantics:
     def test_live_needs_listening_back(self):
         # [TRIVIAL] the receiver must listen back for the step to be live
         net = BidirectedNetwork(2, [(0, 1)])
-        assert not live_pair(net, Mode.BIDIRECTED, 0, 1)
+        assert net.successors(0, Mode.BIDIRECTED) == set()
         net.add_listening(1, 0)
-        assert live_pair(net, Mode.BIDIRECTED, 0, 1)
-        assert not live_pair(net, Mode.BIDIRECTED, 1, 0)
+        assert net.successors(0, Mode.BIDIRECTED) == {1}
+        assert net.successors(1, Mode.BIDIRECTED) == set()
 
     def test_directed_mode_ignores_listening(self):
         net = BidirectedNetwork(2, [(0, 1)])
-        assert live_pair(net, Mode.DIRECTED, 0, 1)
+        assert net.successors(0, Mode.DIRECTED) == {1}
+        net.add_listening(0, 1)  # listening alone never makes a step
+        assert net.successors(1, Mode.DIRECTED) == set()
 
 
 class TestReach:

@@ -1,5 +1,6 @@
 import copy
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -438,6 +439,36 @@ class TestCli:
                             "--mode", "directed") == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 1 + 2 * 4 and rows[1].startswith("1,1/2,0,0,")
+
+    @pytest.mark.parametrize("argv", [["check", "-i"],
+                                      ["generate", "cycle", "--n", "3", "-o"],
+                                      ["census", "--n", "2", "--sweep"]])
+    def test_unreadable_path(self, tmp_path, argv):
+        # a directory given for -i, -o or --sweep ends as an error line
+        out = subprocess.run([sys.executable, "-m", "netform", *argv,
+                              str(tmp_path)], env=child_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1 and out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("argv", [["empty", "--n", str(MAX_AGENTS + 1)],
+                                      ["kautz", "--d", "2", "--D", "14"]])
+    def test_generate_agent_cap(self, capsys, argv):
+        # kautz(2, 14) has 24,576 vertices; no document could hold either
+        assert self.run_cli("generate", *argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {argv[1]}")
+
+    def test_generate_huge_fails_fast(self):
+        # in child processes under a 1 GiB address-space limit and a timeout,
+        # so a broken guard fails instead of exhausting the host's memory
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        for argv in (["empty", "--n", "1000000000"],
+                     ["kautz", "--d", "100", "--D", "10"]):
+            out = subprocess.run([sys.executable, "-m", "netform", "generate",
+                                  *argv], env=child_env(), preexec_fn=limit,
+                                 capture_output=True, text=True, timeout=30)
+            assert out.returncode == 1 and "cap of a document" in out.stderr
 
     def test_exit_codes(self, tmp_path, capsys):
         assert self.run_cli("generate", "flower", "--n", "26") == 1  # no finite k
