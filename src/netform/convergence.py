@@ -158,7 +158,7 @@ def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
                         == len(cg.components)))
         # L28: with no removable edges, every edge head's reach closure
         # (head included) holds at least c vertices.
-        ok28 = all(1 + len(balls.ball(v, True)[0]) >= c
+        ok28 = all(1 + balls.ball(v, True)[0].bit_count() >= c
                    for (_, v) in net_after.speaking)
         results.append(("L28_edge_heads_reach_at_least_c", ok28))
         # L29: small leaf components are singletons, and edgeless ones when
@@ -328,7 +328,8 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
                 r1 = min(cg.components[t1])
                 r2 = min(cg.components[t2])
                 _apply_add(balls, moves, r2, r1, 6)
-                if not cg.components[t2] <= balls.ball(r1, True)[0]:
+                t2_bits = sum(1 << x for x in cg.components[t2])
+                if t2_bits & ~balls.ball(r1, True)[0]:
                     _apply_add(balls, moves, r1, r2, 6)
                 return 6
         raise ConstructionError("multiple large components but none unreachable "

@@ -85,31 +85,36 @@ class Trace:
 class ReachBalls:
     """Reach balls of one network, each built by one BFS on first use and
     dropped when ``net.revision`` moves, and the edge rule decided from them.
-    Hold one for the network's life.  A speaking edge moves only its
-    owner's forward ball, a listening edge only the backward one.  Adding the
-    live step u -> v gives u the reach ``B_k(u) | {v} | B_{k-1}(v)``, as a
-    shortest path from v never re-enters v; removing a present live step
-    takes one BFS that skips it.  A dead pair (bidirected, partner half
-    absent) moves no reach: a present dead edge is removable iff its cost is
-    above 0, an absent one is never addable.  So a scan runs one BFS per
-    vertex and direction plus one per present live edge."""
+    Hold one for the network's life.  Balls and target sets are bitsets
+    (see ``model``), with one target mask per direction and owner.  A
+    speaking edge moves only its owner's forward ball, a listening edge only
+    the backward one.  Adding the live step u -> v gives u the new targets
+    ``(inner(v) | 1<<v) & ~(ball(u) | 1<<u)``, inner being the ball one step
+    short (a shortest path from v never re-enters v); removing a present live
+    step takes one BFS that skips it, ``kept``, and loses ``ball(u) & ~kept``.
+    A dead pair (bidirected, partner half absent) moves no reach: a present
+    dead edge is removable iff its cost is above 0, an absent one is never
+    addable.  So a scan runs one BFS per vertex and direction plus one per
+    present live edge."""
 
-    __slots__ = ("net", "params", "_balls", "_revision", "_counts", "_rules")
+    __slots__ = ("net", "params", "_balls", "_revision", "_masks", "_rules")
 
     def __init__(self, net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS):
         self.net, self.params = net, params
         self._balls = ({}, {})  # [forward][vertex], valid at _revision
         self._revision = net.revision
-        self._counts = (targets.listen_count, targets.speak_count)
+        self._masks = tuple([targets.mask(v, forward, net.n)
+                             for v in range(net.n)]
+                            for forward in (False, True))
         # gains and losses are integers: gain > c iff gain >= floor(c) + 1,
         # and lost < c iff lost <= ceil(c) - 1
         self._rules = tuple((c.numerator // c.denominator + 1,
                              -(-c.numerator // c.denominator) - 1)
                             for c in (params.c_l, params.c_s))
 
-    def ball(self, x: int, forward: bool) -> Tuple[set, set]:
-        """``(B_k(x), B_{k-1}(x))``, neither containing x."""
+    def ball(self, x: int, forward: bool) -> Tuple[int, int]:
+        """``(B_k(x), B_{k-1}(x))`` as bitsets, neither holding x."""
         if self._revision != self.net.revision:
             self._balls = ({}, {})
             self._revision = self.net.revision
@@ -117,16 +122,15 @@ class ReachBalls:
         if got is None:
             seen, last = _bfs(self.net, self.params.k, x, forward,
                               self.params.mode)
-            inner = seen.difference(last) if last else seen
-            got = self._balls[forward][x] = (seen, inner)
+            got = self._balls[forward][x] = (seen, seen & ~last)
         return got
 
     def gain(self, u: int, v: int, forward: bool) -> int:
         """Targets u newly reaches when the live step between u and v
         (u -> v forward, v -> u backward) is added."""
-        added = (self.ball(v, forward)[1] | {v}) - self.ball(u, forward)[0]
-        added.discard(u)
-        return self._counts[forward](u, added)
+        added = ((self.ball(v, forward)[1] | 1 << v)
+                 & ~(self.ball(u, forward)[0] | 1 << u))
+        return (added & self._masks[forward][u]).bit_count()
 
     def classify(self, kind: EdgeKind, u: int, v: int) -> Classification:
         net, forward = self.net, kind is EdgeKind.SPEAKING
@@ -147,7 +151,8 @@ class ReachBalls:
         lost = 0
         if live:
             kept = _bfs(net, self.params.k, u, forward, self.params.mode, v)[0]
-            lost = self._counts[forward](u, self.ball(u, forward)[0] - kept)
+            lost = (self.ball(u, forward)[0] & ~kept
+                    & self._masks[forward][u]).bit_count()
         return (Classification.REMOVABLE if lost <= lost_max
                 else Classification.STAY_PRESENT)
 

@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Tuple
 from .dynamics import Classification, EdgeKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
-                    agent_utility, welfare)
+                    agent_utility, vertices, welfare)
 
 
 @dataclass
@@ -96,9 +96,9 @@ def is_bi_pairwise_stable(net: BidirectedNetwork, params: Params,
 
 def set_agent_strategy(net: BidirectedNetwork, v: int,
                        speak_to: frozenset, listen_to: frozenset):
-    for w in list(net._speak_out[v]):
+    for w in vertices(net._speak_out[v]):
         net.remove_speaking(v, w)
-    for w in list(net._listen_out[v]):
+    for w in vertices(net._listen_out[v]):
         net.remove_listening(v, w)
     for w in speak_to:
         net.add_speaking(v, w)
@@ -120,8 +120,8 @@ def brute_force_nash(net: BidirectedNetwork, params: Params,
     for v in range(n):
         others = [w for w in range(n) if w != v]
         current = agent_utility(work, params, targets, v)
-        orig_speak = frozenset(work._speak_out[v])
-        orig_listen = frozenset(work._listen_out[v])
+        orig_speak = vertices(work._speak_out[v])
+        orig_listen = vertices(work._listen_out[v])
         listen_masks = range(2 ** (n - 1)) if params.mode is Mode.BIDIRECTED else (0,)
         try:
             for s_mask in range(2 ** (n - 1)):

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dynamics import run
 from .generators import random_net
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
-                    TargetSets)
+                    TargetSets, _bfs)
 from .scc import strongly_connected_components
 
 
@@ -31,25 +31,24 @@ def undirected_projection(net: BidirectedNetwork, mode: Mode) -> List[set]:
 
 def diameter(net: BidirectedNetwork, mode: Mode):
     """Longest shortest live path between distinct vertices; INF when not
-    strongly connected."""
-    worst = 0
-    for s in range(net.n):
-        dist = {s: 0}
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y in net.successors(x, mode):
-                    if y not in dist:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        if len(dist) < net.n:
-            return INF
-        worst = max(worst, max(dist.values()))
-    return worst
+    strongly connected.  It is the least k whose k-ball from every vertex
+    holds all the others, found by bisection over reach searches."""
+    everyone = (1 << net.n) - 1
+
+    def covers(k) -> bool:
+        return all(_bfs(net, k, s, True, mode)[0] | 1 << s == everyone
+                   for s in range(net.n))
+
+    if not covers(INF):
+        return INF
+    lo, hi = min(1, net.n - 1), net.n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass

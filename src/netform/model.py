@@ -7,6 +7,10 @@ only when the speaking edge (u, v) and the listening edge (v, u) are both
 present; in the directed-reduced mode listening is implicit and speaking
 edges alone are live.
 
+Vertex sets are Python ints used as bitsets (bit w stands for vertex w):
+adjacency rows, reach balls and target masks alike, so a reach search ORs
+rows and a count is ``int.bit_count()``.
+
 Costs are exact ``Fraction`` values: the addable/removable rules use strict
 inequalities, so boundary cases like cost == gain must not depend on
 floating-point rounding.  Reach gains and losses are integers, so the rules
@@ -73,29 +77,36 @@ class TargetSets:
                 if v in tset:
                     raise ValueError(f"{name} target set of {v} contains itself")
 
-    def speak_count(self, v: int, reach: set) -> int:
-        tset = self.speak.get(v)
-        return len(reach) if tset is None else len(reach & tset)
-
-    def listen_count(self, v: int, reach: set) -> int:
-        tset = self.listen.get(v)
-        return len(reach) if tset is None else len(reach & tset)
+    def mask(self, v: int, forward: bool, n: int) -> int:
+        """v's speaking (forward) or listening targets among n agents as a
+        bitset, never holding v.  A member outside 0..n-1 is never reached,
+        so it is left out."""
+        tset = (self.speak if forward else self.listen).get(v)
+        if tset is None:
+            return ((1 << n) - 1) & ~(1 << v)
+        return sum(1 << w for w in tset if 0 <= w < n)
 
 
 ALL_OTHERS = TargetSets()
 
 
 class BidirectedNetwork:
-    """Mutable edge sets plus incrementally maintained adjacency.
+    """Mutable edge sets plus incrementally maintained adjacency rows.
 
     ``speaking`` holds ordered pairs (u, v): u speaks to v.
     ``listening`` holds ordered pairs (v, u): v listens to u.
-    Live successors/predecessors come out as set intersections:
-    succ(x) = speak_out[x] & listen_in[x], pred(x) = speak_in[x] & listen_out[x].
+    Each vertex x has four int rows, kept up to date by the four mutators:
+    ``_speak_out[x]`` has bit v when x speaks to v, ``_speak_in[x]`` bit u
+    when u speaks to x, and ``_listen_out``/``_listen_in`` likewise.  The
+    bidirected live rows are kept with them: ``_live_out[x] = _speak_out[x]
+    & _listen_in[x]`` (x -> v is live) and ``_live_in[x] = _speak_in[x] &
+    _listen_out[x]`` (u -> x is live), refreshed for the step u -> v by
+    either of its halves.  Directed mode reads the speaking rows alone.
     """
 
     __slots__ = ("n", "speaking", "listening", "_speak_out", "_speak_in",
-                 "_listen_out", "_listen_in", "revision")
+                 "_listen_out", "_listen_in", "_live_out", "_live_in",
+                 "revision")
 
     def __init__(self, n: int, speaking: Iterable = (), listening: Iterable = ()):
         if n < 1:
@@ -103,10 +114,12 @@ class BidirectedNetwork:
         self.n = n
         self.speaking: set = set()
         self.listening: set = set()
-        self._speak_out = [set() for _ in range(n)]
-        self._speak_in = [set() for _ in range(n)]
-        self._listen_out = [set() for _ in range(n)]
-        self._listen_in = [set() for _ in range(n)]
+        self._speak_out = [0] * n
+        self._speak_in = [0] * n
+        self._listen_out = [0] * n
+        self._listen_in = [0] * n
+        self._live_out = [0] * n
+        self._live_in = [0] * n
         self.revision = 0
         for u, v in speaking:
             self.add_speaking(u, v)
@@ -122,22 +135,32 @@ class BidirectedNetwork:
 
     # -- mutation ---------------------------------------------------------
 
+    def _flip(self, speaking: bool, u: int, v: int):
+        """Toggle one half of the step u -> v in its rows, the speaking edge
+        (u, v) or the listening edge (v, u), and refresh the step's live
+        rows."""
+        if speaking:
+            self._speak_out[u] ^= 1 << v
+            self._speak_in[v] ^= 1 << u
+        else:
+            self._listen_out[v] ^= 1 << u
+            self._listen_in[u] ^= 1 << v
+        self._live_out[u] = self._speak_out[u] & self._listen_in[u]
+        self._live_in[v] = self._speak_in[v] & self._listen_out[v]
+        self.revision += 1
+
     def add_speaking(self, u: int, v: int):
         self._check_pair(u, v)
         if (u, v) in self.speaking:
             raise ValueError(f"speaking edge ({u}, {v}) already present")
         self.speaking.add((u, v))
-        self._speak_out[u].add(v)
-        self._speak_in[v].add(u)
-        self.revision += 1
+        self._flip(True, u, v)
 
     def remove_speaking(self, u: int, v: int):
         if (u, v) not in self.speaking:
             raise ValueError(f"speaking edge ({u}, {v}) not present")
         self.speaking.remove((u, v))
-        self._speak_out[u].remove(v)
-        self._speak_in[v].remove(u)
-        self.revision += 1
+        self._flip(True, u, v)
 
     def add_listening(self, v: int, u: int):
         """v starts listening to u (enables the live step u -> v)."""
@@ -145,17 +168,13 @@ class BidirectedNetwork:
         if (v, u) in self.listening:
             raise ValueError(f"listening edge ({v}, {u}) already present")
         self.listening.add((v, u))
-        self._listen_out[v].add(u)
-        self._listen_in[u].add(v)
-        self.revision += 1
+        self._flip(False, u, v)
 
     def remove_listening(self, v: int, u: int):
         if (v, u) not in self.listening:
             raise ValueError(f"listening edge ({v}, {u}) not present")
         self.listening.remove((v, u))
-        self._listen_out[v].remove(u)
-        self._listen_in[u].remove(v)
-        self.revision += 1
+        self._flip(False, u, v)
 
     # -- queries ----------------------------------------------------------
 
@@ -165,27 +184,29 @@ class BidirectedNetwork:
     def has_listening(self, v: int, u: int) -> bool:
         return (v, u) in self.listening
 
-    def successors(self, x: int, mode: Mode) -> set:
+    def _rows(self, forward: bool, mode: Mode) -> list:
+        """The live successor (forward) or predecessor rows of ``mode``."""
         if mode is Mode.DIRECTED:
-            return self._speak_out[x]
-        return self._speak_out[x] & self._listen_in[x]
+            return self._speak_out if forward else self._speak_in
+        return self._live_out if forward else self._live_in
+
+    def successors(self, x: int, mode: Mode) -> set:
+        return vertices(self._rows(True, mode)[x])
 
     def predecessors(self, x: int, mode: Mode) -> set:
-        if mode is Mode.DIRECTED:
-            return self._speak_in[x]
-        return self._speak_in[x] & self._listen_out[x]
+        return vertices(self._rows(False, mode)[x])
 
     def out_speak(self, v: int) -> int:
-        return len(self._speak_out[v])
+        return self._speak_out[v].bit_count()
 
     def out_listen(self, v: int) -> int:
-        return len(self._listen_out[v])
+        return self._listen_out[v].bit_count()
 
     def in_speak(self, v: int) -> int:
-        return len(self._speak_in[v])
+        return self._speak_in[v].bit_count()
 
     def in_listen(self, v: int) -> int:
-        return len(self._listen_in[v])
+        return self._listen_in[v].bit_count()
 
     def copy(self) -> "BidirectedNetwork":
         return BidirectedNetwork(self.n, self.speaking, self.listening)
@@ -207,43 +228,64 @@ class BidirectedNetwork:
                 f"listening={sorted(self.listening)})")
 
 
+def vertices(bits: int) -> set:
+    """The vertices of a bitset."""
+    out = set()
+    while bits:
+        x = bits.bit_length() - 1
+        out.add(x)
+        bits ^= 1 << x
+    return out
+
+
 def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,
          skip=None):
     """The only reach search: the ball of v, vertices within k live steps
-    (never v), and its last layer, those at distance exactly k (empty when
-    the search ran out first, so always for k = INF).  ``skip`` leaves out
-    v's own step to that vertex: the ball after removing that live edge."""
-    step = net.successors if forward else net.predecessors
-    seen = {v} if skip is None else {v, skip}
-    frontier = [v]
-    depth = 0
+    (never v), and its last layer, those at distance exactly k (0 when the
+    search ran out first, so always for k = INF), both as bitsets.  ``skip``
+    leaves out v's own step to that vertex: the ball after removing that
+    live edge.  Each layer ORs the rows of the frontier's vertices."""
+    rows = net._rows(forward, mode)
+    seen = 1 << v
+    frontier = rows[v]  # no row holds its own vertex
+    if skip is not None:
+        frontier &= ~(1 << skip)  # only here: a longer path may reach it
+    depth = 1
     while frontier and depth < k:
+        seen |= frontier
         depth += 1
-        nxt = []
-        for x in frontier:
-            for y in step(x, mode):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if depth == 1 and skip is not None:
-            seen.discard(skip)  # still reachable by a longer path
-        frontier = nxt
-    seen.discard(v)
-    return seen, frontier
+        nxt = 0
+        while frontier:
+            x = frontier.bit_length() - 1
+            nxt |= rows[x]
+            frontier ^= 1 << x
+        frontier = nxt & ~seen
+    return (seen | frontier) & ~(1 << v), frontier
+
+
+def _reach(net: BidirectedNetwork, params: Params, v: int,
+           forward: bool) -> int:
+    if not 0 <= v < net.n:
+        raise ValueError(f"vertex {v} out of range")
+    return _bfs(net, params.k, v, forward, params.mode)[0]
 
 
 def speaking_reach(net: BidirectedNetwork, params: Params, v: int) -> set:
     """Vertices reachable from v by live paths of length at most k; never v."""
-    if not 0 <= v < net.n:
-        raise ValueError(f"vertex {v} out of range")
-    return _bfs(net, params.k, v, True, params.mode)[0]
+    return vertices(_reach(net, params, v, True))
 
 
 def listening_reach(net: BidirectedNetwork, params: Params, v: int) -> set:
     """Vertices u such that v lies in u's speaking reach (backward closure)."""
-    if not 0 <= v < net.n:
-        raise ValueError(f"vertex {v} out of range")
-    return _bfs(net, params.k, v, False, params.mode)[0]
+    return vertices(_reach(net, params, v, False))
+
+
+def _count(net: BidirectedNetwork, params: Params, targets: TargetSets,
+           v: int, forward: bool) -> int:
+    """How many of v's targets its speaking (forward) or listening reach
+    holds."""
+    return (_reach(net, params, v, forward)
+            & targets.mask(v, forward, net.n)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -259,8 +301,8 @@ class UtilityBreakdown:
 
 def utility(net: BidirectedNetwork, params: Params,
             targets: TargetSets = ALL_OTHERS, v: int = 0) -> UtilityBreakdown:
-    sr = targets.speak_count(v, speaking_reach(net, params, v))
-    lr = targets.listen_count(v, listening_reach(net, params, v))
+    sr = _count(net, params, targets, v, True)
+    lr = _count(net, params, targets, v, False)
     ds, dl = net.out_speak(v), net.out_listen(v)
     u_s = sr - params.c_s * ds
     u_l = lr - params.c_l * dl
@@ -271,11 +313,10 @@ def utility(net: BidirectedNetwork, params: Params,
 def agent_utility(net: BidirectedNetwork, params: Params,
                   targets: TargetSets, v: int) -> Fraction:
     """Total utility of one agent (lean path for enumeration oracles)."""
-    sr = targets.speak_count(v, speaking_reach(net, params, v))
-    u_s = sr - params.c_s * net.out_speak(v)
+    u_s = _count(net, params, targets, v, True) - params.c_s * net.out_speak(v)
     if params.mode is Mode.DIRECTED:
         return u_s
-    lr = targets.listen_count(v, listening_reach(net, params, v))
+    lr = _count(net, params, targets, v, False)
     return u_s + lr - params.c_l * net.out_listen(v)
 
 

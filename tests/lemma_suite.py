@@ -75,7 +75,8 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
     out = []
     c = params.c_s
     n = net.n
-    comps, comp_of, dag = condensation(n, lambda v: net._speak_out[v])
+    comps, comp_of, dag = condensation(
+        n, lambda v: net.successors(v, Mode.DIRECTED))
     if _topo_order(len(comps), dag) is None:
         out.append("component-graph-acyclic")
 
@@ -106,7 +107,7 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
                 out.append(f"leaf-singleton-or-large:{sorted(comp)}")
             elif c > 1:
                 v = next(iter(comp))
-                if net._speak_in[v] or net._speak_out[v]:
+                if net.in_speak(v) or net.out_speak(v):
                     out.append(f"leaf-singleton-edgeless:{v}")
         if addable and c > 1 and not large:
             out.append("addable-needs-large-component")
@@ -124,7 +125,8 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
 
     before = len(large)
     stripped, _ = strip_removables(net, params)
-    s_comps, _, _ = condensation(n, lambda v: stripped._speak_out[v])
+    s_comps, _, _ = condensation(
+        n, lambda v: stripped.successors(v, Mode.DIRECTED))
     if sum(1 for comp in s_comps if len(comp) > c) > before:
         out.append("strip-large-count-nonincreasing")
     return out

@@ -1,15 +1,41 @@
-"""Test oracles for the ball-based stability checks: the edge rule and the
-bi-pairwise joint additions decided by mutating a copy of the network and
-recomputing reach or utility from scratch."""
+"""Test oracles for the bitset reach kernel and the ball-based stability
+checks: the set-based reach search the kernel replaced, and the edge rule
+and the bi-pairwise joint additions decided by mutating a copy of the
+network and recomputing reach or utility from scratch."""
 
 from netform import (Classification, EdgeKind, Mode, agent_utility,
                      listening_reach, speaking_reach)
 
 
+def bfs_by_sets(net, k, v, forward, mode, skip=None):
+    """``model._bfs`` over vertex sets, one live step at a time: the ball
+    of v within k steps (never v) and the layer at distance exactly k, with
+    v's own step to ``skip`` left out."""
+    step = net.successors if forward else net.predecessors
+    seen = {v} if skip is None else {v, skip}
+    frontier = [v]
+    depth = 0
+    while frontier and depth < k:
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for y in step(x, mode):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if depth == 1 and skip is not None:
+            seen.discard(skip)  # still reachable by a longer path
+        frontier = nxt
+    seen.discard(v)
+    return seen, set(frontier)
+
+
 def _owner_reach_count(net, params, targets, kind, u):
     if kind is EdgeKind.SPEAKING:
-        return targets.speak_count(u, speaking_reach(net, params, u))
-    return targets.listen_count(u, listening_reach(net, params, u))
+        reach, tset = speaking_reach(net, params, u), targets.speak.get(u)
+    else:
+        reach, tset = listening_reach(net, params, u), targets.listen.get(u)
+    return len(reach) if tset is None else len(reach & tset)
 
 
 def classify_by_toggle(net, params, targets, kind, u, v):

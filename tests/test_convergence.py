@@ -32,9 +32,11 @@ class TestScc:
         # [DERIVED] hand-checked components of a mixed graph
         net = BidirectedNetwork(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3),
                                     (2, 3), (4, 5)])
-        comps = strongly_connected_components(6, lambda v: net._speak_out[v])
+        comps = strongly_connected_components(
+            6, lambda v: net.successors(v, Mode.DIRECTED))
         assert [set(c) for c in comps] == [{0, 1, 2}, {3, 4}, {5}]
-        comps2, comp_of, dag = condensation(6, lambda v: net._speak_out[v])
+        comps2, comp_of, dag = condensation(
+            6, lambda v: net.successors(v, Mode.DIRECTED))
         assert dag == {(0, 1), (1, 2)}
         reach = dag_reachability(len(comps2), dag)
         assert reach[0] == {0, 1, 2}
@@ -106,7 +108,7 @@ class TestConstructPath:
         cert = construct_path(start, p)
         assert validate_certificate(cert, start, p)
         comps = strongly_connected_components(
-            6, lambda v: cert.final._speak_out[v])
+            6, lambda v: cert.final.successors(v, Mode.DIRECTED))
         assert len(comps) == 1
 
     def test_random_starts_replay_and_stabilize(self):

@@ -1,15 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Move, MoveKind, Params, ReachBalls, Trace,
-                     classify, find_witness, never_readd_check, replay, run,
-                     scan_witnesses, step)
+                     EdgeKind, Mode, Move, MoveKind, Params, ReachBalls,
+                     TargetSets, Trace, classify, find_witness,
+                     never_readd_check, replay, run, scan_witnesses, step)
 from netform.dynamics import iter_typed_pairs
 from netform.errors import TraceError
 from netform.generators import cycle, empty, random_net
+from netform.serialize import trace_to_text
 
 from conftest import oracle_utility, net_from_bits
 
@@ -208,3 +210,36 @@ class TestWitnessScan:
         assert find_witness(cycle(4), bi(cs=F(1), cl=F(1))) is None
         w = find_witness(BidirectedNetwork(2, [(0, 1)]), bi())
         assert w is not None and w[3] is Classification.REMOVABLE
+
+
+# (params, n, speaking density, listening density, targets) per golden
+# family; every family runs the same eight start/run seeds
+GOLDEN_RUN_FAMILIES = {
+    "bidirected-k3": (bi(k=3), 10, 0.3, 0.3, ALL_OTHERS),
+    "bidirected-kinf": (bi(cs=F(1), cl=F(1, 3)), 10, 0.25, 0.25,
+                        TargetSets(speak={0: frozenset({1, 2, 3, 4})},
+                                   listen={1: frozenset({0, 5, 6})})),
+    "directed": (Params(k=INF, c_s=F(3, 2), mode=Mode.DIRECTED), 12, 0.15,
+                 0.0, ALL_OTHERS),
+}
+GOLDEN_RUN_SHA256 = {
+    "bidirected-k3":
+        "d6d44141ef82417a0c89f77ce29c342699a4e1f070e1be3aaa7945a415a1df1d",
+    "bidirected-kinf":
+        "2823de30372367c618e4bf5d339f470522585d3cd4f26833a61094a43c01ad2c",
+    "directed":
+        "c4ec0704c3b650ed9d6c2f50ac3430f8fc7cc9f1c8fae5e8cce269e4da899000",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_RUN_FAMILIES))
+def test_run_trace_golden(family):
+    # trace bytes are pinned: a change to the reach kernel or the edge rule
+    # must not change which moves a seeded run samples and fires
+    params, n, ps, pl, targets = GOLDEN_RUN_FAMILIES[family]
+    digest = hashlib.sha256()
+    for seed in range(8):
+        start = random_net(n, ps, pl, 100 + seed)
+        trace = run(start, params, targets, seed=seed, max_steps=4000)
+        digest.update(trace_to_text(trace).encode())
+    assert digest.hexdigest() == GOLDEN_RUN_SHA256[family]

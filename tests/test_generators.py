@@ -133,11 +133,11 @@ class TestRandomAndComplete:
 def _petal_sizes(net):
     """Non-center cycle lengths of a flower: follow each center out-edge."""
     sizes = []
-    for start in sorted(net._speak_out[0]):
+    for start in sorted(net.successors(0, Mode.DIRECTED)):
         size, v = 0, start
         while v != 0:
             size += 1
-            (v,) = net._speak_out[v]
+            (v,) = net.successors(v, Mode.DIRECTED)
         sizes.append(size)
     return sizes
 
@@ -152,7 +152,8 @@ def _scc_digraph_exists(n, k, m):
                 return False
             net = BidirectedNetwork(n, [(u, w) for u, outs in enumerate(chosen)
                                         for w in outs])
-            comps = strongly_connected_components(n, lambda x: net._speak_out[x])
+            comps = strongly_connected_components(
+                n, lambda x: net.successors(x, Mode.DIRECTED))
             return len(comps) == 1 and diameter(net, Mode.DIRECTED) <= k
         budget_left = n - v - 1  # every later vertex takes at least 1 edge
         for d in range(1, remaining - budget_left + 1):

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
-                     TargetSets, agent_utility, listening_reach,
-                     speaking_reach, utility, welfare)
+                     TargetSets, agent_utility, is_bi_pairwise_stable,
+                     listening_reach, scan_witnesses, speaking_reach, utility,
+                     welfare)
 from netform.generators import balanced_flower, cycle, empty
 
 from conftest import oracle_speaking_reach, oracle_utility, net_from_bits
@@ -167,6 +168,23 @@ class TestUtility:
         t = TargetSets(speak={0: frozenset({1})}, listen={0: frozenset({1, 2})})
         b = utility(net, bi(), t, 0)
         assert b.speak_reach == 1 and b.listen_reach == 2
+
+    def test_out_of_range_targets_never_reached(self):
+        # a member outside 0..n-1 (negative or >= n) counts as unreachable
+        net = cycle(4)
+        p = bi(k=2)
+        wide = TargetSets(speak={0: frozenset({-1, 1, 4}), 2: frozenset({9})},
+                          listen={0: frozenset({-3, 2, 7})})
+        narrow = TargetSets(speak={0: frozenset({1}), 2: frozenset()},
+                            listen={0: frozenset({2})})
+        b = utility(net, p, wide, 0)
+        assert b.speak_reach == 1 and b.listen_reach == 1
+        for v in range(4):
+            assert agent_utility(net, p, wide, v) == \
+                agent_utility(net, p, narrow, v)
+        assert scan_witnesses(net, p, wide) == scan_witnesses(net, p, narrow)
+        assert is_bi_pairwise_stable(net, p, wide) == \
+            is_bi_pairwise_stable(net, p, narrow)
 
     def test_target_set_cannot_contain_owner(self):
         with pytest.raises(ValueError):

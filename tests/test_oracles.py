@@ -1,6 +1,7 @@
 """networkx as an independent oracle for the SCC, condensation, topological
 order and reach code."""
 
+import random
 from fractions import Fraction as F
 
 import networkx as nx
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 
 from netform import (INF, BidirectedNetwork, Mode, Params, listening_reach,
                      speaking_reach)
+from netform.metrics import diameter
+from netform.model import _bfs, vertices
 from netform.scc import (condensation, dag_reachability,
                          strongly_connected_components, topological_order)
+
+from scan_oracles import bfs_by_sets
 
 
 @st.composite
@@ -110,3 +115,67 @@ class TestReach:
                                                         cutoff=cutoff)
             assert speaking_reach(net, params, v) == set(fwd) - {v}
             assert listening_reach(net, params, v) == set(bwd) - {v}
+
+
+@st.composite
+def kernel_cases(draw, max_n=70):
+    """A network built by adds and then some removals, so every mutator has
+    touched the rows; n up to 70 makes rows cross 64 bits."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=max_n),
+                       st.integers(min_value=60, max_value=max_n)))
+    density = draw(st.sampled_from((0.02, 0.05, 0.1, 0.3)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32)))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    speaking = [p for p in pairs if rng.random() < density]
+    listening = [p for p in pairs if rng.random() < 2 * density]
+    net = BidirectedNetwork(n, speaking, listening)
+    for u, v in rng.sample(speaking, len(speaking) // 4):
+        net.remove_speaking(u, v)
+    for v, u in rng.sample(listening, len(listening) // 4):
+        net.remove_listening(v, u)
+    mode = draw(st.sampled_from(Mode))
+    k = draw(st.sampled_from((1, 2, 3, INF)))
+    sources = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                            min_size=1, max_size=4))
+    return net, mode, k, sources, rng
+
+
+class TestReachKernel:
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bfs_matches_set_oracle_and_networkx(self, case):
+        # ball and last layer, with and without a skipped step, in both
+        # directions; networkx sees the skipped edge removed
+        net, mode, k, sources, rng = case
+        g = live_graph(net, mode)
+        cutoff = None if k == INF else k
+        for v in sources:
+            for forward in (True, False):
+                gv = g if forward else g.reverse()
+                succ = sorted(gv.successors(v))
+                for skip in [None] + ([rng.choice(succ)] if succ else []):
+                    ball, last = _bfs(net, k, v, forward, mode, skip)
+                    assert isinstance(ball, int) and isinstance(last, int)
+                    expect_ball, expect_last = bfs_by_sets(net, k, v, forward,
+                                                           mode, skip)
+                    assert vertices(ball) == expect_ball
+                    assert vertices(last) == expect_last
+                    h = gv.copy()
+                    if skip is not None:
+                        h.remove_edge(v, skip)
+                    dist = nx.single_source_shortest_path_length(h, v, cutoff)
+                    assert expect_ball == set(dist) - {v}
+                    assert expect_last == {w for w, d in dist.items()
+                                           if d == k}
+
+    @given(digraphs(max_n=10), st.sampled_from(Mode))
+    @settings(max_examples=200, deadline=None)
+    def test_diameter_matches_networkx(self, graph, mode):
+        # the bisection over k-balls against networkx eccentricities; the
+        # listening edges mirror the speaking ones, so both modes see the
+        # same live graph
+        n, edges = graph
+        net = BidirectedNetwork(n, edges, [(b, a) for a, b in edges])
+        g = nx_graph(n, edges)
+        expected = (nx.diameter(g) if nx.is_strongly_connected(g) else INF)
+        assert diameter(net, mode) == expected

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import resource
 import subprocess
@@ -421,6 +422,19 @@ class TestCli:
         assert self.run_cli("export-dot", "-i", str(doc), "--annotate") == 0
         dot = capsys.readouterr().out
         assert dot.startswith("digraph") and "red" not in dot
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (("--n", "3", "--k", "2", "--cs", "1/2", "--cl", "1",
+          "--mode", "bidirected"),
+         "8eaa0719fff80710afd354f7715fde4cc39e569a7efb2123587e970aebe9b4b2"),
+        (("--n", "4", "--cs", "2/3", "--mode", "directed"),
+         "df257f6d017174aec34d86964ee453e9c6d0d8d531acd1f54f7f2330162f896a"),
+    ])
+    def test_census_golden(self, tmp_path, argv, sha256):
+        # census CSV bytes are pinned over every network of the space
+        out = tmp_path / "census.csv"
+        assert self.run_cli("census", *argv, "-o", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     @pytest.mark.parametrize("header", ["c_s,c_l", "k,c_l", "k,c_s"])
     def test_sweep_missing_column(self, tmp_path, capsys, header):
