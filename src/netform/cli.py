@@ -17,7 +17,7 @@ from . import convergence, dynamics, equilibrium, generators, serialize
 from .metrics import metrics as compute_metrics
 from .errors import (CapacityError, ConstructionError, DocumentError,
                      LemmaCheckError, TraceError)
-from .model import ALL_OTHERS, INF, Mode, Params, agent_utility
+from .model import INF, Mode, Params
 
 
 class _UsageError(Exception):
@@ -42,14 +42,25 @@ def _read_doc(path: str):
         return serialize.parse_document(json.load(fh))
 
 
-def _params(k: str, c_s: str, c_l: str, mode: Optional[str]) -> Params:
-    """Parameters from flag or sweep-row text; the mode defaults to directed
-    exactly when listening is free."""
-    k = serialize.parse_k(k if k == "inf" else int(k), "--k")
-    c_s = serialize.parse_cost(c_s, "--cs")
-    c_l = serialize.parse_cost(c_l, "--cl")
-    mode = mode or ("directed" if c_l == 0 else "bidirected")
-    return Params(k=k, c_s=c_s, c_l=c_l, mode=Mode(mode))
+_FLAGS = {"k": "--k", "c_s": "--cs", "c_l": "--cl"}
+
+
+def _params(k: str, c_s: str, c_l: str, mode: Optional[str],
+            where=_FLAGS) -> Params:
+    """Parameters from flag or sweep-row text, a rejected value located by
+    ``where[column]``; the mode is directed exactly when listening is free."""
+    try:
+        k = k if k == "inf" else int(k)
+    except ValueError:
+        pass  # parse_k rejects the text itself
+    k = serialize.parse_k(k, where["k"])
+    c_s = serialize.parse_cost(c_s, where["c_s"])
+    c_l = serialize.parse_cost(c_l, where["c_l"])
+    mode = Mode(mode or ("directed" if c_l == 0 else "bidirected"))
+    if mode is Mode.DIRECTED and c_l != 0:
+        raise DocumentError(f"{where['c_l']}: directed mode requires c_l = 0, "
+                            f"got {c_l}")
+    return Params(k=k, c_s=c_s, c_l=c_l, mode=mode)
 
 
 def _add_param_flags(sub):
@@ -203,18 +214,17 @@ def _cmd_path(args) -> int:
 
 
 def _census_rows(n: int, params: Params, writer):
-    for mask, net in enumerate(equilibrium.iter_all_networks(n, params.mode)):
-        report = equilibrium.is_bi_pairwise_stable(net, params)
+    head = [serialize.format_k(params.k), str(params.c_s), str(params.c_l)]
+    for mask, balls in equilibrium.census(n, params):
+        report = equilibrium.bi_pairwise(balls)
         # one utility list for the welfare and symmetric columns
-        utilities = [agent_utility(net, params, ALL_OTHERS, v)
-                     for v in range(net.n)]
-        writer.writerow([
-            serialize.format_k(params.k), str(params.c_s), str(params.c_l),
+        utilities = [balls.utility(v) for v in range(n)]
+        writer.writerow(head + [
             mask,
             str(sum(utilities)),
             int(report.stable),
             int(bool(report.bi_pairwise)),
-            int(equilibrium.all_complete(net)),
+            int(equilibrium.all_complete(balls.net)),
             int(len(set(utilities)) <= 1),
         ])
 
@@ -232,8 +242,10 @@ def _cmd_census(args) -> int:
                 raise DocumentError(f"{args.sweep}: missing column(s) "
                                     f"{', '.join(sorted(missing))}")
             for row in rows:
+                where = {column: f"{args.sweep}, line {rows.line_num}, "
+                                 f"column {column}" for column in _FLAGS}
                 _census_rows(args.n, _params(row["k"], row["c_s"], row["c_l"],
-                                             args.mode), writer)
+                                             args.mode, where), writer)
     else:
         _census_rows(args.n, _params(args.k, args.cs, args.cl, args.mode),
                      writer)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import TraceError
@@ -84,18 +85,18 @@ class Trace:
 
 class ReachBalls:
     """Reach balls of one network, each built by one BFS on first use and
-    dropped when ``net.revision`` moves, and the edge rule decided from them.
-    Hold one for the network's life.  Balls and target sets are bitsets
-    (see ``model``), with one target mask per direction and owner.  A
-    speaking edge moves only its owner's forward ball, a listening edge only
-    the backward one.  Adding the live step u -> v gives u the new targets
-    ``(inner(v) | 1<<v) & ~(ball(u) | 1<<u)``, inner being the ball one step
-    short (a shortest path from v never re-enters v); removing a present live
-    step takes one BFS that skips it, ``kept``, and loses ``ball(u) & ~kept``.
-    A dead pair (bidirected, partner half absent) moves no reach: a present
-    dead edge is removable iff its cost is above 0, an absent one is never
-    addable.  So a scan runs one BFS per vertex and direction plus one per
-    present live edge."""
+    dropped when ``net.revision`` moves, and the edge rule and the agents'
+    utilities decided from them.  Hold one for the network's life.  Balls
+    and target sets are bitsets (see ``model``), with one target mask per
+    direction and owner.  A speaking edge moves only its owner's forward
+    ball, a listening edge only the backward one.  Adding the live step
+    u -> v gives u the new targets ``(inner(v) | 1<<v) & ~(ball(u) | 1<<u)``,
+    inner being the ball one step short (a shortest path from v never
+    re-enters v); removing a present live step takes one BFS that skips it,
+    ``kept``, and loses ``ball(u) & ~kept``.  A dead pair (bidirected,
+    partner half absent) moves no reach: a present dead edge is removable
+    iff its cost is above 0, an absent one is never addable.  So a scan runs
+    one BFS per vertex and direction plus one per present live edge."""
 
     __slots__ = ("net", "params", "_balls", "_revision", "_masks", "_rules")
 
@@ -131,6 +132,16 @@ class ReachBalls:
         added = ((self.ball(v, forward)[1] | 1 << v)
                  & ~(self.ball(u, forward)[0] | 1 << u))
         return (added & self._masks[forward][u]).bit_count()
+
+    def utility(self, v: int) -> Fraction:
+        """v's exact utility, counted from its held balls and target masks."""
+        net, params = self.net, self.params
+        u_s = ((self.ball(v, True)[0] & self._masks[True][v]).bit_count()
+               - params.c_s * net.out_speak(v))
+        if params.mode is Mode.DIRECTED:
+            return u_s
+        lr = (self.ball(v, False)[0] & self._masks[False][v]).bit_count()
+        return u_s + lr - params.c_l * net.out_listen(v)
 
     def classify(self, kind: EdgeKind, u: int, v: int) -> Classification:
         net, forward = self.net, kind is EdgeKind.SPEAKING

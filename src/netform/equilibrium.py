@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Tuple
 from .dynamics import Classification, EdgeKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
-                    agent_utility, vertices, welfare)
+                    agent_utility, vertices)
 
 
 @dataclass
@@ -30,7 +30,6 @@ class StabilityReport:
 class EfficiencyReport:
     best_welfare: Fraction
     argmax_nets: List[BidirectedNetwork]
-    searched: int
 
 
 @dataclass
@@ -58,12 +57,17 @@ def all_complete(net: BidirectedNetwork) -> bool:
 
 def is_bi_pairwise_stable(net: BidirectedNetwork, params: Params,
                           targets: TargetSets = ALL_OTHERS) -> StabilityReport:
+    """``bi_pairwise`` from fresh reach balls of ``net``."""
+    return bi_pairwise(ReachBalls(net, params, targets))
+
+
+def bi_pairwise(balls: ReachBalls) -> StabilityReport:
     """No single removal helps its owner, and every joint addition of a
     speaking edge with its return listening edge that strictly helps the
     speaker strictly harms the listener.  The addition makes u -> v live,
     which moves only u's speaking and v's listening reach: both deltas come
     from the scan's reach balls."""
-    balls = ReachBalls(net, params, targets)
+    net, params = balls.net, balls.params
     witnesses = list(balls.witnesses())
     report = StabilityReport(stable=not witnesses, witnesses=witnesses)
     if any(w[3] is Classification.REMOVABLE for w in report.witnesses):
@@ -138,24 +142,14 @@ def brute_force_nash(net: BidirectedNetwork, params: Params,
     return True
 
 
-def _ordered_pairs(n: int) -> List[Tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(n) if u != v]
-
-
 def net_from_mask(n: int, mask: int, mode: Mode) -> BidirectedNetwork:
     """Decode a bitmask over the ordered pairs (speaking bits first, then
     listening bits in bidirected mode) into a network."""
-    pairs = _ordered_pairs(n)
-    net = BidirectedNetwork(n)
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
-            net.add_speaking(u, v)
-    if mode is Mode.BIDIRECTED:
-        base = len(pairs)
-        for i, (u, v) in enumerate(pairs):
-            if mask >> (base + i) & 1:
-                net.add_listening(u, v)
-    return net
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    listening = mask >> len(pairs) if mode is Mode.BIDIRECTED else 0
+    return BidirectedNetwork(
+        n, [p for i, p in enumerate(pairs) if mask >> i & 1],
+        [p for i, p in enumerate(pairs) if listening >> i & 1])
 
 
 def enumeration_bits(n: int, mode: Mode) -> int:
@@ -172,50 +166,42 @@ def iter_all_networks(n: int, mode: Mode) -> Iterator[BidirectedNetwork]:
         yield net_from_mask(n, mask, mode)
 
 
+def census(n: int, params: Params, targets: TargetSets = ALL_OTHERS
+           ) -> Iterator[Tuple[int, ReachBalls]]:
+    """Every network on n agents with its mask, in one ``ReachBalls`` each."""
+    for mask, net in enumerate(iter_all_networks(n, params.mode)):
+        yield mask, ReachBalls(net, params, targets)
+
+
 def efficient_search(n: int, params: Params,
                      targets: TargetSets = ALL_OTHERS) -> EfficiencyReport:
     """Welfare maxima over all networks on n agents (exhaustive)."""
-    best: Optional[Fraction] = None
-    argmax: List[BidirectedNetwork] = []
-    searched = 0
-    for net in iter_all_networks(n, params.mode):
-        searched += 1
-        w = welfare(net, params, targets)
+    best, argmax = None, []
+    for _, balls in census(n, params, targets):
+        w = sum(map(balls.utility, range(n)))
         if best is None or w > best:
-            best = w
-            argmax = [net]
+            best, argmax = w, [balls.net]
         elif w == best:
-            argmax.append(net)
-    return EfficiencyReport(best_welfare=best, argmax_nets=argmax,
-                            searched=searched)
+            argmax.append(balls.net)
+    return EfficiencyReport(best_welfare=best, argmax_nets=argmax)
 
 
 def poa_pos(n: int, params: Params,
             targets: TargetSets = ALL_OTHERS) -> PoAResult:
     """Price of anarchy and stability over the full census: worst and best
     stable welfare divided by the optimum."""
-    best: Optional[Fraction] = None
-    worst_stable: Optional[Fraction] = None
-    best_stable: Optional[Fraction] = None
-    for net in iter_all_networks(n, params.mode):
-        w = welfare(net, params, targets)
-        if best is None or w > best:
-            best = w
-        if is_stable(net, params, targets).stable:
-            if worst_stable is None or w < worst_stable:
-                worst_stable = w
-            if best_stable is None or w > best_stable:
-                best_stable = w
-    if best is None or best <= 0 or worst_stable is None:
-        return PoAResult(poa=None, pos=None, degenerate=True,
-                         best_welfare=best if best is not None else Fraction(0),
-                         worst_stable_welfare=worst_stable,
-                         best_stable_welfare=best_stable)
-    return PoAResult(poa=Fraction(worst_stable, 1) / best,
-                     pos=Fraction(best_stable, 1) / best,
-                     degenerate=False, best_welfare=best,
-                     worst_stable_welfare=worst_stable,
-                     best_stable_welfare=best_stable)
+    welfares, stable = [], []
+    for _, balls in census(n, params, targets):
+        welfares.append(sum(map(balls.utility, range(n))))
+        if next(balls.witnesses(), None) is None:
+            stable.append(welfares[-1])
+    best = max(welfares)
+    degenerate = best <= 0 or not stable
+    return PoAResult(poa=None if degenerate else min(stable) / best,
+                     pos=None if degenerate else max(stable) / best,
+                     degenerate=degenerate, best_welfare=best,
+                     worst_stable_welfare=min(stable, default=None),
+                     best_stable_welfare=max(stable, default=None))
 
 
 def check_symmetric(net: BidirectedNetwork, params: Params,

@@ -312,7 +312,8 @@ def utility(net: BidirectedNetwork, params: Params,
 
 def agent_utility(net: BidirectedNetwork, params: Params,
                   targets: TargetSets, v: int) -> Fraction:
-    """Total utility of one agent (lean path for enumeration oracles)."""
+    """Total utility of one agent from fresh reach searches: the definition
+    ``brute_force_nash`` uses and ``ReachBalls.utility`` is tested against."""
     u_s = _count(net, params, targets, v, True) - params.c_s * net.out_speak(v)
     if params.mode is Mode.DIRECTED:
         return u_s

@@ -26,8 +26,8 @@ _DOC_FIELDS = {"n", "k", "c_s", "c_l", "mode", "speaking", "listening",
 
 
 def parse_cost(text, where: str = "cost") -> Fraction:
-    """Exact cost from a decimal ('1.5') or fraction ('3/2') string, or an
-    integer.  Floats are rejected: they cannot promise exactness."""
+    """Exact nonnegative cost from a decimal ('1.5') or fraction ('3/2')
+    string, or an integer.  Floats are rejected: they are not exact."""
     if isinstance(text, bool) or isinstance(text, float):
         raise DocumentError(f"{where}: expected an exact string or integer, "
                             f"got {text!r}")
@@ -43,6 +43,8 @@ def parse_cost(text, where: str = "cost") -> Fraction:
         format_cost(cost)  # more than 4300 digits cannot be written back
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise DocumentError(f"{where}: cannot parse {text!r} exactly") from exc
+    if cost < 0:
+        raise DocumentError(f"{where}: costs must be nonnegative, got {cost}")
     return cost
 
 

@@ -1,10 +1,14 @@
-"""Test oracles for the bitset reach kernel and the ball-based stability
-checks: the set-based reach search the kernel replaced, and the edge rule
-and the bi-pairwise joint additions decided by mutating a copy of the
-network and recomputing reach or utility from scratch."""
+"""Test oracles for the bitset reach kernel, the ball-based stability
+checks and the census folds: the set-based reach search the kernel
+replaced, the edge rule and the bi-pairwise joint additions decided by
+mutating a copy of the network and recomputing reach or utility from
+scratch, and the efficiency and PoA/PoS searches over every network with
+from-scratch welfare and a full witness scan."""
 
-from netform import (Classification, EdgeKind, Mode, agent_utility,
-                     listening_reach, speaking_reach)
+from netform import (Classification, EdgeKind, EfficiencyReport, Mode,
+                     PoAResult, agent_utility, is_stable, listening_reach,
+                     speaking_reach, welfare)
+from netform.equilibrium import iter_all_networks
 
 
 def bfs_by_sets(net, k, v, forward, mode, skip=None):
@@ -90,3 +94,37 @@ def bi_pairwise_by_utility(net, params, targets):
             if after_u > before_u and not after_v < before_v:
                 return False, (u, v, after_u - before_u, after_v - before_v)
     return True, None
+
+
+def efficient_search_by_definition(n, params, targets):
+    """``efficient_search`` with ``welfare`` recomputed per network."""
+    best, argmax = None, []
+    for net in iter_all_networks(n, params.mode):
+        w = welfare(net, params, targets)
+        if best is None or w > best:
+            best, argmax = w, [net]
+        elif w == best:
+            argmax.append(net)
+    return EfficiencyReport(best_welfare=best, argmax_nets=argmax)
+
+
+def poa_pos_by_definition(n, params, targets):
+    """``poa_pos`` from ``welfare`` and ``is_stable`` per network."""
+    best = worst_stable = best_stable = None
+    for net in iter_all_networks(n, params.mode):
+        w = welfare(net, params, targets)
+        if best is None or w > best:
+            best = w
+        if is_stable(net, params, targets).stable:
+            if worst_stable is None or w < worst_stable:
+                worst_stable = w
+            if best_stable is None or w > best_stable:
+                best_stable = w
+    if best <= 0 or worst_stable is None:
+        return PoAResult(poa=None, pos=None, degenerate=True,
+                         best_welfare=best, worst_stable_welfare=worst_stable,
+                         best_stable_welfare=best_stable)
+    return PoAResult(poa=worst_stable / best, pos=best_stable / best,
+                     degenerate=False, best_welfare=best,
+                     worst_stable_welfare=worst_stable,
+                     best_stable_welfare=best_stable)

@@ -2,14 +2,17 @@ from fractions import Fraction as F
 
 import pytest
 
+import netform.model
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Params,
+                     EdgeKind, Mode, Params, TargetSets,
                      all_complete, brute_force_nash, check_symmetric,
                      efficient_search, is_bi_pairwise_stable, is_stable,
-                     poa_pos)
+                     poa_pos, welfare)
+from netform.cli import main
 from netform.equilibrium import iter_all_networks, net_from_mask
 from netform.errors import CapacityError
 from netform.generators import balanced_flower, complete_net, cycle, empty, kautz
+from scan_oracles import efficient_search_by_definition, poa_pos_by_definition
 
 
 def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
@@ -180,3 +183,37 @@ class TestEnumeration:
     def test_census_guard(self):
         with pytest.raises(CapacityError):
             list(iter_all_networks(4, Mode.BIDIRECTED))
+
+
+class TestCensusFolds:
+    @pytest.mark.parametrize("n, params, targets", [
+        (2, bi(k=2, cs=F(1, 2), cl=F(1)), ALL_OTHERS),
+        (3, bi(k=2, cs=F(1, 2), cl=F(1)), ALL_OTHERS),
+        (3, di(cs=F(1, 2)), ALL_OTHERS),
+        (4, di(cs=F(2, 3)), ALL_OTHERS),
+        (3, bi(k=1, cs=F(1, 3), cl=F(1, 2)),
+         TargetSets(speak={0: frozenset({1})}, listen={2: frozenset({0, 5})})),
+        (2, bi(k=1, cs=F(1), cl=F(1)), ALL_OTHERS),  # degenerate
+    ])
+    def test_folds_match_definition(self, n, params, targets):
+        assert efficient_search(n, params, targets) == \
+            efficient_search_by_definition(n, params, targets)
+        assert poa_pos(n, params, targets) == \
+            poa_pos_by_definition(n, params, targets)
+
+    def test_census_runs_no_from_scratch_reach(self, tmp_path, monkeypatch):
+        # ReachBalls binds its own _bfs; model._bfs is looked up only by the
+        # from-scratch reach of agent_utility and welfare
+        calls = []
+        bfs = netform.model._bfs
+        monkeypatch.setattr(netform.model, "_bfs",
+                            lambda *a: calls.append(a) or bfs(*a))
+        p = bi(k=2, cs=F(1, 2), cl=F(1))
+        welfare(empty(2), p)
+        assert calls  # the counter sees from-scratch utilities
+        calls.clear()
+        assert main(["census", "--n", "2", "--k", "2", "--cs", "1/2",
+                     "--cl", "1", "-o", str(tmp_path / "c.csv")]) == 0
+        efficient_search(2, p)
+        poa_pos(3, di())
+        assert calls == []

@@ -6,11 +6,11 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import net_from_bits
+from conftest import net_from_bits, oracle_utility
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
                      EdgeKind, Mode, Move, MoveKind, Params, ReachBalls,
-                     TargetSets, classify, find_witness, is_bi_pairwise_stable,
-                     is_stable, scan_witnesses)
+                     TargetSets, agent_utility, classify, find_witness,
+                     is_bi_pairwise_stable, is_stable, scan_witnesses)
 from netform.dynamics import apply_move, iter_typed_pairs
 from netform.generators import random_net
 from scan_oracles import bi_pairwise_by_utility, classify_by_toggle
@@ -24,12 +24,13 @@ FIRES = (Classification.ADDABLE, Classification.REMOVABLE)
 
 @st.composite
 def targets(draw, n):
-    """Default targets, or a random target subset for some agents."""
+    """Default targets, or a random target subset for some agents; a subset
+    may hold vertices outside 0..n-1, which are never reached."""
     speak, listen = {}, {}
     for mapping in (speak, listen):
         for v in range(n):
             if draw(st.booleans()):
-                others = [w for w in range(n) if w != v]
+                others = [w for w in range(-1, n + 2) if w != v]
                 mapping[v] = frozenset(draw(st.lists(
                     st.sampled_from(others), max_size=len(others))))
     return TargetSets(speak=speak, listen=listen)
@@ -63,6 +64,17 @@ def larger_cases(draw):
     params = Params(k=draw(st.sampled_from(KS)),
                     c_s=draw(st.sampled_from(COSTS)), c_l=c_l, mode=mode)
     return net, params, ALL_OTHERS
+
+
+def toggle(net, kind, u, v):
+    """Add the typed edge (u, v) if absent, else remove it."""
+    if kind is EdgeKind.SPEAKING:
+        move = (MoveKind.REMOVE_SPEAKING if net.has_speaking(u, v)
+                else MoveKind.ADD_SPEAKING)
+    else:
+        move = (MoveKind.REMOVE_LISTENING if net.has_listening(u, v)
+                else MoveKind.ADD_LISTENING)
+    apply_move(net, Move(move, kind, u, v, 0))
 
 
 def oracle_witnesses(net, params, tsets):
@@ -186,14 +198,25 @@ class TestStaleBalls:
                 assert balls.classify(kind, u, v) is \
                     classify_by_toggle(net, params, tsets, kind, u, v), \
                     (kind, u, v)
-            kind, u, v = data.draw(st.sampled_from(pairs))
-            if kind is EdgeKind.SPEAKING:
-                move = (MoveKind.REMOVE_SPEAKING if net.has_speaking(u, v)
-                        else MoveKind.ADD_SPEAKING)
-            else:
-                move = (MoveKind.REMOVE_LISTENING if net.has_listening(u, v)
-                        else MoveKind.ADD_LISTENING)
-            apply_move(net, Move(move, kind, u, v, 0))
+            toggle(net, *data.draw(st.sampled_from(pairs)))
         for kind, u, v in pairs:
             assert balls.classify(kind, u, v) is \
                 classify_by_toggle(net, params, tsets, kind, u, v), (kind, u, v)
+
+    @given(cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_held_utilities_match_from_scratch(self, case, data):
+        # against agent_utility on any targets, and against the simple-path
+        # oracle on tiny networks with the default targets
+        net, params, tsets = case
+        balls = ReachBalls(net, params, tsets)
+        toggles = data.draw(st.lists(
+            st.sampled_from(list(iter_typed_pairs(net.n))), max_size=6))
+        for edge in [None, *toggles]:
+            if edge is not None:
+                toggle(net, *edge)
+            for v in range(net.n):
+                got = balls.utility(v)
+                assert got == agent_utility(net, params, tsets, v), (edge, v)
+                if tsets is ALL_OTHERS and net.n <= 4:
+                    assert got == oracle_utility(net, params, v), (edge, v)

@@ -429,6 +429,9 @@ class TestCli:
          "8eaa0719fff80710afd354f7715fde4cc39e569a7efb2123587e970aebe9b4b2"),
         (("--n", "4", "--cs", "2/3", "--mode", "directed"),
          "df257f6d017174aec34d86964ee453e9c6d0d8d531acd1f54f7f2330162f896a"),
+        (("--n", "3", "--k", "inf", "--cs", "2/3", "--cl", "3/2",
+          "--mode", "bidirected"),
+         "b04672a91c752ef379b56d35e3df7ce21d2f6a7e6e7870afca8cf42552639217"),
     ])
     def test_census_golden(self, tmp_path, argv, sha256):
         # census CSV bytes are pinned over every network of the space
@@ -445,6 +448,30 @@ class TestCli:
         missing = ({"k", "c_s", "c_l"} - set(header.split(","))).pop()
         assert capsys.readouterr().err == \
             f"error: {sweep}: missing column(s) {missing}\n"
+
+    @pytest.mark.parametrize("row, mode, column", [
+        ("x,1,0", "directed", "k"), (",1,0", "directed", "k"),
+        ("0,1,0", "directed", "k"), ("1,two,0", "directed", "c_s"),
+        ("1,-1,0", "directed", "c_s"), ("1,1", "directed", "c_l"),
+        ("1,1,-1/2", "bidirected", "c_l"), ("1,1,1", "directed", "c_l"),
+    ])
+    def test_sweep_bad_cell_located(self, tmp_path, capsys, row, mode, column):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(f"k,c_s,c_l\n1,1/2,0\n\n{row}\n")
+        assert self.run_cli("census", "--n", "2", "--sweep", str(sweep),
+                            "--mode", mode) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {sweep}, line 4, column {column}: ")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--k", "x"), "--k"), (("--k", "0"), "--k"), (("--cs", "-1"), "--cs"),
+        (("--cs", "1/0"), "--cs"), (("--cl", "-2"), "--cl"),
+        (("--cl", "1", "--mode", "directed"), "--cl"),
+    ])
+    def test_bad_flag_named(self, capsys, argv, flag):
+        assert self.run_cli("census", "--n", "2", *argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
     def test_sweep_rows(self, tmp_path, capsys):
         sweep = tmp_path / "sweep.csv"
