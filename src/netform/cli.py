@@ -186,14 +186,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     net, params, targets, _ = _read_doc(args.input)
-    report = (equilibrium.is_bi_pairwise_stable if args.bi_pairwise
-              else equilibrium.is_stable)(net, params, targets)
+    # one set of reach balls for the witnesses and the utilities
+    balls = dynamics.ReachBalls(net, params, targets)
+    report = equilibrium.bi_pairwise(balls) if args.bi_pairwise else None
+    witnesses = list(balls.witnesses()) if report is None else report.witnesses
     out = {
-        "stable": report.stable,
+        "stable": not witnesses,
         "witnesses": [[k.value, u, v, cls.value]
-                      for k, u, v, cls in report.witnesses],
+                      for k, u, v, cls in witnesses],
         "all_complete": equilibrium.all_complete(net),
-        "symmetric": equilibrium.check_symmetric(net, params, targets),
+        "symmetric": len(set(map(balls.utility, range(net.n)))) <= 1,
     }
     if args.bi_pairwise:
         out["bi_pairwise"] = report.bi_pairwise

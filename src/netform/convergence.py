@@ -110,7 +110,7 @@ def _strip_inplace(balls: ReachBalls) -> List[CertMove]:
     progress = True
     while progress:
         progress = False
-        for (u, v) in sorted(net.speaking):
+        for (u, v) in net.edges(speaking=True):
             if balls.classify(EdgeKind.SPEAKING, u, v) \
                     is Classification.REMOVABLE:
                 net.remove_speaking(u, v)
@@ -159,7 +159,7 @@ def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
         # L28: with no removable edges, every edge head's reach closure
         # (head included) holds at least c vertices.
         ok28 = all(1 + balls.ball(v, True)[0].bit_count() >= c
-                   for (_, v) in net_after.speaking)
+                   for (_, v) in net_after.edges(speaking=True))
         results.append(("L28_edge_heads_reach_at_least_c", ok28))
         # L29: small leaf components are singletons, and edgeless ones when
         # c > 1 (at c <= 1 a singleton leaf may keep incoming edges: losing
@@ -171,8 +171,8 @@ def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
                 continue
             if len(comp) == 1:
                 v = next(iter(comp))
-                if c <= 1 or (not net_after._speak_in[v]
-                              and not net_after._speak_out[v]):
+                if c <= 1 or not (net_after.in_speak(v)
+                                  or net_after.out_speak(v)):
                     continue
             ok29 = False
         results.append(("L29_leaves_isolated_or_large", ok29))
@@ -362,7 +362,7 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
         # the entry point of a path from the small root into the large
         # component: the head r_k of the first edge (t_k, r_k) crossing in
         reach_i = cg.vertex_reach(i)
-        r_k = next((b for (a, b) in sorted(net.speaking) if a in reach_i
+        r_k = next((b for (a, b) in net.edges(speaking=True) if a in reach_i
                     and a not in t1_vertices and b in t1_vertices), None)
         if r_k is None:
             continue

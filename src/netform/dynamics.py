@@ -105,9 +105,10 @@ class ReachBalls:
         self.net, self.params = net, params
         self._balls = ({}, {})  # [forward][vertex], valid at _revision
         self._revision = net.revision
-        self._masks = tuple([targets.mask(v, forward, net.n)
-                             for v in range(net.n)]
-                            for forward in (False, True))
+        # [forward][vertex]; directed mode reads no backward (listening) mask
+        self._masks = (None if params.mode is Mode.DIRECTED else
+                       [targets.mask(v, False, net.n) for v in range(net.n)],
+                       [targets.mask(v, True, net.n) for v in range(net.n)])
         # gains and losses are integers: gain > c iff gain >= floor(c) + 1,
         # and lost < c iff lost <= ceil(c) - 1
         self._rules = tuple((c.numerator // c.denominator + 1,
@@ -147,13 +148,13 @@ class ReachBalls:
         net, forward = self.net, kind is EdgeKind.SPEAKING
         directed = self.params.mode is Mode.DIRECTED
         if forward:
-            present = (u, v) in net.speaking
-            live = directed or (v, u) in net.listening
+            present = net._speak_out[u] >> v & 1
+            live = directed or net._listen_out[v] >> u & 1
         else:
-            present = (u, v) in net.listening
+            present = net._listen_out[u] >> v & 1
             # listening is implicit and free (c_l = 0) in the reduced model:
             # a listening edge there is dead and never fires
-            live = not directed and (v, u) in net.speaking
+            live = not directed and net._speak_out[v] >> u & 1
         add_min, lost_max = self._rules[forward]
         if not present:
             return (Classification.ADDABLE

@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Tuple
 from .dynamics import Classification, EdgeKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
-                    agent_utility, vertices)
+                    agent_utility, all_complete)
 
 
 @dataclass
@@ -48,13 +48,6 @@ def is_stable(net: BidirectedNetwork, params: Params,
     return StabilityReport(stable=not witnesses, witnesses=witnesses)
 
 
-def all_complete(net: BidirectedNetwork) -> bool:
-    """Every speaking edge (u, v) has its partner listening edge (v listens
-    to u) and vice versa."""
-    return (all(net.has_listening(v, u) for (u, v) in net.speaking)
-            and all(net.has_speaking(u, v) for (v, u) in net.listening))
-
-
 def is_bi_pairwise_stable(net: BidirectedNetwork, params: Params,
                           targets: TargetSets = ALL_OTHERS) -> StabilityReport:
     """``bi_pairwise`` from fresh reach balls of ``net``."""
@@ -80,8 +73,8 @@ def bi_pairwise(balls: ReachBalls) -> StabilityReport:
         for v in range(net.n):
             if u == v:
                 continue
-            add_s = (u, v) not in net.speaking
-            add_l = (v, u) not in net.listening
+            add_s = not net.has_speaking(u, v)
+            add_l = not net.has_listening(v, u)
             if not add_s and (directed or not add_l):
                 continue  # the step u -> v is live already: nothing changes
             gain_u = balls.gain(u, v, True)
@@ -98,11 +91,18 @@ def bi_pairwise(balls: ReachBalls) -> StabilityReport:
     return report
 
 
+def agent_strategy(net: BidirectedNetwork, v: int):
+    """v's outgoing speaking and listening edges, as their heads."""
+    return (frozenset(w for w in range(net.n) if net.has_speaking(v, w)),
+            frozenset(w for w in range(net.n) if net.has_listening(v, w)))
+
+
 def set_agent_strategy(net: BidirectedNetwork, v: int,
                        speak_to: frozenset, listen_to: frozenset):
-    for w in vertices(net._speak_out[v]):
+    speaks, listens = agent_strategy(net, v)
+    for w in speaks:
         net.remove_speaking(v, w)
-    for w in vertices(net._listen_out[v]):
+    for w in listens:
         net.remove_listening(v, w)
     for w in speak_to:
         net.add_speaking(v, w)
@@ -124,8 +124,7 @@ def brute_force_nash(net: BidirectedNetwork, params: Params,
     for v in range(n):
         others = [w for w in range(n) if w != v]
         current = agent_utility(work, params, targets, v)
-        orig_speak = vertices(work._speak_out[v])
-        orig_listen = vertices(work._listen_out[v])
+        original = agent_strategy(work, v)
         listen_masks = range(2 ** (n - 1)) if params.mode is Mode.BIDIRECTED else (0,)
         try:
             for s_mask in range(2 ** (n - 1)):
@@ -138,7 +137,7 @@ def brute_force_nash(net: BidirectedNetwork, params: Params,
                     if agent_utility(work, params, targets, v) > current:
                         return False
         finally:
-            set_agent_strategy(work, v, orig_speak, orig_listen)
+            set_agent_strategy(work, v, *original)
     return True
 
 

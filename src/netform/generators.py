@@ -37,11 +37,9 @@ def empty(n: int) -> BidirectedNetwork:
 def lift(net: BidirectedNetwork) -> BidirectedNetwork:
     """Bidirected replacement of a directed construction: every speaking edge
     (u, v) gets its partner listening edge (v listens to u)."""
-    out = net.copy()
-    for u, v in sorted(net.speaking):
-        if not out.has_listening(v, u):
-            out.add_listening(v, u)
-    return out
+    speaking = net.speaking
+    return BidirectedNetwork(net.n, speaking,
+                             net.listening | {(v, u) for u, v in speaking})
 
 
 def cycle(n: int, lifted: bool = True) -> BidirectedNetwork:

@@ -102,9 +102,9 @@ def metrics(net: BidirectedNetwork, params: Params,
     pairs = live_pairs(net, mode)
     comps = strongly_connected_components(
         net.n, lambda v: net.successors(v, mode))
-    reciprocity = (Fraction(sum(1 for (u, v) in net.speaking
-                                if net.has_speaking(v, u)), len(net.speaking))
-                   if net.speaking else Fraction(0))
+    speaking = net.speaking
+    reciprocity = (Fraction(sum((v, u) in speaking for (u, v) in speaking),
+                            len(speaking)) if speaking else Fraction(0))
     groups = _groups_from_targets(net, targets)
     polarization = None
     if groups is not None and pairs:

@@ -8,8 +8,8 @@ present; in the directed-reduced mode listening is implicit and speaking
 edges alone are live.
 
 Vertex sets are Python ints used as bitsets (bit w stands for vertex w):
-adjacency rows, reach balls and target masks alike, so a reach search ORs
-rows and a count is ``int.bit_count()``.
+adjacency rows, a network's only edge state, reach balls and target masks
+alike, so a reach search ORs rows and a count is ``int.bit_count()``.
 
 Costs are exact ``Fraction`` values: the addable/removable rules use strict
 inequalities, so boundary cases like cost == gain must not depend on
@@ -91,40 +91,31 @@ ALL_OTHERS = TargetSets()
 
 
 class BidirectedNetwork:
-    """Mutable edge sets plus incrementally maintained adjacency rows.
-
-    ``speaking`` holds ordered pairs (u, v): u speaks to v.
-    ``listening`` holds ordered pairs (v, u): v listens to u.
-    Each vertex x has four int rows, kept up to date by the four mutators:
-    ``_speak_out[x]`` has bit v when x speaks to v, ``_speak_in[x]`` bit u
-    when u speaks to x, and ``_listen_out``/``_listen_in`` likewise.  The
-    bidirected live rows are kept with them: ``_live_out[x] = _speak_out[x]
-    & _listen_in[x]`` (x -> v is live) and ``_live_in[x] = _speak_in[x] &
-    _listen_out[x]`` (u -> x is live), refreshed for the step u -> v by
-    either of its halves.  Directed mode reads the speaking rows alone.
+    """A network is its adjacency rows, its only edge state.  Vertex x has
+    four int rows: ``_speak_out[x]`` has bit v when x speaks to v, and
+    ``_speak_in[x]`` bit u when u speaks to x; ``_listen_out``/``_listen_in``
+    likewise hold the listening edges (v, u), v listens to u.  The live rows
+    ``_live_out[x] = _speak_out[x] & _listen_in[x]`` and ``_live_in[x] =
+    _speak_in[x] & _listen_out[x]`` serve the bidirected reach; directed mode
+    reads the speaking rows.  ``speaking``/``listening`` are read-only
+    frozensets of pairs built per access: hot loops use ``has_speaking``/
+    ``has_listening`` or the ordered walk ``edges``.
     """
 
-    __slots__ = ("n", "speaking", "listening", "_speak_out", "_speak_in",
-                 "_listen_out", "_listen_in", "_live_out", "_live_in",
-                 "revision")
+    __slots__ = ("n", "_speak_out", "_speak_in", "_listen_out", "_listen_in",
+                 "_live_out", "_live_in", "revision")
 
     def __init__(self, n: int, speaking: Iterable = (), listening: Iterable = ()):
         if n < 1:
             raise ValueError("need at least one agent")
         self.n = n
-        self.speaking: set = set()
-        self.listening: set = set()
-        self._speak_out = [0] * n
-        self._speak_in = [0] * n
-        self._listen_out = [0] * n
-        self._listen_in = [0] * n
-        self._live_out = [0] * n
-        self._live_in = [0] * n
+        (self._speak_out, self._speak_in, self._listen_out, self._listen_in,
+         self._live_out, self._live_in) = ([0] * n for _ in range(6))
         self.revision = 0
         for u, v in speaking:
             self.add_speaking(u, v)
-        for u, v in listening:
-            self.add_listening(u, v)
+        for v, u in listening:
+            self.add_listening(v, u)
         self.revision = 0
 
     def _check_pair(self, u: int, v: int):
@@ -135,54 +126,61 @@ class BidirectedNetwork:
 
     # -- mutation ---------------------------------------------------------
 
-    def _flip(self, speaking: bool, u: int, v: int):
-        """Toggle one half of the step u -> v in its rows, the speaking edge
-        (u, v) or the listening edge (v, u), and refresh the step's live
-        rows."""
-        if speaking:
-            self._speak_out[u] ^= 1 << v
-            self._speak_in[v] ^= 1 << u
-        else:
-            self._listen_out[v] ^= 1 << u
-            self._listen_in[u] ^= 1 << v
+    def _flip(self, speaking: bool, a: int, b: int, add: bool):
+        """Add or remove the speaking or listening edge (a, b) in its two
+        rows and refresh the live rows of its step.  A bad pair, or an edge
+        present (add) or absent (remove), raises ValueError and changes
+        nothing."""
+        self._check_pair(a, b)
+        out, into = ((self._speak_out, self._speak_in) if speaking
+                     else (self._listen_out, self._listen_in))
+        if (out[a] >> b & 1) == add:
+            raise ValueError(f"{'speaking' if speaking else 'listening'} edge "
+                             f"({a}, {b}) {'already' if add else 'not'} present")
+        out[a] ^= 1 << b
+        into[b] ^= 1 << a
+        u, v = (a, b) if speaking else (b, a)  # the step u -> v
         self._live_out[u] = self._speak_out[u] & self._listen_in[u]
         self._live_in[v] = self._speak_in[v] & self._listen_out[v]
         self.revision += 1
 
     def add_speaking(self, u: int, v: int):
-        self._check_pair(u, v)
-        if (u, v) in self.speaking:
-            raise ValueError(f"speaking edge ({u}, {v}) already present")
-        self.speaking.add((u, v))
-        self._flip(True, u, v)
+        self._flip(True, u, v, True)
 
     def remove_speaking(self, u: int, v: int):
-        if (u, v) not in self.speaking:
-            raise ValueError(f"speaking edge ({u}, {v}) not present")
-        self.speaking.remove((u, v))
-        self._flip(True, u, v)
+        self._flip(True, u, v, False)
 
     def add_listening(self, v: int, u: int):
         """v starts listening to u (enables the live step u -> v)."""
-        self._check_pair(v, u)
-        if (v, u) in self.listening:
-            raise ValueError(f"listening edge ({v}, {u}) already present")
-        self.listening.add((v, u))
-        self._flip(False, u, v)
+        self._flip(False, v, u, True)
 
     def remove_listening(self, v: int, u: int):
-        if (v, u) not in self.listening:
-            raise ValueError(f"listening edge ({v}, {u}) not present")
-        self.listening.remove((v, u))
-        self._flip(False, u, v)
+        self._flip(False, v, u, False)
 
     # -- queries ----------------------------------------------------------
 
     def has_speaking(self, u: int, v: int) -> bool:
-        return (u, v) in self.speaking
+        return 0 <= u < self.n and 0 <= v < self.n and \
+            bool(self._speak_out[u] >> v & 1)
 
     def has_listening(self, v: int, u: int) -> bool:
-        return (v, u) in self.listening
+        return 0 <= u < self.n and 0 <= v < self.n and \
+            bool(self._listen_out[v] >> u & 1)
+
+    def edges(self, speaking: bool):
+        """The speaking (or listening) edges in lexicographic order."""
+        rows = self._speak_out if speaking else self._listen_out
+        return ((a, b) for a, row in enumerate(rows) for b in ascending(row))
+
+    @property
+    def speaking(self) -> frozenset:
+        """Speaking edges (u, v), u speaks to v; built on every access."""
+        return frozenset(self.edges(speaking=True))
+
+    @property
+    def listening(self) -> frozenset:
+        """Listening edges (v, u), v listens to u; built on every access."""
+        return frozenset(self.edges(speaking=False))
 
     def _rows(self, forward: bool, mode: Mode) -> list:
         """The live successor (forward) or predecessor rows of ``mode``."""
@@ -209,33 +207,47 @@ class BidirectedNetwork:
         return self._listen_in[v].bit_count()
 
     def copy(self) -> "BidirectedNetwork":
-        return BidirectedNetwork(self.n, self.speaking, self.listening)
+        return BidirectedNetwork(self.n, self.edges(speaking=True),
+                                 self.edges(speaking=False))
 
     def canonical(self):
-        return (self.n, tuple(sorted(self.speaking)), tuple(sorted(self.listening)))
+        return (self.n, tuple(self.edges(speaking=True)),
+                tuple(self.edges(speaking=False)))
 
     def __eq__(self, other):
         return (isinstance(other, BidirectedNetwork)
                 and self.n == other.n
-                and self.speaking == other.speaking
-                and self.listening == other.listening)
+                and self._speak_out == other._speak_out
+                and self._listen_out == other._listen_out)
 
     def __hash__(self):
         return hash(self.canonical())
 
     def __repr__(self):
-        return (f"BidirectedNetwork(n={self.n}, speaking={sorted(self.speaking)}, "
-                f"listening={sorted(self.listening)})")
+        _, speaking, listening = self.canonical()
+        return (f"BidirectedNetwork(n={self.n}, speaking={list(speaking)}, "
+                f"listening={list(listening)})")
+
+
+def all_complete(net: BidirectedNetwork) -> bool:
+    """Every speaking edge (u, v) has its partner (v, u), v listening to u."""
+    return net._speak_out == net._listen_in
+
+
+def ascending(bits: int) -> list:
+    """The vertices of a bitset, lowest first."""
+    out = []
+    while bits:
+        x = bits.bit_length() - 1
+        out.append(x)
+        bits ^= 1 << x
+    out.reverse()  # decoded from the top: bit_length finds the highest bit
+    return out
 
 
 def vertices(bits: int) -> set:
     """The vertices of a bitset."""
-    out = set()
-    while bits:
-        x = bits.bit_length() - 1
-        out.add(x)
-        bits ^= 1 << x
-    return out
+    return set(ascending(bits))
 
 
 def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,

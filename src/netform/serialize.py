@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .convergence import PathCertificate
 from .dynamics import (Classification, EdgeKind, Move, MoveKind, Trace,
@@ -65,27 +65,20 @@ def format_k(k) -> object:
     return "inf" if k == INF else k
 
 
-def _parse_edges(raw, n: int, where: str) -> List[Tuple[int, int]]:
+def _add_edges(add, raw, where: str):
+    """Add the [u, v] pairs of ``raw`` with ``add``, a network mutator."""
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of [u, v] pairs")
-    seen = set()
-    out = []
     for idx, item in enumerate(raw):
         loc = f"{where}[{idx}]"
         if (not isinstance(item, list) or len(item) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool)
                            for x in item)):
             raise DocumentError(f"{loc}: expected [u, v] with integer entries")
-        u, v = item
-        if u == v:
-            raise DocumentError(f"{loc}: self-pair [{u}, {v}]")
-        if not (0 <= u < n and 0 <= v < n):
-            raise DocumentError(f"{loc}: endpoint out of range for n={n}")
-        if (u, v) in seen:
-            raise DocumentError(f"{loc}: duplicate edge [{u}, {v}]")
-        seen.add((u, v))
-        out.append((u, v))
-    return out
+        try:
+            add(*item)
+        except ValueError as exc:
+            raise DocumentError(f"{loc}: {exc}") from None
 
 
 def _parse_targets(raw, n: int, where: str) -> Dict[int, frozenset]:
@@ -134,8 +127,9 @@ def _parse_game(doc: dict, edge_keys: Tuple[str, str], where: str
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     speaking, listening = edge_keys
-    net = BidirectedNetwork(n, _parse_edges(doc[speaking], n, speaking),
-                            _parse_edges(doc[listening], n, listening))
+    net = BidirectedNetwork(n)
+    _add_edges(net.add_speaking, doc[speaking], speaking)
+    _add_edges(net.add_listening, doc[listening], listening)
     targets = TargetSets(speak=_parse_targets(doc.get("targets_s", {}), n, "targets_s"),
                          listen=_parse_targets(doc.get("targets_l", {}), n, "targets_l"))
     return net, params, targets
@@ -151,8 +145,8 @@ def _game_fields(net: BidirectedNetwork, params: Params, targets: TargetSets,
         "c_s": format_cost(params.c_s),
         "c_l": format_cost(params.c_l),
         "mode": params.mode.value,
-        prefix + "speaking": [list(e) for e in sorted(net.speaking)],
-        prefix + "listening": [list(e) for e in sorted(net.listening)],
+        prefix + "speaking": [list(e) for e in net.edges(speaking=True)],
+        prefix + "listening": [list(e) for e in net.edges(speaking=False)],
     }
     if targets.speak:
         fields["targets_s"] = {str(v): sorted(t) for v, t in sorted(targets.speak.items())}
@@ -195,27 +189,20 @@ def to_dot(net: BidirectedNetwork,
     """Deterministic DOT text.  Speaking edges are solid, listening edges
     dashed.  With an annotation (a witness scan), removable edges are red
     and addable edges are drawn in green."""
-    removable = set()
-    addable = []
-    if annot is not None:
-        for kind, u, v, cls in annot:
-            if cls is Classification.REMOVABLE:
-                removable.add((kind, u, v))
-            elif cls is Classification.ADDABLE:
-                addable.append((kind, u, v))
-    lines = ["digraph network {"]
-    for v in range(net.n):
-        lines.append(f"  {v};")
-    for u, v in sorted(net.speaking):
-        color = ' color="red"' if (EdgeKind.SPEAKING, u, v) in removable else ""
-        lines.append(f'  {u} -> {v} [kind="speaking"{color}];')
-    for v, u in sorted(net.listening):
-        color = ' color="red"' if (EdgeKind.LISTENING, v, u) in removable else ""
-        lines.append(f'  {v} -> {u} [kind="listening" style="dashed"{color}];')
-    for kind, u, v in sorted(addable, key=lambda t: (t[0].value, t[1], t[2])):
-        style = ' style="dashed"' if kind is EdgeKind.LISTENING else ""
-        lines.append(f'  {u} -> {v} [kind="{"speaking" if kind is EdgeKind.SPEAKING else "listening"}"'
-                     f'{style} color="green"];')
+    annot = list(annot or ())
+    removable = {(kind, u, v) for kind, u, v, cls in annot
+                 if cls is Classification.REMOVABLE}
+    drawn = [(kind, u, v, ' color="red"' if (kind, u, v) in removable else "")
+             for kind in EdgeKind
+             for u, v in net.edges(speaking=kind is EdgeKind.SPEAKING)]
+    drawn += sorted(((kind, u, v, ' color="green"') for kind, u, v, cls in annot
+                     if cls is Classification.ADDABLE),
+                    key=lambda t: (t[0].value, t[1], t[2]))
+    attrs = {EdgeKind.SPEAKING: 'kind="speaking"',
+             EdgeKind.LISTENING: 'kind="listening" style="dashed"'}
+    lines = ["digraph network {", *(f"  {v};" for v in range(net.n))]
+    lines += [f"  {u} -> {v} [{attrs[kind]}{color}];"
+              for kind, u, v, color in drawn]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -22,8 +22,8 @@ def child_env() -> dict:
 
 def oracle_live(net: BidirectedNetwork, mode: Mode, u: int, v: int) -> bool:
     if mode is Mode.DIRECTED:
-        return (u, v) in net.speaking
-    return (u, v) in net.speaking and (v, u) in net.listening
+        return net.has_speaking(u, v)
+    return net.has_speaking(u, v) and net.has_listening(v, u)
 
 
 def oracle_speaking_reach(net: BidirectedNetwork, params: Params, s: int) -> set:

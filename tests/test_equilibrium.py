@@ -217,3 +217,19 @@ class TestCensusFolds:
         efficient_search(2, p)
         poa_pos(3, di())
         assert calls == []
+
+    @pytest.mark.parametrize("flags", [(), ("--bi-pairwise",)])
+    def test_check_runs_no_from_scratch_reach(self, tmp_path, monkeypatch,
+                                              flags):
+        # the check report and its symmetric field read one held ReachBalls
+        calls = []
+        bfs = netform.model._bfs
+        monkeypatch.setattr(netform.model, "_bfs",
+                            lambda *a: calls.append(a) or bfs(*a))
+        doc = tmp_path / "r.json"
+        assert main(["generate", "random", "--n", "9", "--seed", "2",
+                     "--ps", "0.3", "--pl", "0.3", "--cs", "1/2", "--cl", "1",
+                     "-o", str(doc)]) == 0
+        assert main(["check", "-i", str(doc), *flags,
+                     "-o", str(tmp_path / "c.json")]) == 0
+        assert calls == []

@@ -1,7 +1,12 @@
+import os
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import netform
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
                      TargetSets, agent_utility, is_bi_pairwise_stable,
                      listening_reach, scan_witnesses, speaking_reach, utility,
@@ -68,6 +73,88 @@ class TestNetwork:
         assert cycle(4) == cycle(4)
         assert hash(cycle(4)) == hash(cycle(4))
         assert cycle(4) != cycle(4, lifted=False)
+
+
+@st.composite
+def edit_scripts(draw, max_n=70):
+    """A network size, a small pool of pairs (self pairs and vertices
+    outside 0..n-1 included) and add/remove edits drawn from the pool, so
+    edits often meet a present edge and an absent one alike; n up to 70
+    makes rows cross 64 bits."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=max_n),
+                       st.integers(min_value=60, max_value=max_n)))
+    vertex = st.one_of(st.integers(min_value=-2, max_value=n + 1),
+                       st.integers(min_value=max(0, n - 6), max_value=n - 1),
+                       st.integers(min_value=0, max_value=min(n - 1, 5)))
+    pool = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=8))
+    script = draw(st.lists(st.tuples(st.booleans(), st.booleans(),
+                                     st.sampled_from(pool)), max_size=40))
+    return n, pool, script
+
+
+class TestNetworkModel:
+    """The rows against a plain model: one set of pairs per edge kind."""
+
+    @given(edit_scripts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pair_set_model(self, case):
+        n, pool, script = case
+        net = BidirectedNetwork(n)
+        model = {True: set(), False: set()}  # keyed by "is speaking"
+        for speaking, add, (a, b) in script:
+            kind = "speaking" if speaking else "listening"
+            mutate = getattr(net, f"{'add' if add else 'remove'}_{kind}")
+            valid = (a != b and 0 <= a < n and 0 <= b < n
+                     and ((a, b) in model[speaking]) != add)
+            before, revision = net.canonical(), net.revision
+            if valid:
+                mutate(a, b)
+                (model[speaking].add if add else model[speaking].remove)((a, b))
+                assert net.revision == revision + 1
+            else:
+                with pytest.raises(ValueError):
+                    mutate(a, b)
+                assert net.canonical() == before and net.revision == revision
+        speaking, listening = sorted(model[True]), sorted(model[False])
+        assert isinstance(net.speaking, frozenset)
+        assert net.speaking == model[True] and net.listening == model[False]
+        assert list(net.edges(speaking=True)) == speaking
+        assert list(net.edges(speaking=False)) == listening
+        assert net.canonical() == (n, tuple(speaking), tuple(listening))
+        for a in range(-2, n + 2):
+            for b in range(-2, n + 2):
+                assert net.has_speaking(a, b) is ((a, b) in model[True])
+                assert net.has_listening(a, b) is ((a, b) in model[False])
+        same = BidirectedNetwork(n, model[True], model[False])
+        assert net == same and hash(net) == hash(same)
+        copy = net.copy()
+        assert copy == net and copy.canonical() == net.canonical()
+        free = [(a, b) for a, b in pool
+                if a != b and 0 <= a < n and 0 <= b < n]
+        if free:
+            a, b = free[0]
+            if copy.has_listening(a, b):
+                copy.remove_listening(a, b)
+            else:
+                copy.add_listening(a, b)
+            assert copy != net and net.listening == model[False]
+
+
+ROW_NAMES = re.compile(r"\b_(speak_out|speak_in|listen_out|listen_in|live_out"
+                       r"|live_in|rows)\b")
+
+
+def test_rows_named_only_by_model_and_reach_kernel():
+    # the rows are the network's own edge state: outside the model and the
+    # reach kernel every module goes through the network's methods
+    src = os.path.dirname(netform.__file__)
+    naming = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name not in ("model.py", "dynamics.py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                naming += [f"{name}: {m.group()}"
+                           for m in ROW_NAMES.finditer(fh.read())]
+    assert naming == []
 
 
 class TestLiveSemantics:

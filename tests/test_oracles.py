@@ -98,8 +98,9 @@ def reach_cases(draw, max_n=7):
 def live_graph(net: BidirectedNetwork, mode: Mode) -> nx.DiGraph:
     """Live steps from the edge sets alone: u -> v needs u speaking to v and,
     in bidirected mode, v listening to u."""
-    return nx_graph(net.n, [(u, v) for u, v in net.speaking
-                            if mode is Mode.DIRECTED or (v, u) in net.listening])
+    speaking, listening = net.speaking, net.listening  # each built once
+    return nx_graph(net.n, [(u, v) for u, v in speaking
+                            if mode is Mode.DIRECTED or (v, u) in listening])
 
 
 class TestReach:

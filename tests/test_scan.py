@@ -220,3 +220,18 @@ class TestStaleBalls:
                 assert got == agent_utility(net, params, tsets, v), (edge, v)
                 if tsets is ALL_OTHERS and net.n <= 4:
                     assert got == oracle_utility(net, params, v), (edge, v)
+
+
+def test_target_masks_built_only_where_read(monkeypatch):
+    # directed mode never reads a backward (listening) mask, so a ReachBalls
+    # there builds the n forward masks alone
+    built = []
+    mask = TargetSets.mask
+    monkeypatch.setattr(TargetSets, "mask", lambda self, v, forward, n:
+                        built.append(forward) or mask(self, v, forward, n))
+    net = random_net(5, 0.4, 0.4, 1)
+    ReachBalls(net, Params(k=2, c_s=F(1), mode=Mode.DIRECTED))
+    assert built == [True] * 5
+    built.clear()
+    ReachBalls(net, Params(k=2, c_s=F(1), c_l=F(1)))
+    assert sorted(built) == [False] * 5 + [True] * 5

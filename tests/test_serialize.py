@@ -103,7 +103,15 @@ class TestDocuments:
     def test_duplicate_edge_rejected(self):
         doc = emit_document(empty(2), bi())
         doc["listening"] = [[0, 1], [0, 1]]
-        with pytest.raises(DocumentError, match="duplicate"):
+        with pytest.raises(DocumentError, match=r"^listening\[1\]: listening "
+                                                r"edge \(0, 1\) already present"):
+            parse_document(doc)
+
+    def test_out_of_range_edge_rejected_with_position(self):
+        doc = emit_document(empty(2), bi())
+        doc["speaking"] = [[0, 1], [-1, 0]]
+        with pytest.raises(DocumentError, match=r"^speaking\[1\]: pair \(-1, 0\) "
+                                                r"out of range for n=2"):
             parse_document(doc)
 
     def test_missing_field_rejected(self):
@@ -438,6 +446,38 @@ class TestCli:
         out = tmp_path / "census.csv"
         assert self.run_cli("census", *argv, "-o", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    # generate arguments of the documents behind the emitter golden: random
+    # nets in both modes (one past 64 agents, so rows span machine words),
+    # a lifted Kautz graph and a flower
+    EMIT_DOCS = [
+        ("random", "--n", "12", "--seed", "3", "--ps", "0.3", "--pl", "0.4",
+         "--k", "2", "--cs", "1/2", "--cl", "1/3", "--mode", "bidirected"),
+        ("random", "--n", "11", "--seed", "8", "--ps", "0.25", "--cs", "3/2",
+         "--mode", "directed"),
+        ("random", "--n", "67", "--seed", "5", "--ps", "0.04", "--pl", "0.06",
+         "--k", "3", "--cs", "1", "--cl", "1/2", "--mode", "bidirected"),
+        ("kautz", "--d", "2", "--D", "2", "--lifted", "--cs", "2", "--cl", "1",
+         "--mode", "bidirected"),
+        ("flower", "--n", "13", "--k", "4", "--cs", "1", "--mode", "directed"),
+    ]
+    EMIT_SHA256 = \
+        "033285cc3648d9606d39cef9d5aa707a10c7b4b7272db8fd710879aacaad49c4"
+
+    def test_emit_golden(self, tmp_path):
+        # the bytes of every edge-list emitter: documents, annotated DOT,
+        # bi-pairwise check reports and metrics
+        digest = hashlib.sha256()
+        for i, argv in enumerate(self.EMIT_DOCS):
+            doc = tmp_path / f"d{i}.json"
+            assert self.run_cli("generate", *argv, "-o", str(doc)) == 0
+            digest.update(doc.read_bytes())
+            for cmd in (("export-dot", "--annotate"), ("check", "--bi-pairwise"),
+                        ("metrics",)):
+                out = tmp_path / f"d{i}.out"
+                assert self.run_cli(*cmd, "-i", str(doc), "-o", str(out)) == 0
+                digest.update(out.read_bytes())
+        assert digest.hexdigest() == self.EMIT_SHA256
 
     @pytest.mark.parametrize("header", ["c_s,c_l", "k,c_l", "k,c_s"])
     def test_sweep_missing_column(self, tmp_path, capsys, header):
