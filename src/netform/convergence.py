@@ -35,32 +35,34 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 
 from .dynamics import Classification, EdgeKind, MoveKind, ReachBalls, apply_move
 from .errors import ConstructionError, LemmaCheckError
-from .model import BidirectedNetwork, INF, Mode, Params
-from .scc import condensation, dag_reachability, topological_order
+from .model import BidirectedNetwork, INF, Mode, Params, ascending
+from .scc import condensation
 
 
 @dataclass
 class ComponentGraph:
-    components: List[FrozenSet[int]]  # ordered by minimum vertex
+    components: List[int]  # vertex bitsets, numbered by lowest vertex
     comp_of: List[int]
-    dag_edges: Set[Tuple[int, int]]  # direct condensation edges
+    reach: List[int]  # closed vertex reach of each component
     large: FrozenSet[int]  # component indices with size strictly above c
-    comp_reach: List[Set[int]]  # component indices reachable incl. self
 
-    def vertex_reach(self, i: int) -> Set[int]:
-        """All vertices reachable from component i, including its own."""
-        out: Set[int] = set()
-        for j in self.comp_reach[i]:
-            out |= self.components[j]
-        return out
+    def reaches(self, i: int, j: int) -> bool:
+        """Component i reaches component j (every component reaches itself)."""
+        return bool(self.reach[i] & self.components[j])
 
     def full_roots(self) -> List[int]:
-        has_in = {b for _, b in self.dag_edges}
-        return [i for i in range(len(self.components)) if i not in has_in]
+        hit = 0  # vertices some other component reaches
+        for comp, r in zip(self.components, self.reach):
+            hit |= r & ~comp
+        return [i for i, comp in enumerate(self.components) if not hit & comp]
 
     def full_leaves(self) -> List[int]:
-        has_out = {a for a, _ in self.dag_edges}
-        return [i for i in range(len(self.components)) if i not in has_out]
+        return [i for i, (comp, r) in enumerate(zip(self.components, self.reach))
+                if r == comp]
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,18 @@ def _require(params: Params):
         raise ValueError("path construction requires a positive speaking cost")
 
 
-def condense(net: BidirectedNetwork, params: Params) -> ComponentGraph:
-    _require(params)
-    comps, comp_of, dag_edges = condensation(
-        net.n, lambda v: net.successors(v, Mode.DIRECTED))
-    comp_reach = dag_reachability(len(comps), dag_edges)
-    c = params.c_s
-    large = frozenset(i for i, comp in enumerate(comps) if len(comp) > c)
-    return ComponentGraph(components=[frozenset(c_) for c_ in comps],
-                          comp_of=comp_of, dag_edges=dag_edges, large=large,
-                          comp_reach=comp_reach)
+def condense(balls: ReachBalls) -> ComponentGraph:
+    """The condensation of the held network, read from its forward balls at
+    the current revision, which the edge rule then reuses."""
+    _require(balls.params)
+    closed = [balls.ball(v, True)[0] | 1 << v for v in range(balls.net.n)]
+    comps, comp_of = condensation(closed)
+    c = balls.params.c_s
+    return ComponentGraph(
+        components=comps, comp_of=comp_of,
+        reach=[closed[_lowest(comp)] for comp in comps],
+        large=frozenset(i for i, comp in enumerate(comps)
+                        if comp.bit_count() > c))
 
 
 def _addable(balls: ReachBalls, u: int, v: int) -> bool:
@@ -152,10 +156,12 @@ def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
     after_large = len(cg.large)
 
     if step_label == 1:
-        # L27: the condensation is acyclic (a topological order exists).
-        results.append(("L27_condensation_acyclic",
-                        len(topological_order(len(cg.components), cg.dag_edges))
-                        == len(cg.components)))
+        # L27: the condensation is acyclic: no component reaches another
+        # component that reaches back into it.
+        results.append(("L27_condensation_acyclic", not any(
+            cg.reach[cg.comp_of[x]] & comp
+            for comp, r in zip(cg.components, cg.reach)
+            for x in ascending(r & ~comp))))
         # L28: with no removable edges, every edge head's reach closure
         # (head included) holds at least c vertices.
         ok28 = all(1 + balls.ball(v, True)[0].bit_count() >= c
@@ -169,8 +175,8 @@ def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
             comp = cg.components[i]
             if i in cg.large:
                 continue
-            if len(comp) == 1:
-                v = next(iter(comp))
+            if comp.bit_count() == 1:
+                v = _lowest(comp)
                 if c <= 1 or not (net_after.in_speak(v)
                                   or net_after.out_speak(v)):
                     continue
@@ -211,14 +217,13 @@ def _pre_step_checks(balls: ReachBalls, cg: ComponentGraph,
         results.append(("L30_large_component_exists", bool(cg.large)))
     # L31 spot check: an edge from any vertex that cannot reach a large
     # component into that component is addable.
-    for i in sorted(cg.large):
-        target = min(cg.components[i])
-        for x in range(balls.net.n):
-            if cg.comp_of[x] != i and i not in cg.comp_reach[cg.comp_of[x]]:
-                results.append(("L31_edge_into_unreached_large_addable",
-                                _addable(balls, x, target)))
-                break
-        break
+    if cg.large:
+        i = min(cg.large)
+        x = next((x for x in range(balls.net.n)
+                  if not cg.reaches(cg.comp_of[x], i)), None)
+        if x is not None:
+            results.append(("L31_edge_into_unreached_large_addable",
+                            _addable(balls, x, _lowest(cg.components[i]))))
     return results
 
 
@@ -257,10 +262,10 @@ def construct_path(start: BidirectedNetwork, params: Params,
     # each proof step's add and after each strip that removed an edge.  The
     # graph after a strip drives the next step and is the "after" of both
     # checks around it.
-    cg_start = condense(net, params)
+    cg_start = condense(balls)
     stripped = _strip_inplace(balls)
     moves.extend(stripped)
-    cg = condense(net, params) if stripped else cg_start
+    cg = condense(balls) if stripped else cg_start
     record(lemma_checks(cg_start, cg, 1, balls))
 
     while True:
@@ -275,10 +280,10 @@ def construct_path(start: BidirectedNetwork, params: Params,
                 record([("L25_retired_edge_never_addable_again", False)])
         record(_pre_step_checks(balls, cg, addable))
         label = _one_proof_step(balls, cg, moves, retired, addable)
-        cg_add = condense(net, params)
+        cg_add = condense(balls)
         stripped = _strip_inplace(balls)
         moves.extend(stripped)
-        cg_after = condense(net, params) if stripped else cg_add
+        cg_after = condense(balls) if stripped else cg_add
         record(lemma_checks(cg, cg_after, label, balls))
         record(lemma_checks(cg_add, cg_after, 1, balls))
         if label == 7 and params.c_s > 1:
@@ -296,7 +301,7 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
                     moves: List[CertMove], retired: Set[Tuple[int, int]],
                     addable: Tuple[int, int]) -> int:
     net = balls.net
-    large = sorted(cg.large, key=lambda i: min(cg.components[i]))
+    large = sorted(cg.large)  # by index, so by lowest vertex
 
     # Small-cost fallback: an addable edge with no strictly-large component
     # (possible only for c <= 1, where strips never change any reach set).
@@ -307,15 +312,13 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
     # Step 5: a large root that can reach a distinct large component; wire
     # one of its large leaves back up to the root.
     for t in large:
-        if any(t in cg.comp_reach[j] for j in large if j != t):
+        if any(cg.reaches(j, t) for j in large if j != t):
             continue  # reached by another large component: not a root
-        reach_large = [j for j in large if j != t and j in cg.comp_reach[t]]
-        leaves = [j for j in reach_large
-                  if not any(x in cg.large and x != j for x in cg.comp_reach[j])]
+        leaves = [j for j in large if j != t and cg.reaches(t, j)
+                  and not any(cg.reaches(j, x) for x in large if x != j)]
         if leaves:
-            leaf = min(leaves, key=lambda j: min(cg.components[j]))
-            l_i = min(cg.components[leaf])
-            r_i = min(cg.components[t])
+            l_i = _lowest(cg.components[leaves[0]])
+            r_i = _lowest(cg.components[t])
             _apply_add(balls, moves, l_i, r_i, 5)
             return 5
 
@@ -323,50 +326,42 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
     if len(large) > 1:
         for t1 in large:
             for t2 in large:
-                if t1 == t2 or t1 in cg.comp_reach[t2]:
+                if t1 == t2 or cg.reaches(t2, t1):
                     continue
-                r1 = min(cg.components[t1])
-                r2 = min(cg.components[t2])
+                r1 = _lowest(cg.components[t1])
+                r2 = _lowest(cg.components[t2])
                 _apply_add(balls, moves, r2, r1, 6)
-                t2_bits = sum(1 << x for x in cg.components[t2])
-                if t2_bits & ~balls.ball(r1, True)[0]:
+                if cg.components[t2] & ~balls.ball(r1, True)[0]:
                     _apply_add(balls, moves, r1, r2, 6)
                 return 6
         raise ConstructionError("multiple large components but none unreachable "
                                 "from another")
 
-    t1 = large[0]
-    r1 = min(cg.components[t1])
+    t1_vertices = cg.components[large[0]]
+    r1 = _lowest(t1_vertices)
 
     # Step 7: a small leaf component (necessarily a singleton) gets an
     # edge into the large component.
     small_leaves = [i for i in cg.full_leaves() if i not in cg.large]
     if small_leaves:
-        s_j = min(min(cg.components[i]) for i in small_leaves)
-        _apply_add(balls, moves, s_j, r1, 7)
+        _apply_add(balls, moves, _lowest(cg.components[small_leaves[0]]), r1, 7)
         return 7
 
     # Step 8: the unique large component reaches nothing outside itself and
     # everything reaches it; connect it into a small root component whose
     # reach outside the large component strictly exceeds c.
     c = balls.params.c_s
-    t1_vertices = cg.components[t1]
-    candidates = []
     for i in cg.full_roots():
-        if i == t1:
+        outside = cg.reach[i] & ~t1_vertices
+        if i == large[0] or outside.bit_count() <= c:
             continue
-        outside = cg.vertex_reach(i) - t1_vertices
-        if len(outside) > c:
-            candidates.append(i)
-    for i in sorted(candidates, key=lambda i: min(cg.components[i])):
         # the entry point of a path from the small root into the large
         # component: the head r_k of the first edge (t_k, r_k) crossing in
-        reach_i = cg.vertex_reach(i)
-        r_k = next((b for (a, b) in net.edges(speaking=True) if a in reach_i
-                    and a not in t1_vertices and b in t1_vertices), None)
+        r_k = next((b for (a, b) in net.edges(speaking=True)
+                    if outside >> a & 1 and t1_vertices >> b & 1), None)
         if r_k is None:
             continue
-        for s_k in sorted(cg.components[i]):
+        for s_k in ascending(cg.components[i]):
             if _addable(balls, r_k, s_k):
                 _apply_add(balls, moves, r_k, s_k, 8)
                 retired.add((r_k, s_k))

@@ -11,7 +11,7 @@ from .dynamics import run
 from .generators import random_net
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets, _bfs)
-from .scc import strongly_connected_components
+from .scc import condensation
 
 
 def live_pairs(net: BidirectedNetwork, mode: Mode) -> List[Tuple[int, int]]:
@@ -100,8 +100,8 @@ def metrics(net: BidirectedNetwork, params: Params,
             targets: TargetSets = ALL_OTHERS) -> StructureMetrics:
     mode = params.mode
     pairs = live_pairs(net, mode)
-    comps = strongly_connected_components(
-        net.n, lambda v: net.successors(v, mode))
+    comps, _ = condensation([_bfs(net, INF, v, True, mode)[0] | 1 << v
+                             for v in range(net.n)])
     speaking = net.speaking
     reciprocity = (Fraction(sum((v, u) in speaking for (u, v) in speaking),
                             len(speaking)) if speaking else Fraction(0))
@@ -112,7 +112,7 @@ def metrics(net: BidirectedNetwork, params: Params,
         polarization = Fraction(crossing, len(pairs))
     return StructureMetrics(
         clustering=clustering_coefficient(net, mode),
-        scc_sizes=_hist(len(c) for c in comps),
+        scc_sizes=_hist(c.bit_count() for c in comps),
         reciprocity=reciprocity,
         out_speak_hist=_hist(net.out_speak(v) for v in range(net.n)),
         in_speak_hist=_hist(net.in_speak(v) for v in range(net.n)),

@@ -207,8 +207,14 @@ class BidirectedNetwork:
         return self._listen_in[v].bit_count()
 
     def copy(self) -> "BidirectedNetwork":
-        return BidirectedNetwork(self.n, self.edges(speaking=True),
-                                 self.edges(speaking=False))
+        """An independent network with the same rows, at revision 0."""
+        out = BidirectedNetwork(self.n)
+        (out._speak_out, out._speak_in, out._listen_out, out._listen_in,
+         out._live_out, out._live_in) = (
+            row[:] for row in (self._speak_out, self._speak_in,
+                               self._listen_out, self._listen_in,
+                               self._live_out, self._live_in))
+        return out
 
     def canonical(self):
         return (self.n, tuple(self.edges(speaking=True)),

@@ -9,16 +9,25 @@ singleton leaf may legally keep incoming edges, and a removable-free graph
 with an addable edge need not contain a large component.
 """
 
+import networkx as nx
+
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
                      EdgeKind, Mode, Params, all_complete, classify,
                      is_bi_pairwise_stable, is_stable, speaking_reach,
                      strip_removables)
-from netform.scc import condensation
+
+
+def _live_graph(net: BidirectedNetwork, mode: Mode) -> nx.DiGraph:
+    """The live-step digraph, for networkx's independent condensation."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(net.n))
+    g.add_edges_from((u, v) for u in range(net.n)
+                     for v in net.successors(u, mode))
+    return g
 
 
 def _live_strongly_connected(net: BidirectedNetwork, mode: Mode) -> bool:
-    comps, _, _ = condensation(net.n, lambda v: net.successors(v, mode))
-    return len(comps) == 1
+    return nx.is_strongly_connected(_live_graph(net, mode))
 
 
 def bidirected_violations(net: BidirectedNetwork, params: Params) -> list:
@@ -75,10 +84,11 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
     out = []
     c = params.c_s
     n = net.n
-    comps, comp_of, dag = condensation(
-        n, lambda v: net.successors(v, Mode.DIRECTED))
-    if _topo_order(len(comps), dag) is None:
+    cond = nx.condensation(_live_graph(net, Mode.DIRECTED))
+    if not nx.is_directed_acyclic_graph(cond):
         out.append("component-graph-acyclic")
+    comps = [cond.nodes[i]["members"] for i in range(len(cond))]
+    comp_of = cond.graph["mapping"]
 
     reach = {u: speaking_reach(net, params, u) for u in range(n)}
     removable = set()
@@ -99,9 +109,8 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
 
     large = {i for i, comp in enumerate(comps) if len(comp) > c}
     if not removable:
-        non_leaves = {a for a, _ in dag}
         for i, comp in enumerate(comps):
-            if i in non_leaves or i in large:
+            if cond.out_degree(i) or i in large:
                 continue
             if len(comp) > 1:
                 out.append(f"leaf-singleton-or-large:{sorted(comp)}")
@@ -125,26 +134,9 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
 
     before = len(large)
     stripped, _ = strip_removables(net, params)
-    s_comps, _, _ = condensation(
-        n, lambda v: stripped.successors(v, Mode.DIRECTED))
+    s_comps = nx.strongly_connected_components(
+        _live_graph(stripped, Mode.DIRECTED))
     if sum(1 for comp in s_comps if len(comp) > c) > before:
         out.append("strip-large-count-nonincreasing")
     return out
 
-
-def _topo_order(num: int, dag) -> list:
-    indeg = {i: 0 for i in range(num)}
-    succ = {i: [] for i in range(num)}
-    for a, b in dag:
-        indeg[b] += 1
-        succ[a].append(b)
-    ready = [i for i in range(num) if indeg[i] == 0]
-    order = []
-    while ready:
-        i = ready.pop()
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    return order if len(order) == num else None

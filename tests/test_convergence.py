@@ -6,12 +6,12 @@ import pytest
 from netform import (INF, BidirectedNetwork, Mode, Params, ReachBalls,
                      condense, construct_path, is_stable, lemma_checks,
                      strip_removables, validate_certificate)
-from netform.convergence import CertMove
+from netform.convergence import CertMove, ComponentGraph
+from netform import dynamics
 from netform.dynamics import MoveKind
 from netform.errors import LemmaCheckError
 from netform.generators import cycle, empty, random_net
-from netform.scc import (condensation, dag_reachability,
-                         strongly_connected_components)
+from netform.scc import condensation
 from netform.serialize import certificate_to_text
 
 
@@ -27,52 +27,70 @@ def two_cycles(length):
     return net
 
 
+def bits(*vs):
+    return sum(1 << v for v in vs)
+
+
 class TestScc:
-    def test_tarjan_on_known_graph(self):
+    def test_known_graph(self):
         # [DERIVED] hand-checked components of a mixed graph
         net = BidirectedNetwork(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3),
                                     (2, 3), (4, 5)])
-        comps = strongly_connected_components(
-            6, lambda v: net.successors(v, Mode.DIRECTED))
-        assert [set(c) for c in comps] == [{0, 1, 2}, {3, 4}, {5}]
-        comps2, comp_of, dag = condensation(
-            6, lambda v: net.successors(v, Mode.DIRECTED))
-        assert dag == {(0, 1), (1, 2)}
-        reach = dag_reachability(len(comps2), dag)
-        assert reach[0] == {0, 1, 2}
+        cg = condense(ReachBalls(net, di(2)))
+        assert cg.components == [bits(0, 1, 2), bits(3, 4), bits(5)]
+        assert cg.comp_of == [0, 0, 0, 1, 1, 2]
+        assert cg.reach == [bits(*range(6)), bits(3, 4, 5), bits(5)]
+        assert cg.full_roots() == [0] and cg.full_leaves() == [2]
+        assert cg.large == {0}
 
     def test_singletons_without_edges(self):
-        comps = strongly_connected_components(3, lambda v: set())
-        assert [set(c) for c in comps] == [{0}, {1}, {2}]
+        assert condensation([bits(0), bits(1), bits(2)]) == \
+            ([bits(0), bits(1), bits(2)], [0, 1, 2])
 
 
 class TestCondense:
     def test_two_disjoint_3cycles(self):
         # [TRIVIAL] both components large at c=2, both isolated
-        cg = condense(two_cycles(3), di(2))
+        cg = condense(ReachBalls(two_cycles(3), di(2)))
         assert len(cg.components) == 2 and cg.large == {0, 1}
-        assert all(cg.comp_reach[i] & cg.large == {i} for i in cg.large)
+        assert cg.reach == cg.components
 
     def test_cycle_plus_feeder(self):
         # [DERIVED] vertex 3 points into a 3-cycle; the cycle is the only
         # large component and is isolated within the large restriction
         net = BidirectedNetwork(4, [(0, 1), (1, 2), (2, 0), (3, 0)])
-        cg = condense(net, di(2))
+        cg = condense(ReachBalls(net, di(2)))
         assert cg.large == {cg.comp_of[0]}
-        assert cg.comp_reach[cg.comp_of[0]] == {cg.comp_of[0]}
+        assert cg.reach[cg.comp_of[0]] == bits(0, 1, 2)
         assert cg.comp_of[3] not in cg.large
 
     def test_strictly_large_threshold(self):
         # a component of size exactly c does not count as large
-        cg = condense(two_cycles(3), di(3))
+        cg = condense(ReachBalls(two_cycles(3), di(3)))
         assert cg.large == frozenset()
+
+    def test_second_condense_runs_no_bfs(self, monkeypatch):
+        # condense reads the held forward balls: at an unchanged revision a
+        # second condensation searches nothing (ReachBalls calls the _bfs
+        # that dynamics binds)
+        calls = []
+        real = dynamics._bfs
+        monkeypatch.setattr(dynamics, "_bfs",
+                            lambda *a: calls.append(a) or real(*a))
+        net = two_cycles(3)
+        balls = ReachBalls(net, di(2))
+        first = condense(balls)
+        assert len(calls) == net.n
+        assert condense(balls) == first and len(calls) == net.n
+        net.remove_speaking(0, 1)
+        assert condense(balls) != first and len(calls) == 2 * net.n
 
     def test_requires_directed_unbounded(self):
         for p in (Params(k=INF, c_s=F(1), c_l=F(1)),
                   Params(k=3, c_s=F(1), mode=Mode.DIRECTED),
                   Params(k=INF, c_s=F(0), mode=Mode.DIRECTED)):
             with pytest.raises(ValueError):
-                condense(cycle(3, lifted=False), p)
+                condense(ReachBalls(cycle(3, lifted=False), p))
 
 
 class TestStrip:
@@ -91,9 +109,9 @@ class TestStrip:
         for seed in range(20):
             net = random_net(7, 0.4, 0.0, seed)
             p = di(2)
-            before = len(condense(net, p).large)
+            before = len(condense(ReachBalls(net, p)).large)
             stripped, _ = strip_removables(net, p)
-            assert len(condense(stripped, p).large) <= before
+            assert len(condense(ReachBalls(stripped, p)).large) <= before
 
 
 class TestConstructPath:
@@ -107,9 +125,7 @@ class TestConstructPath:
         p = di(2)
         cert = construct_path(start, p)
         assert validate_certificate(cert, start, p)
-        comps = strongly_connected_components(
-            6, lambda v: cert.final.successors(v, Mode.DIRECTED))
-        assert len(comps) == 1
+        assert len(condense(ReachBalls(cert.final, p)).components) == 1
 
     def test_random_starts_replay_and_stabilize(self):
         # [DERIVED] every certificate replays move-for-move and ends stable
@@ -204,8 +220,9 @@ class TestLemmaChecks:
 
     def test_predicates_on_stable_graph(self):
         net = cycle(6, lifted=False)
-        cg = condense(net, di(2))
-        results = dict(lemma_checks(cg, cg, 1, ReachBalls(net, di(2))))
+        balls = ReachBalls(net, di(2))
+        cg = condense(balls)
+        results = dict(lemma_checks(cg, cg, 1, balls))
         assert results["L27_condensation_acyclic"]
         assert results["L28_edge_heads_reach_at_least_c"]
         assert results["L29_leaves_isolated_or_large"]
@@ -214,9 +231,21 @@ class TestLemmaChecks:
     def test_broken_invariant_detected(self):
         # negative control: a net whose edge head reaches nothing flunks L28
         bad = BidirectedNetwork(3, [(0, 1)])
-        cg = condense(bad, di(3))
-        results = dict(lemma_checks(cg, cg, 1, ReachBalls(bad, di(3))))
+        balls = ReachBalls(bad, di(3))
+        cg = condense(balls)
+        results = dict(lemma_checks(cg, cg, 1, balls))
         assert results["L28_edge_heads_reach_at_least_c"] is False
+
+    def test_cyclic_condensation_detected(self):
+        # negative control: two components that reach each other flunk L27,
+        # while the true condensation of the same 2-cycle passes
+        balls = ReachBalls(cycle(2, lifted=False), di(2))
+        cyclic = ComponentGraph(components=[bits(0), bits(1)], comp_of=[0, 1],
+                                reach=[bits(0, 1), bits(0, 1)],
+                                large=frozenset())
+        for cg, acyclic in ((cyclic, False), (condense(balls), True)):
+            results = dict(lemma_checks(cg, cg, 1, balls))
+            assert results["L27_condensation_acyclic"] is acyclic
 
     def test_tampered_certificate_rejected(self):
         # negative control: injecting a non-addable move must fail replay

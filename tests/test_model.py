@@ -65,9 +65,22 @@ class TestNetwork:
 
     def test_copy_is_independent(self):
         net = cycle(3)
+        net.add_speaking(0, 2)  # dead until 2 listens to 0
         other = net.copy()
+        assert other == net and other.revision == 0
+
+        def rows(g):
+            return ([(g.successors(x, m), g.predecessors(x, m))
+                     for m in Mode for x in range(3)],
+                    [(g.out_listen(x), g.in_listen(x)) for x in range(3)])
+
+        before = rows(net)
         other.remove_speaking(0, 1)
-        assert net.has_speaking(0, 1) and net == cycle(3) and net != other
+        other.add_listening(2, 0)  # makes the step 0 -> 2 live on the copy
+        assert other.successors(0, Mode.BIDIRECTED) == {2}
+        assert rows(net) == before
+        assert net.has_speaking(0, 1) and not net.has_listening(2, 0)
+        assert net != other
 
     def test_eq_and_hash(self):
         assert cycle(4) == cycle(4)

@@ -1,5 +1,5 @@
-"""networkx as an independent oracle for the SCC, condensation, topological
-order and reach code."""
+"""networkx as an independent oracle for the SCC, condensation and reach
+code."""
 
 import random
 from fractions import Fraction as F
@@ -8,12 +8,11 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netform import (INF, BidirectedNetwork, Mode, Params, listening_reach,
-                     speaking_reach)
+from netform import (INF, BidirectedNetwork, Mode, Params, ReachBalls,
+                     condense, listening_reach, speaking_reach)
 from netform.metrics import diameter
 from netform.model import _bfs, vertices
-from netform.scc import (condensation, dag_reachability,
-                         strongly_connected_components, topological_order)
+from netform.scc import condensation
 
 from scan_oracles import bfs_by_sets
 
@@ -35,51 +34,43 @@ def nx_graph(n, edges):
     return g
 
 
-def adjacency(n, edges):
-    out = [set() for _ in range(n)]
-    for a, b in edges:
-        out[a].add(b)
-    return out
+def bits(vertices):
+    return sum(1 << v for v in vertices)
 
 
 class TestScc:
-    @given(digraphs())
-    @settings(max_examples=200, deadline=None)
-    def test_components_match_networkx(self, graph):
-        n, edges = graph
-        comps = strongly_connected_components(n, adjacency(n, edges).__getitem__)
-        expected = sorted(sorted(c) for c in
-                          nx.strongly_connected_components(nx_graph(n, edges)))
-        assert comps == expected
-
-    @given(digraphs())
-    @settings(max_examples=200, deadline=None)
-    def test_condensation_and_reachability_match_networkx(self, graph):
-        n, edges = graph
-        comps, comp_of, dag = condensation(n, adjacency(n, edges).__getitem__)
-        cg = nx.condensation(nx_graph(n, edges))
-        # networkx numbers components arbitrarily: map through a member
-        to_ours = {c: comp_of[min(cg.nodes[c]["members"])] for c in cg}
-        assert sorted(to_ours.values()) == list(range(len(comps)))
-        assert all(sorted(cg.nodes[c]["members"]) == comps[to_ours[c]]
-                   for c in cg)
-        assert dag == {(to_ours[a], to_ours[b]) for a, b in cg.edges}
-        reach = dag_reachability(len(comps), dag)
-        for c in cg:
-            assert reach[to_ours[c]] == {to_ours[c]} | {
-                to_ours[d] for d in nx.descendants(cg, c)}
-
     @given(digraphs(self_loops=True))
     @settings(max_examples=200, deadline=None)
-    def test_topological_order_detects_cycles(self, graph):
+    def test_components_match_networkx(self, graph):
+        # the grouping rule alone, on closed reaches networkx computes
         n, edges = graph
-        order = topological_order(n, edges)
-        acyclic = nx.is_directed_acyclic_graph(nx_graph(n, edges))
-        assert (len(order) == n) == acyclic
-        assert len(set(order)) == len(order)
-        if acyclic:
-            position = {v: i for i, v in enumerate(order)}
-            assert all(position[a] < position[b] for a, b in edges)
+        g = nx_graph(n, edges)
+        comps, comp_of = condensation(
+            [bits(nx.descendants(g, v) | {v}) for v in range(n)])
+        expected = sorted(sorted(c) for c in nx.strongly_connected_components(g))
+        assert comps == [bits(c) for c in expected]
+        assert all(v in expected[comp_of[v]] for v in range(n))
+
+    @given(digraphs(), st.sampled_from([F(1, 2), F(1), F(3, 2), F(2), F(3)]))
+    @settings(max_examples=200, deadline=None)
+    def test_condensation_and_reachability_match_networkx(self, graph, c):
+        n, edges = graph
+        cg = condense(ReachBalls(BidirectedNetwork(n, edges),
+                                 Params(k=INF, c_s=c, mode=Mode.DIRECTED)))
+        nxc = nx.condensation(nx_graph(n, edges))
+        members = {x: nxc.nodes[x]["members"] for x in nxc}
+        # networkx numbers components arbitrarily; ours go by lowest vertex
+        order = sorted(nxc, key=lambda x: min(members[x]))
+        ours = {x: i for i, x in enumerate(order)}
+        assert cg.components == [bits(members[x]) for x in order]
+        assert cg.comp_of == [ours[nxc.graph["mapping"][v]] for v in range(n)]
+        assert cg.reach == [bits(members[x].union(
+            *(members[d] for d in nx.descendants(nxc, x)))) for x in order]
+        assert cg.full_roots() == [ours[x] for x in order
+                                   if nxc.in_degree(x) == 0]
+        assert cg.full_leaves() == [ours[x] for x in order
+                                    if nxc.out_degree(x) == 0]
+        assert cg.large == {ours[x] for x in order if len(members[x]) > c}
 
 
 @st.composite
