@@ -7,7 +7,13 @@ a present edge is removed iff removing it strictly increases it, decided
 from reach balls without touching the network (see ``ReachBalls``).
 
 Runs are driven by Python's ``random.Random`` (MT19937) seeded with the
-64-bit seed recorded in the trace, so a trace replays bit-identically.
+64-bit seed recorded in the trace.  A round draws its kind, u and v from
+``getrandbits`` alone, each an integer below m for m = 2, n, n - 1 in that
+order: take ``getrandbits(m.bit_length())`` until the value is below m (so
+the kind takes 2 bits, 0 being speaking), and v at or above u is moved up
+by one.  The draw is what ``randrange(m)`` does, written out here so a
+trace's bytes rest on MT19937's ``getrandbits`` only.  A round yields a
+``Move``, a named tuple.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import TraceError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
@@ -57,8 +63,7 @@ _FIRES = {(Classification.ADDABLE, EdgeKind.SPEAKING): MoveKind.ADD_SPEAKING,
           (Classification.REMOVABLE, EdgeKind.LISTENING): MoveKind.REMOVE_LISTENING}
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(NamedTuple):
     kind: MoveKind
     edge_kind: EdgeKind  # what was sampled, also for NO_CHANGE
     u: int
@@ -67,7 +72,7 @@ class Move:
 
     @property
     def mutating(self) -> bool:
-        return self.kind in _APPLY
+        return self.kind is not MoveKind.NO_CHANGE
 
 
 @dataclass
@@ -219,12 +224,25 @@ def apply_move(net: BidirectedNetwork, move) -> None:
 
 
 def step(balls: ReachBalls, rng: random.Random, step_index: int = 0) -> Move:
-    """One dynamics round.  Mutates ``balls.net`` when the sampled edge
-    fires."""
+    """One dynamics round, drawn as the module docstring says.  Mutates
+    ``balls.net`` when the sampled edge fires; fewer than two agents raise
+    ValueError, since no pair can be drawn."""
     n = balls.net.n
-    kind = EdgeKind.SPEAKING if rng.randrange(2) == 0 else EdgeKind.LISTENING
-    u = rng.randrange(n)
-    v = rng.randrange(n - 1)
+    if n < 2:
+        raise ValueError(f"a dynamics round needs two agents, got n={n}")
+    bits = rng.getrandbits
+    r = bits(2)
+    while r >= 2:
+        r = bits(2)
+    kind = EdgeKind.LISTENING if r else EdgeKind.SPEAKING
+    width = n.bit_length()
+    u = bits(width)
+    while u >= n:
+        u = bits(width)
+    width = (n - 1).bit_length()
+    v = bits(width)
+    while v >= n - 1:
+        v = bits(width)
     if v >= u:
         v += 1
     cls = balls.classify(kind, u, v)

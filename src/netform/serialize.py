@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from .convergence import PathCertificate
 from .dynamics import (Classification, EdgeKind, Move, MoveKind, Trace,
                        apply_move)
-from .errors import DocumentError
+from .errors import DocumentError, TraceError
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets)
 
@@ -216,8 +216,9 @@ def trace_to_text(trace: Trace) -> str:
               **_game_fields(trace.initial, trace.params, trace.targets,
                              "initial_")}
     lines = [json.dumps(header, sort_keys=True), "step,kind,edge,u,v"]
-    lines.extend(f"{m.step_index},{m.kind.value},{m.edge_kind.value},{m.u},{m.v}"
-                 for m in trace.moves)
+    # an enum's ``value`` is a property; its ``_value_`` a plain attribute
+    lines.extend(f"{i},{kind._value_},{edge._value_},{u},{v}"
+                 for kind, edge, u, v, i in trace.moves)
     return "\n".join(lines) + "\n"
 
 
@@ -232,7 +233,10 @@ def _trace_field(header: dict, key: str, kind: type):
 
 def trace_from_text(text: str) -> Trace:
     """Parse a trace record and replay its moves.  A malformed record raises
-    DocumentError, a move inconsistent with the network TraceError."""
+    DocumentError, a move inconsistent with the network TraceError; either
+    names the file line of the row at fault.  Row i is step i, a move's kind
+    matches its edge kind, every pair is two distinct agents, and there are
+    ``steps_sampled`` rows."""
     lines = text.splitlines()
     if len(lines) < 2:
         raise DocumentError("trace: missing header or column line")
@@ -248,19 +252,39 @@ def trace_from_text(text: str) -> Trace:
     rng_id = _trace_field(header, "rng_id", str)
     converged = _trace_field(header, "converged", bool)
     steps_sampled = _trace_field(header, "steps_sampled", int)
+    n = initial.n
+    final = initial.copy()
     moves = []
-    for row in lines[2:]:
+    for line, row in enumerate(lines[2:], 3):
         if not row:
             continue
         try:
             step_s, kind_s, edge_s, u_s, v_s = row.split(",")
-            moves.append(Move(MoveKind(kind_s), EdgeKind(edge_s),
-                              int(u_s), int(v_s), int(step_s)))
+            move = Move(MoveKind(kind_s), EdgeKind(edge_s),
+                        int(u_s), int(v_s), int(step_s))
         except ValueError as exc:
-            raise DocumentError(f"trace: malformed move row {row!r}") from exc
-    final = initial.copy()
-    for mv in moves:
-        apply_move(final, mv)
+            raise DocumentError(f"trace line {line}: malformed move row "
+                                f"{row!r}") from exc
+        if len(moves) == steps_sampled:
+            raise DocumentError(f"trace line {line}: more rows than "
+                                f"steps_sampled ({steps_sampled})")
+        if move.step_index != len(moves):
+            raise DocumentError(f"trace line {line}: step {move.step_index} "
+                                f"in the row of step {len(moves)}")
+        if move.mutating and kind_s[1:] != edge_s:  # "+s" adds an "s" edge
+            raise DocumentError(f"trace line {line}: move {kind_s} on a "
+                                f"{edge_s} edge")
+        if not (0 <= move.u < n and 0 <= move.v < n) or move.u == move.v:
+            raise DocumentError(f"trace line {line}: ({move.u}, {move.v}) is "
+                                f"not a pair of two of the {n} agents")
+        try:
+            apply_move(final, move)
+        except TraceError as exc:
+            raise TraceError(f"trace line {line}: {exc}") from exc
+        moves.append(move)
+    if len(moves) != steps_sampled:
+        raise DocumentError(f"trace line {len(lines) + 1}: no row for step "
+                            f"{len(moves)} of steps_sampled ({steps_sampled})")
     return Trace(seed=seed, params=params, initial=initial, moves=moves,
                  final=final, converged=converged, steps_sampled=steps_sampled,
                  targets=targets, rng_id=rng_id)

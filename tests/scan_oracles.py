@@ -1,9 +1,10 @@
 """Test oracles for the bitset reach kernel, the ball-based stability
-checks and the census folds: the set-based reach search the kernel
-replaced, the edge rule and the bi-pairwise joint additions decided by
-mutating a copy of the network and recomputing reach or utility from
-scratch, and the efficiency and PoA/PoS searches over every network with
-from-scratch welfare and a full witness scan."""
+checks, the census folds and the dynamics' draw: the set-based reach
+search the kernel replaced, the edge rule and the bi-pairwise joint
+additions decided by mutating a copy of the network and recomputing reach
+or utility from scratch, the efficiency and PoA/PoS searches over every
+network with from-scratch welfare and a full witness scan, and the
+``randrange`` sampler that ``dynamics.step`` once called."""
 
 from netform import (Classification, EdgeKind, EfficiencyReport, Mode,
                      PoAResult, agent_utility, is_stable, listening_reach,
@@ -32,6 +33,17 @@ def bfs_by_sets(net, k, v, forward, mode, skip=None):
         frontier = nxt
     seen.discard(v)
     return seen, set(frontier)
+
+
+def sample_by_randrange(rng, n):
+    """A dynamics round's typed pair ``(kind, u, v)`` drawn the way
+    ``dynamics.step`` drew it through ``random.Random.randrange``."""
+    kind = EdgeKind.SPEAKING if rng.randrange(2) == 0 else EdgeKind.LISTENING
+    u = rng.randrange(n)
+    v = rng.randrange(n - 1)
+    if v >= u:
+        v += 1
+    return kind, u, v
 
 
 def _owner_reach_count(net, params, targets, kind, u):

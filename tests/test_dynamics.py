@@ -1,5 +1,7 @@
 import hashlib
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,8 @@ from netform.errors import TraceError
 from netform.generators import cycle, empty, random_net
 from netform.serialize import trace_to_text
 
-from conftest import oracle_utility, net_from_bits
+from conftest import child_env, net_from_bits, oracle_utility
+from scan_oracles import sample_by_randrange
 
 
 def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
@@ -104,6 +107,32 @@ class TestStep:
             mv = step(balls, rng, i)
             seen.add((mv.edge_kind, mv.u, mv.v))
         assert seen == set(iter_typed_pairs(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 24, 33, 64, 65])
+    def test_draw_matches_randrange_oracle(self, n):
+        # n and n - 1 on both sides of a power of two cross every bit-length
+        # boundary of the draw; on an empty network nothing fires
+        balls = ReachBalls(empty(n), bi())
+        for seed in range(20):
+            ours, oracle = random.Random(seed), random.Random(seed)
+            for i in range(100):
+                mv = step(balls, ours, i)
+                assert (mv.edge_kind, mv.u, mv.v) == sample_by_randrange(
+                    oracle, n), (n, seed, i)
+            assert ours.getstate() == oracle.getstate()
+
+    def test_one_agent_raises_promptly(self):
+        # in a child process, so a regression fails on the timeout instead
+        # of hanging the suite on a draw below n - 1 = 0
+        code = ("import random\n"
+                "from fractions import Fraction\n"
+                "from netform import BidirectedNetwork, Params, ReachBalls, step\n"
+                "balls = ReachBalls(BidirectedNetwork(1), Params(1, Fraction(1)))\n"
+                "try:\n    step(balls, random.Random(0))\n"
+                "except ValueError:\n    print('rejected')\n")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, timeout=30)
+        assert out.stdout.strip() == "rejected", out.stderr
 
 
 class TestRun:

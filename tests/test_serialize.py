@@ -232,6 +232,21 @@ class TestTraceDefects:
         pytest.param(_trace_text({**BASE_TRACE, "steps_sampled": True}),
                      DocumentError, "^steps_sampled: expected int",
                      id="bool-steps"),
+        pytest.param(_trace_text(BASE_TRACE, ["7,.,s,0,1"]), DocumentError,
+                     "^trace line 3: step 7 in the row of step 0",
+                     id="step-out-of-place"),
+        pytest.param(_trace_text(BASE_TRACE, ["0,+s,l,1,2"]), DocumentError,
+                     r"^trace line 3: move \+s on a l edge",
+                     id="kind-contradicts-edge"),
+        pytest.param(_trace_text(BASE_TRACE, ["0,.,s,9,9"]), DocumentError,
+                     r"^trace line 3: \(9, 9\) is not a pair",
+                     id="no-change-bad-pair"),
+        pytest.param(_trace_text({**BASE_TRACE, "steps_sampled": 2}),
+                     DocumentError, "^trace line 4: no row for step 1",
+                     id="fewer-rows-than-steps"),
+        pytest.param(_trace_text(BASE_TRACE, ["0,-s,s,0,1", "1,.,s,0,1"]),
+                     DocumentError, "^trace line 4: more rows than steps_sampled",
+                     id="more-rows-than-steps"),
     ])
     def test_defect_raises_named_error(self, text, error, match):
         with pytest.raises(error, match=match):
