@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import convergence, dynamics, equilibrium, generators, serialize
@@ -195,7 +196,7 @@ def _cmd_check(args) -> int:
         "witnesses": [[k.value, u, v, cls.value]
                       for k, u, v, cls in witnesses],
         "all_complete": equilibrium.all_complete(net),
-        "symmetric": len(set(map(balls.utility, range(net.n)))) <= 1,
+        "symmetric": len(set(map(balls.scaled_utility, range(net.n)))) <= 1,
     }
     if args.bi_pairwise:
         out["bi_pairwise"] = report.bi_pairwise
@@ -219,11 +220,12 @@ def _census_rows(n: int, params: Params, writer):
     head = [serialize.format_k(params.k), str(params.c_s), str(params.c_l)]
     for mask, balls in equilibrium.census(n, params):
         report = equilibrium.bi_pairwise(balls)
-        # one utility list for the welfare and symmetric columns
-        utilities = [balls.utility(v) for v in range(n)]
+        # one list of scaled integer utilities for the welfare and symmetric
+        # columns, one Fraction for the welfare
+        utilities = [balls.scaled_utility(v) for v in range(n)]
         writer.writerow(head + [
             mask,
-            str(sum(utilities)),
+            str(Fraction(sum(utilities), balls.scale)),
             int(report.stable),
             int(bool(report.bi_pairwise)),
             int(equilibrium.all_complete(balls.net)),

@@ -18,6 +18,8 @@ trace's bytes rest on MT19937's ``getrandbits`` only.  A round yields a
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -101,9 +103,12 @@ class ReachBalls:
     ``kept``, and loses ``ball(u) & ~kept``.  A dead pair (bidirected,
     partner half absent) moves no reach: a present dead edge is removable
     iff its cost is above 0, an absent one is never addable.  So a scan runs
-    one BFS per vertex and direction plus one per present live edge."""
+    one BFS per vertex and direction plus one per present live edge.
+    Utilities are counted as integers ``scale`` times the utility, ``scale``
+    being the least common denominator of the costs."""
 
-    __slots__ = ("net", "params", "_balls", "_revision", "_masks", "_rules")
+    __slots__ = ("net", "params", "_balls", "_revision", "_masks", "_rules",
+                 "scale", "_costs")
 
     def __init__(self, net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS):
@@ -119,6 +124,19 @@ class ReachBalls:
         self._rules = tuple((c.numerator // c.denominator + 1,
                              -(-c.numerator // c.denominator) - 1)
                             for c in (params.c_l, params.c_s))
+        self.scale = math.lcm(params.c_l.denominator, params.c_s.denominator)
+        # [forward]: scale times the listening (backward) or speaking cost
+        self._costs = tuple(c.numerator * (self.scale // c.denominator)
+                            for c in (params.c_l, params.c_s))
+
+    def with_net(self, net: BidirectedNetwork) -> "ReachBalls":
+        """Empty reach balls of ``net``, a network on as many agents, sharing
+        this one's parameters, target masks and cost constants."""
+        other = ReachBalls.__new__(ReachBalls)
+        for name in ReachBalls.__slots__:
+            setattr(other, name, getattr(self, name))
+        other.net, other._balls, other._revision = net, ({}, {}), net.revision
+        return other
 
     def ball(self, x: int, forward: bool) -> Tuple[int, int]:
         """``(B_k(x), B_{k-1}(x))`` as bitsets, neither holding x."""
@@ -139,15 +157,20 @@ class ReachBalls:
                  & ~(self.ball(u, forward)[0] | 1 << u))
         return (added & self._masks[forward][u]).bit_count()
 
+    def scaled_utility(self, v: int) -> int:
+        """``scale`` times v's utility, an exact integer counted from v's
+        held balls, target masks and out-degrees."""
+        net, masks = self.net, self._masks
+        u = (self.scale * (self.ball(v, True)[0] & masks[True][v]).bit_count()
+             - self._costs[True] * net.out_speak(v))
+        if self.params.mode is Mode.DIRECTED:
+            return u
+        lr = (self.ball(v, False)[0] & masks[False][v]).bit_count()
+        return u + self.scale * lr - self._costs[False] * net.out_listen(v)
+
     def utility(self, v: int) -> Fraction:
-        """v's exact utility, counted from its held balls and target masks."""
-        net, params = self.net, self.params
-        u_s = ((self.ball(v, True)[0] & self._masks[True][v]).bit_count()
-               - params.c_s * net.out_speak(v))
-        if params.mode is Mode.DIRECTED:
-            return u_s
-        lr = (self.ball(v, False)[0] & self._masks[False][v]).bit_count()
-        return u_s + lr - params.c_l * net.out_listen(v)
+        """v's exact utility."""
+        return Fraction(self.scaled_utility(v), self.scale)
 
     def classify(self, kind: EdgeKind, u: int, v: int) -> Classification:
         net, forward = self.net, kind is EdgeKind.SPEAKING
@@ -175,8 +198,13 @@ class ReachBalls:
 
     def witnesses(self):
         """Every addable or removable typed edge, in ``iter_typed_pairs``
-        order, as ``(kind, u, v, classification)``."""
-        for kind, u, v in iter_typed_pairs(self.net.n):
+        order, as ``(kind, u, v, classification)``.  In directed mode the
+        walk ends with the speaking pairs: a listening edge there never
+        fires (see ``classify``)."""
+        pairs = iter_typed_pairs(self.net.n)
+        if self.params.mode is Mode.DIRECTED:
+            pairs = itertools.islice(pairs, self.net.n * (self.net.n - 1))
+        for kind, u, v in pairs:
             cls = self.classify(kind, u, v)
             if cls is Classification.ADDABLE or cls is Classification.REMOVABLE:
                 yield kind, u, v, cls

@@ -143,12 +143,16 @@ def brute_force_nash(net: BidirectedNetwork, params: Params,
 
 def net_from_mask(n: int, mask: int, mode: Mode) -> BidirectedNetwork:
     """Decode a bitmask over the ordered pairs (speaking bits first, then
-    listening bits in bidirected mode) into a network."""
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    listening = mask >> len(pairs) if mode is Mode.BIDIRECTED else 0
-    return BidirectedNetwork(
-        n, [p for i, p in enumerate(pairs) if mask >> i & 1],
-        [p for i, p in enumerate(pairs) if listening >> i & 1])
+    listening bits in bidirected mode) into a network.  The pairs (u, v) run
+    in lexicographic order, so agent u's n - 1 bits of each half are one
+    chunk: its out-row with its own bit left out."""
+    width = n - 1
+    rows = []
+    for i in range(2 * n if mode is Mode.BIDIRECTED else n):
+        chunk = (mask >> i * width) & ((1 << width) - 1)
+        below = (1 << i % n) - 1  # heads below the owner keep their bit
+        rows.append((chunk & below) | (chunk & ~below) << 1)
+    return BidirectedNetwork.from_out_rows(rows[:n], rows[n:] or [0] * n)
 
 
 def enumeration_bits(n: int, mode: Mode) -> int:
@@ -167,9 +171,14 @@ def iter_all_networks(n: int, mode: Mode) -> Iterator[BidirectedNetwork]:
 
 def census(n: int, params: Params, targets: TargetSets = ALL_OTHERS
            ) -> Iterator[Tuple[int, ReachBalls]]:
-    """Every network on n agents with its mask, in one ``ReachBalls`` each."""
+    """Every network on n agents with its mask, in one ``ReachBalls`` each.
+    They share one set of target masks and cost constants, which depend on
+    n, params and targets only."""
+    balls = None
     for mask, net in enumerate(iter_all_networks(n, params.mode)):
-        yield mask, ReachBalls(net, params, targets)
+        balls = (ReachBalls(net, params, targets) if balls is None
+                 else balls.with_net(net))
+        yield mask, balls
 
 
 def efficient_search(n: int, params: Params,
@@ -177,30 +186,32 @@ def efficient_search(n: int, params: Params,
     """Welfare maxima over all networks on n agents (exhaustive)."""
     best, argmax = None, []
     for _, balls in census(n, params, targets):
-        w = sum(map(balls.utility, range(n)))
+        w = sum(map(balls.scaled_utility, range(n)))  # scale times welfare
         if best is None or w > best:
             best, argmax = w, [balls.net]
         elif w == best:
             argmax.append(balls.net)
-    return EfficiencyReport(best_welfare=best, argmax_nets=argmax)
+    return EfficiencyReport(best_welfare=Fraction(best, balls.scale),
+                            argmax_nets=argmax)
 
 
 def poa_pos(n: int, params: Params,
             targets: TargetSets = ALL_OTHERS) -> PoAResult:
     """Price of anarchy and stability over the full census: worst and best
     stable welfare divided by the optimum."""
-    welfares, stable = [], []
+    welfares, stable = [], []  # scale times each welfare
     for _, balls in census(n, params, targets):
-        welfares.append(sum(map(balls.utility, range(n))))
+        welfares.append(sum(map(balls.scaled_utility, range(n))))
         if next(balls.witnesses(), None) is None:
             stable.append(welfares[-1])
-    best = max(welfares)
+    best, scale = max(welfares), balls.scale
     degenerate = best <= 0 or not stable
-    return PoAResult(poa=None if degenerate else min(stable) / best,
-                     pos=None if degenerate else max(stable) / best,
-                     degenerate=degenerate, best_welfare=best,
-                     worst_stable_welfare=min(stable, default=None),
-                     best_stable_welfare=max(stable, default=None))
+    return PoAResult(
+        poa=None if degenerate else Fraction(min(stable), best),
+        pos=None if degenerate else Fraction(max(stable), best),
+        degenerate=degenerate, best_welfare=Fraction(best, scale),
+        worst_stable_welfare=Fraction(min(stable), scale) if stable else None,
+        best_stable_welfare=Fraction(max(stable), scale) if stable else None)
 
 
 def check_symmetric(net: BidirectedNetwork, params: Params,

@@ -127,6 +127,16 @@ def has_open_and_closed_triangle(net: BidirectedNetwork, mode: Mode) -> bool:
     return 0 < clustering_coefficient(net, mode) < 1
 
 
+def start_density(rng: random.Random) -> float:
+    """One of the densities 0.15, 0.3 and 0.5, drawn as ``dynamics.step``
+    draws: 2 bits until the value is below 3.  ``rng.choice`` of the three
+    draws the same, but through CPython's private ``_randbelow``."""
+    r = rng.getrandbits(2)
+    while r >= 3:
+        r = rng.getrandbits(2)
+    return (0.15, 0.3, 0.5)[r]
+
+
 def structure_search(params: Params, budget: int,
                      targets: TargetSets = ALL_OTHERS,
                      ns: Sequence[int] = (4, 5, 6, 7, 8),
@@ -143,7 +153,7 @@ def structure_search(params: Params, budget: int,
     while spent < budget:
         n = ns[attempt % len(ns)]
         attempt += 1
-        p = rng.choice((0.15, 0.3, 0.5))
+        p = start_density(rng)
         start = random_net(n, p, p if params.mode is Mode.BIDIRECTED else 0,
                            rng.getrandbits(63))
         spent += 1

@@ -118,6 +118,22 @@ class BidirectedNetwork:
             self.add_listening(v, u)
         self.revision = 0
 
+    @classmethod
+    def from_out_rows(cls, speak_out: list, listen_out: list
+                      ) -> "BidirectedNetwork":
+        """The network, at revision 0, with these out-rows: bit v of
+        ``speak_out[u]`` when u speaks to v, bit u of ``listen_out[v]`` when
+        v listens to u.  Its in-rows and live rows are derived from them.
+        The caller passes n rows of each kind, every row a nonnegative int
+        of vertices in 0..n-1 other than its own."""
+        net = cls(len(speak_out))
+        net._speak_out, net._listen_out = list(speak_out), list(listen_out)
+        net._speak_in = _transpose(speak_out)
+        net._listen_in = _transpose(listen_out)
+        net._live_out = [s & l for s, l in zip(speak_out, net._listen_in)]
+        net._live_in = [s & l for s, l in zip(net._speak_in, listen_out)]
+        return net
+
     def _check_pair(self, u: int, v: int):
         if u == v:
             raise ValueError(f"self-pair ({u}, {v}) is not allowed")
@@ -248,6 +264,17 @@ def ascending(bits: int) -> list:
         out.append(x)
         bits ^= 1 << x
     out.reverse()  # decoded from the top: bit_length finds the highest bit
+    return out
+
+
+def _transpose(rows: list) -> list:
+    """In-rows from out-rows: bit b of row a becomes bit a of row b."""
+    out = [0] * len(rows)
+    for a, row in enumerate(rows):
+        while row:
+            b = row.bit_length() - 1
+            out[b] |= 1 << a
+            row ^= 1 << b
     return out
 
 

@@ -231,6 +231,14 @@ def _trace_field(header: dict, key: str, kind: type):
     return value
 
 
+# a row's move and edge cells to their kinds: None where the move contradicts
+# the edge ("+s" adds an "s" edge); a no-change row may name either edge
+_ROW_KINDS = {(kind.value, edge.value):
+              (kind, edge) if kind is MoveKind.NO_CHANGE
+              or kind.value[1:] == edge.value else None
+              for kind in MoveKind for edge in EdgeKind}
+
+
 def trace_from_text(text: str) -> Trace:
     """Parse a trace record and replay its moves.  A malformed record raises
     DocumentError, a move inconsistent with the network TraceError; either
@@ -260,23 +268,24 @@ def trace_from_text(text: str) -> Trace:
             continue
         try:
             step_s, kind_s, edge_s, u_s, v_s = row.split(",")
-            move = Move(MoveKind(kind_s), EdgeKind(edge_s),
-                        int(u_s), int(v_s), int(step_s))
-        except ValueError as exc:
+            kinds = _ROW_KINDS[kind_s, edge_s]
+            step, u, v = int(step_s), int(u_s), int(v_s)
+        except (KeyError, ValueError) as exc:
             raise DocumentError(f"trace line {line}: malformed move row "
                                 f"{row!r}") from exc
         if len(moves) == steps_sampled:
             raise DocumentError(f"trace line {line}: more rows than "
                                 f"steps_sampled ({steps_sampled})")
-        if move.step_index != len(moves):
-            raise DocumentError(f"trace line {line}: step {move.step_index} "
+        if step != len(moves):
+            raise DocumentError(f"trace line {line}: step {step} "
                                 f"in the row of step {len(moves)}")
-        if move.mutating and kind_s[1:] != edge_s:  # "+s" adds an "s" edge
+        if kinds is None:
             raise DocumentError(f"trace line {line}: move {kind_s} on a "
                                 f"{edge_s} edge")
-        if not (0 <= move.u < n and 0 <= move.v < n) or move.u == move.v:
-            raise DocumentError(f"trace line {line}: ({move.u}, {move.v}) is "
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise DocumentError(f"trace line {line}: ({u}, {v}) is "
                                 f"not a pair of two of the {n} agents")
+        move = Move(*kinds, u, v, step)
         try:
             apply_move(final, move)
         except TraceError as exc:

@@ -3,16 +3,21 @@ from fractions import Fraction as F
 import pytest
 
 import netform.model
+from conftest import net_from_bits
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Params, TargetSets,
+                     EdgeKind, Mode, Params, TargetSets, agent_utility,
                      all_complete, brute_force_nash, check_symmetric,
                      efficient_search, is_bi_pairwise_stable, is_stable,
                      poa_pos, welfare)
 from netform.cli import main
-from netform.equilibrium import iter_all_networks, net_from_mask
+from netform.equilibrium import census, iter_all_networks, net_from_mask
 from netform.errors import CapacityError
 from netform.generators import balanced_flower, complete_net, cycle, empty, kautz
+from netform.serialize import format_k
 from scan_oracles import efficient_search_by_definition, poa_pos_by_definition
+
+ROWS = ("_speak_out", "_speak_in", "_listen_out", "_listen_in", "_live_out",
+        "_live_in")
 
 
 def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
@@ -180,6 +185,21 @@ class TestEnumeration:
         net = net_from_mask(3, 0b101_010_111_001, Mode.BIDIRECTED)
         assert len(net.speaking) + len(net.listening) == 7
 
+    # BidirectedNetwork.__eq__ reads the out-rows alone, so every row list
+    # is compared, against the checked mutators of the local decoder
+    @pytest.mark.parametrize("n, mode", [(2, Mode.BIDIRECTED),
+                                         (3, Mode.BIDIRECTED),
+                                         (3, Mode.DIRECTED),
+                                         (4, Mode.DIRECTED)])
+    def test_decoded_rows_match_checked_mutators(self, n, mode):
+        bits = n * (n - 1) * (2 if mode is Mode.BIDIRECTED else 1)
+        for mask in range(2 ** bits):
+            got = net_from_mask(n, mask, mode)
+            want = net_from_bits(n, mask, mode)
+            assert got.revision == 0
+            for rows in ROWS:
+                assert getattr(got, rows) == getattr(want, rows), (mask, rows)
+
     def test_census_guard(self):
         with pytest.raises(CapacityError):
             list(iter_all_networks(4, Mode.BIDIRECTED))
@@ -200,6 +220,39 @@ class TestCensusFolds:
             efficient_search_by_definition(n, params, targets)
         assert poa_pos(n, params, targets) == \
             poa_pos_by_definition(n, params, targets)
+
+    # costs whose least common denominator is 1, 2, 3 and 6, zero among them
+    @pytest.mark.parametrize("n, params, scale", [
+        (3, bi(k=2, cs=F(0), cl=F(1)), 1),
+        (3, bi(k=INF, cs=F(1, 2), cl=F(2)), 2),
+        (3, bi(k=1, cs=F(2, 3), cl=F(0)), 3),
+        (3, bi(k=2, cs=F(1, 2), cl=F(4, 3)), 6),
+        (4, di(cs=F(0)), 1),
+        (4, di(cs=F(3, 2)), 2),
+        (4, di(k=2, cs=F(1, 3)), 3),
+        (4, di(cs=F(7, 6)), 6),
+    ])
+    def test_scaled_utilities_and_welfare_cells(self, tmp_path, n, params,
+                                                scale):
+        # every agent of every network against the from-scratch utility,
+        # and every census row's welfare cell against their sum
+        utilities = []
+        for mask, balls in census(n, params):
+            assert balls.scale == scale
+            assert balls.net == net_from_bits(n, mask, params.mode)
+            exact = [agent_utility(balls.net, params, ALL_OTHERS, v)
+                     for v in range(n)]
+            assert [balls.scaled_utility(v) for v in range(n)] == \
+                [scale * u for u in exact], mask
+            utilities.append(exact)
+        out = tmp_path / "c.csv"
+        assert main(["census", "--n", str(n), "--k", str(format_k(params.k)),
+                     "--cs", str(params.c_s), "--cl", str(params.c_l),
+                     "--mode", params.mode.value, "-o", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == len(utilities)
+        for row, exact in zip(rows, utilities):
+            assert row.split(",")[4] == str(sum(exact)), row
 
     def test_census_runs_no_from_scratch_reach(self, tmp_path, monkeypatch):
         # ReachBalls binds its own _bfs; model._bfs is looked up only by the

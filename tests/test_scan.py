@@ -66,6 +66,19 @@ def larger_cases(draw):
     return net, params, ALL_OTHERS
 
 
+@st.composite
+def directed_with_listening(draw):
+    """Seeded random networks in directed mode that carry listening edges,
+    which that mode ignores."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    net = random_net(n, draw(st.sampled_from((0.15, 0.3, 0.5))),
+                     draw(st.sampled_from((0.2, 0.5, 0.9))),
+                     draw(st.integers(min_value=0, max_value=2 ** 31)))
+    params = Params(k=draw(st.sampled_from(KS)),
+                    c_s=draw(st.sampled_from(COSTS)), mode=Mode.DIRECTED)
+    return net, params, draw(st.one_of(st.just(ALL_OTHERS), targets(n)))
+
+
 def toggle(net, kind, u, v):
     """Add the typed edge (u, v) if absent, else remove it."""
     if kind is EdgeKind.SPEAKING:
@@ -120,6 +133,20 @@ class TestAgainstOracles:
             verdict, witness = bi_pairwise_by_utility(net, params, tsets)
         assert (report.bi_pairwise, report.bi_pairwise_witness) == \
             (verdict, witness)
+
+
+class TestDirectedScan:
+    @given(directed_with_listening())
+    @settings(max_examples=200, deadline=None)
+    def test_scan_equals_full_typed_pair_scan(self, case):
+        # the directed scan walks the speaking pairs alone; every listening
+        # pair, present or absent, still classifies as staying put
+        net, params, tsets = case
+        balls = ReachBalls(net, params, tsets)
+        full = [(kind, u, v, cls) for kind, u, v in iter_typed_pairs(net.n)
+                for cls in [balls.classify(kind, u, v)] if cls in FIRES]
+        assert list(balls.witnesses()) == full
+        assert not any(kind is EdgeKind.LISTENING for kind, *_ in full)
 
 
 class TestBoundaries:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -192,6 +193,11 @@ BASE_TRACE = {"record": "trace", "seed": 3, "rng_id": "python-random-mt19937",
               "steps_sampled": 1}
 
 
+# the (move, edge) cells a trace row may hold
+LEGAL_ROW_KINDS = {("+s", "s"), ("-s", "s"), (".", "s"),
+                   ("+l", "l"), ("-l", "l"), (".", "l")}
+
+
 def _trace_text(header, rows=("0,-s,s,0,1",)):
     head = header if isinstance(header, str) else json.dumps(header)
     return "\n".join([head, "step,kind,edge,u,v", *rows]) + "\n"
@@ -250,6 +256,23 @@ class TestTraceDefects:
     ])
     def test_defect_raises_named_error(self, text, error, match):
         with pytest.raises(error, match=match):
+            trace_from_text(text)
+
+
+    # every (move, edge) cell pair but the six legal ones, in the second
+    # row: a contradicting pair of known cells is named, any other is
+    # malformed
+    @pytest.mark.parametrize("move, edge", [
+        (move, edge) for move in ("+s", "-s", "+l", "-l", ".", "x", "")
+        for edge in ("s", "l", "x", "")
+        if (move, edge) not in LEGAL_ROW_KINDS])
+    def test_illegal_move_edge_pair_rejected_with_line(self, move, edge):
+        text = _trace_text({**BASE_TRACE, "steps_sampled": 2},
+                           ["0,-s,s,0,1", f"1,{move},{edge},1,2"])
+        match = (rf"^trace line 4: move {re.escape(move)} on a {edge} edge$"
+                 if move in ("+s", "-s", "+l", "-l") and edge in ("s", "l")
+                 else "^trace line 4: malformed move row")
+        with pytest.raises(DocumentError, match=match):
             trace_from_text(text)
 
 
@@ -446,6 +469,11 @@ class TestCli:
         dot = capsys.readouterr().out
         assert dot.startswith("digraph") and "red" not in dot
 
+    # sweep rows at cost 0, at integer costs (utility scale 1) and at
+    # fractional ones; a row with c_l = 0 runs the directed census
+    CENSUS_SWEEP = ("k,c_s,c_l\n1,0,0\n2,1,2\ninf,1/2,1/3\n2,3/2,0\n"
+                    "inf,0,1\n3,2/3,0\n")
+
     @pytest.mark.parametrize("argv, sha256", [
         (("--n", "3", "--k", "2", "--cs", "1/2", "--cl", "1",
           "--mode", "bidirected"),
@@ -455,10 +483,14 @@ class TestCli:
         (("--n", "3", "--k", "inf", "--cs", "2/3", "--cl", "3/2",
           "--mode", "bidirected"),
          "b04672a91c752ef379b56d35e3df7ce21d2f6a7e6e7870afca8cf42552639217"),
+        (("--n", "3", "--sweep", "{sweep}"),
+         "cc6ace0d36aeb2d079dcde0d1f3abd8bb8c3c641051c5e8c0a8f0d75905c5017"),
     ])
     def test_census_golden(self, tmp_path, argv, sha256):
         # census CSV bytes are pinned over every network of the space
-        out = tmp_path / "census.csv"
+        out, sweep = tmp_path / "census.csv", tmp_path / "sweep.csv"
+        sweep.write_text(self.CENSUS_SWEEP)
+        argv = [str(sweep) if a == "{sweep}" else a for a in argv]
         assert self.run_cli("census", *argv, "-o", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
