@@ -2,8 +2,8 @@
 network-formation game with distance-bounded reach utilities."""
 
 from .model import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
-                    TargetSets, UtilityBreakdown, agent_utility,
-                    listening_reach, speaking_reach, utility, welfare)
+                    TargetSets, UtilityBreakdown, agent_utility, utility,
+                    welfare)
 from .dynamics import (Classification, EdgeKind, Move, MoveKind,
                        NeverReaddResult, ReachBalls, Trace, classify,
                        find_witness, never_readd_check, replay, run,
@@ -16,8 +16,7 @@ from .generators import (FlowerSpec, KautzSpec, balanced_flower, complete_net,
                          cycle, empty, kautz, lift, random_net,
                          unbalanced_flower)
 from .convergence import (CertMove, ComponentGraph, PathCertificate, condense,
-                          construct_path, lemma_checks, strip_removables,
-                          validate_certificate)
+                          construct_path, lemma_checks, validate_certificate)
 from .metrics import (StructureMetrics, clustering_coefficient, diameter,
                       metrics, structure_search)
 from .errors import (CapacityError, ConstructionError, DocumentError,

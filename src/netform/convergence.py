@@ -124,16 +124,6 @@ def _strip_inplace(balls: ReachBalls) -> List[CertMove]:
     return removed
 
 
-def strip_removables(net: BidirectedNetwork, params: Params
-                     ) -> Tuple[BidirectedNetwork, List[Tuple[int, int]]]:
-    """Copy of the network with removable edges recursively deleted in
-    lexicographic order, plus the deletion sequence."""
-    _require(params)
-    out = net.copy()
-    removed = _strip_inplace(ReachBalls(out, params))
-    return out, [(m.u, m.v) for m in removed]
-
-
 def _find_addable(balls: ReachBalls) -> Optional[Tuple[int, int]]:
     net = balls.net
     for u in range(net.n):

@@ -23,7 +23,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import TraceError
@@ -53,10 +52,11 @@ class MoveKind(Enum):
     NO_CHANGE = "."
 
 
-_APPLY = {MoveKind.ADD_SPEAKING: BidirectedNetwork.add_speaking,
-          MoveKind.REMOVE_SPEAKING: BidirectedNetwork.remove_speaking,
-          MoveKind.ADD_LISTENING: BidirectedNetwork.add_listening,
-          MoveKind.REMOVE_LISTENING: BidirectedNetwork.remove_listening}
+# keyed by ``_value_``: an enum member's ``__hash__`` runs in Python
+_APPLY = {MoveKind.ADD_SPEAKING._value_: BidirectedNetwork.add_speaking,
+          MoveKind.REMOVE_SPEAKING._value_: BidirectedNetwork.remove_speaking,
+          MoveKind.ADD_LISTENING._value_: BidirectedNetwork.add_listening,
+          MoveKind.REMOVE_LISTENING._value_: BidirectedNetwork.remove_listening}
 
 # move fired by an addable/removable classification of a typed edge
 _FIRES = {(Classification.ADDABLE, EdgeKind.SPEAKING): MoveKind.ADD_SPEAKING,
@@ -70,7 +70,6 @@ class Move(NamedTuple):
     edge_kind: EdgeKind  # what was sampled, also for NO_CHANGE
     u: int
     v: int
-    step_index: int
 
     @property
     def mutating(self) -> bool:
@@ -85,9 +84,13 @@ class Trace:
     moves: List[Move]
     final: BidirectedNetwork
     converged: bool
-    steps_sampled: int
     targets: TargetSets = ALL_OTHERS
     rng_id: str = RNG_ID
+
+    @property
+    def steps_sampled(self) -> int:
+        """Rounds drawn, one move each; move i is step i."""
+        return len(self.moves)
 
 
 class ReachBalls:
@@ -104,10 +107,11 @@ class ReachBalls:
     partner half absent) moves no reach: a present dead edge is removable
     iff its cost is above 0, an absent one is never addable.  So a scan runs
     one BFS per vertex and direction plus one per present live edge.
-    Utilities are counted as integers ``scale`` times the utility, ``scale``
-    being the least common denominator of the costs."""
+    ``rules[forward]`` holds the edge rule's integer thresholds for the
+    listening (backward) or speaking cost; ``scaled_utility`` is ``scale``
+    times a utility, ``scale`` the least common denominator of the costs."""
 
-    __slots__ = ("net", "params", "_balls", "_revision", "_masks", "_rules",
+    __slots__ = ("net", "params", "_balls", "_revision", "_masks", "rules",
                  "scale", "_costs")
 
     def __init__(self, net: BidirectedNetwork, params: Params,
@@ -121,9 +125,9 @@ class ReachBalls:
                        [targets.mask(v, True, net.n) for v in range(net.n)])
         # gains and losses are integers: gain > c iff gain >= floor(c) + 1,
         # and lost < c iff lost <= ceil(c) - 1
-        self._rules = tuple((c.numerator // c.denominator + 1,
-                             -(-c.numerator // c.denominator) - 1)
-                            for c in (params.c_l, params.c_s))
+        self.rules = tuple((c.numerator // c.denominator + 1,
+                            -(-c.numerator // c.denominator) - 1)
+                           for c in (params.c_l, params.c_s))
         self.scale = math.lcm(params.c_l.denominator, params.c_s.denominator)
         # [forward]: scale times the listening (backward) or speaking cost
         self._costs = tuple(c.numerator * (self.scale // c.denominator)
@@ -168,10 +172,6 @@ class ReachBalls:
         lr = (self.ball(v, False)[0] & masks[False][v]).bit_count()
         return u + self.scale * lr - self._costs[False] * net.out_listen(v)
 
-    def utility(self, v: int) -> Fraction:
-        """v's exact utility."""
-        return Fraction(self.scaled_utility(v), self.scale)
-
     def classify(self, kind: EdgeKind, u: int, v: int) -> Classification:
         net, forward = self.net, kind is EdgeKind.SPEAKING
         directed = self.params.mode is Mode.DIRECTED
@@ -183,7 +183,7 @@ class ReachBalls:
             # listening is implicit and free (c_l = 0) in the reduced model:
             # a listening edge there is dead and never fires
             live = not directed and net._speak_out[v] >> u & 1
-        add_min, lost_max = self._rules[forward]
+        add_min, lost_max = self.rules[forward]
         if not present:
             return (Classification.ADDABLE
                     if live and self.gain(u, v, forward) >= add_min
@@ -242,7 +242,7 @@ def scan_witnesses(net: BidirectedNetwork, params: Params,
 def apply_move(net: BidirectedNetwork, move) -> None:
     """Apply a recorded ``Move`` or ``CertMove`` to ``net`` (NO_CHANGE does
     nothing); a move inconsistent with the network raises TraceError."""
-    method = _APPLY.get(move.kind)
+    method = _APPLY.get(move.kind._value_)
     if method is None:
         return
     try:
@@ -251,7 +251,7 @@ def apply_move(net: BidirectedNetwork, move) -> None:
         raise TraceError(f"inconsistent move {move}: {exc}") from exc
 
 
-def step(balls: ReachBalls, rng: random.Random, step_index: int = 0) -> Move:
+def step(balls: ReachBalls, rng: random.Random) -> Move:
     """One dynamics round, drawn as the module docstring says.  Mutates
     ``balls.net`` when the sampled edge fires; fewer than two agents raise
     ValueError, since no pair can be drawn."""
@@ -275,8 +275,8 @@ def step(balls: ReachBalls, rng: random.Random, step_index: int = 0) -> Move:
         v += 1
     cls = balls.classify(kind, u, v)
     if cls is not Classification.ADDABLE and cls is not Classification.REMOVABLE:
-        return Move(MoveKind.NO_CHANGE, kind, u, v, step_index)
-    move = Move(_FIRES[cls, kind], kind, u, v, step_index)
+        return Move(MoveKind.NO_CHANGE, kind, u, v)
+    move = Move(_FIRES[cls, kind], kind, u, v)
     apply_move(balls.net, move)
     return move
 
@@ -301,13 +301,12 @@ def run(initial: BidirectedNetwork, params: Params,
     converged = next(balls.witnesses(), None) is None
     steps = 0
     while not converged and steps < max_steps:
-        moves.append(step(balls, rng, steps))
+        moves.append(step(balls, rng))
         steps += 1
         if steps % scan_interval == 0:
             converged = next(balls.witnesses(), None) is None
     return Trace(seed=seed, params=params, initial=initial.copy(), moves=moves,
-                 final=net, converged=converged, steps_sampled=steps,
-                 targets=targets)
+                 final=net, converged=converged, targets=targets)
 
 
 def replay(trace: Trace) -> BidirectedNetwork:

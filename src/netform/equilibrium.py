@@ -7,7 +7,6 @@ used to validate the scan on small instances rather than trusted blindly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
@@ -67,8 +66,9 @@ def bi_pairwise(balls: ReachBalls) -> StabilityReport:
         report.bi_pairwise = False
         return report
     directed = params.mode is Mode.DIRECTED
-    # integer gains: > c_s iff >= floor(c_s) + 1, >= c_l iff >= ceil(c_l)
-    speak_min, listen_min = math.floor(params.c_s) + 1, math.ceil(params.c_l)
+    # the edge rule's integer thresholds: a gain is > c_s iff it is at least
+    # floor(c_s) + 1, and >= c_l iff it is above ceil(c_l) - 1
+    (_, listen_max), (speak_min, _) = balls.rules
     for u in range(net.n):
         for v in range(net.n):
             if u == v:
@@ -81,7 +81,7 @@ def bi_pairwise(balls: ReachBalls) -> StabilityReport:
             if gain_u < (speak_min if add_s else 1):
                 continue
             gain_v = 0 if directed else balls.gain(v, u, False)
-            if gain_v < (listen_min if add_l else 0):
+            if add_l and gain_v <= listen_max:
                 continue
             report.bi_pairwise = False
             report.bi_pairwise_witness = (u, v, gain_u - params.c_s * add_s,

@@ -207,9 +207,6 @@ class BidirectedNetwork:
     def successors(self, x: int, mode: Mode) -> set:
         return vertices(self._rows(True, mode)[x])
 
-    def predecessors(self, x: int, mode: Mode) -> set:
-        return vertices(self._rows(False, mode)[x])
-
     def out_speak(self, v: int) -> int:
         return self._speak_out[v].bit_count()
 
@@ -308,28 +305,13 @@ def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,
     return (seen | frontier) & ~(1 << v), frontier
 
 
-def _reach(net: BidirectedNetwork, params: Params, v: int,
-           forward: bool) -> int:
-    if not 0 <= v < net.n:
-        raise ValueError(f"vertex {v} out of range")
-    return _bfs(net, params.k, v, forward, params.mode)[0]
-
-
-def speaking_reach(net: BidirectedNetwork, params: Params, v: int) -> set:
-    """Vertices reachable from v by live paths of length at most k; never v."""
-    return vertices(_reach(net, params, v, True))
-
-
-def listening_reach(net: BidirectedNetwork, params: Params, v: int) -> set:
-    """Vertices u such that v lies in u's speaking reach (backward closure)."""
-    return vertices(_reach(net, params, v, False))
-
-
 def _count(net: BidirectedNetwork, params: Params, targets: TargetSets,
            v: int, forward: bool) -> int:
     """How many of v's targets its speaking (forward) or listening reach
-    holds."""
-    return (_reach(net, params, v, forward)
+    holds, from a fresh search: the only from-scratch reach reader."""
+    if not 0 <= v < net.n:
+        raise ValueError(f"vertex {v} out of range")
+    return (_bfs(net, params.k, v, forward, params.mode)[0]
             & targets.mask(v, forward, net.n)).bit_count()
 
 
@@ -357,13 +339,10 @@ def utility(net: BidirectedNetwork, params: Params,
 
 def agent_utility(net: BidirectedNetwork, params: Params,
                   targets: TargetSets, v: int) -> Fraction:
-    """Total utility of one agent from fresh reach searches: the definition
-    ``brute_force_nash`` uses and ``ReachBalls.utility`` is tested against."""
-    u_s = _count(net, params, targets, v, True) - params.c_s * net.out_speak(v)
-    if params.mode is Mode.DIRECTED:
-        return u_s
-    lr = _count(net, params, targets, v, False)
-    return u_s + lr - params.c_l * net.out_listen(v)
+    """v's total utility, ``utility(...).u_total``: the from-scratch
+    definition ``brute_force_nash`` uses and ``ReachBalls.scaled_utility``
+    is tested against."""
+    return utility(net, params, targets, v).u_total
 
 
 def welfare(net: BidirectedNetwork, params: Params,

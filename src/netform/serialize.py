@@ -218,7 +218,7 @@ def trace_to_text(trace: Trace) -> str:
     lines = [json.dumps(header, sort_keys=True), "step,kind,edge,u,v"]
     # an enum's ``value`` is a property; its ``_value_`` a plain attribute
     lines.extend(f"{i},{kind._value_},{edge._value_},{u},{v}"
-                 for kind, edge, u, v, i in trace.moves)
+                 for i, (kind, edge, u, v) in enumerate(trace.moves))
     return "\n".join(lines) + "\n"
 
 
@@ -285,7 +285,7 @@ def trace_from_text(text: str) -> Trace:
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise DocumentError(f"trace line {line}: ({u}, {v}) is "
                                 f"not a pair of two of the {n} agents")
-        move = Move(*kinds, u, v, step)
+        move = Move(*kinds, u, v)
         try:
             apply_move(final, move)
         except TraceError as exc:
@@ -295,8 +295,8 @@ def trace_from_text(text: str) -> Trace:
         raise DocumentError(f"trace line {len(lines) + 1}: no row for step "
                             f"{len(moves)} of steps_sampled ({steps_sampled})")
     return Trace(seed=seed, params=params, initial=initial, moves=moves,
-                 final=final, converged=converged, steps_sampled=steps_sampled,
-                 targets=targets, rng_id=rng_id)
+                 final=final, converged=converged, targets=targets,
+                 rng_id=rng_id)
 
 
 def certificate_to_text(cert: PathCertificate, start: BidirectedNetwork,

@@ -1,5 +1,6 @@
 """Shared helpers: an independent reachability oracle (simple-path
-enumeration, no BFS) and small strategies for property tests."""
+enumeration, no BFS), the production reach and strip read through their
+kernels, and small strategies for property tests."""
 
 import os
 from fractions import Fraction
@@ -8,7 +9,9 @@ from itertools import permutations
 import pytest
 
 import netform
-from netform import INF, BidirectedNetwork, Mode, Params
+from netform import INF, BidirectedNetwork, Mode, Params, ReachBalls
+from netform.convergence import _strip_inplace
+from netform.model import vertices
 
 
 def child_env() -> dict:
@@ -41,6 +44,22 @@ def oracle_speaking_reach(net: BidirectedNetwork, params: Params, s: int) -> set
                    for i in range(length)):
                 reached.add(full[-1])
     return reached
+
+
+def held_reach(net: BidirectedNetwork, params: Params, v: int,
+               forward: bool = True) -> set:
+    """v's speaking (forward) or listening reach as ``ReachBalls.ball``, the
+    production kernel, holds it."""
+    return vertices(ReachBalls(net, params).ball(v, forward)[0])
+
+
+def strip_removables(net: BidirectedNetwork, params: Params):
+    """A copy of net with removable speaking edges deleted one at a time,
+    each pass restarting from the lexicographically first edge, plus the
+    deleted edges in order: ``convergence._strip_inplace`` on a copy."""
+    out = net.copy()
+    removed = _strip_inplace(ReachBalls(out, params))
+    return out, [(m.u, m.v) for m in removed]
 
 
 def oracle_utility(net: BidirectedNetwork, params: Params, v: int) -> Fraction:

@@ -11,10 +11,11 @@ with an addable edge need not contain a large component.
 
 import networkx as nx
 
+from conftest import strip_removables
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
                      EdgeKind, Mode, Params, all_complete, classify,
-                     is_bi_pairwise_stable, is_stable, speaking_reach,
-                     strip_removables)
+                     is_bi_pairwise_stable, is_stable)
+from scan_oracles import bfs_by_sets
 
 
 def _live_graph(net: BidirectedNetwork, mode: Mode) -> nx.DiGraph:
@@ -90,7 +91,8 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
     comps = [cond.nodes[i]["members"] for i in range(len(cond))]
     comp_of = cond.graph["mapping"]
 
-    reach = {u: speaking_reach(net, params, u) for u in range(n)}
+    reach = {u: bfs_by_sets(net, params.k, u, True, params.mode)[0]
+             for u in range(n)}
     removable = set()
     addable = []
     for u in range(n):

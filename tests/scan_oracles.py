@@ -7,16 +7,19 @@ network with from-scratch welfare and a full witness scan, and the
 ``randrange`` sampler that ``dynamics.step`` once called."""
 
 from netform import (Classification, EdgeKind, EfficiencyReport, Mode,
-                     PoAResult, agent_utility, is_stable, listening_reach,
-                     speaking_reach, welfare)
+                     PoAResult, agent_utility, is_stable, welfare)
 from netform.equilibrium import iter_all_networks
 
 
 def bfs_by_sets(net, k, v, forward, mode, skip=None):
     """``model._bfs`` over vertex sets, one live step at a time: the ball
     of v within k steps (never v) and the layer at distance exactly k, with
-    v's own step to ``skip`` left out."""
-    step = net.successors if forward else net.predecessors
+    v's own step to ``skip`` left out.  Backward steps are the successor
+    sets reversed, so no in-row is read."""
+    nbrs = [net.successors(x, mode) for x in range(net.n)]
+    if not forward:
+        nbrs = [{y for y in range(net.n) if x in nbrs[y]}
+                for x in range(net.n)]
     seen = {v} if skip is None else {v, skip}
     frontier = [v]
     depth = 0
@@ -24,7 +27,7 @@ def bfs_by_sets(net, k, v, forward, mode, skip=None):
         depth += 1
         nxt = []
         for x in frontier:
-            for y in step(x, mode):
+            for y in nbrs[x]:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -47,10 +50,9 @@ def sample_by_randrange(rng, n):
 
 
 def _owner_reach_count(net, params, targets, kind, u):
-    if kind is EdgeKind.SPEAKING:
-        reach, tset = speaking_reach(net, params, u), targets.speak.get(u)
-    else:
-        reach, tset = listening_reach(net, params, u), targets.listen.get(u)
+    forward = kind is EdgeKind.SPEAKING
+    reach = bfs_by_sets(net, params.k, u, forward, params.mode)[0]
+    tset = (targets.speak if forward else targets.listen).get(u)
     return len(reach) if tset is None else len(reach & tset)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from netform import (INF, BidirectedNetwork, Mode, Params, ReachBalls,
                      condense, construct_path, is_stable, lemma_checks,
-                     strip_removables, validate_certificate)
+                     validate_certificate)
 from netform.convergence import CertMove, ComponentGraph
 from netform import dynamics
 from netform.dynamics import MoveKind
@@ -13,6 +13,8 @@ from netform.errors import LemmaCheckError
 from netform.generators import cycle, empty, random_net
 from netform.scc import condensation
 from netform.serialize import certificate_to_text
+
+from conftest import strip_removables
 
 
 def di(c=2):

@@ -84,8 +84,8 @@ class TestStep:
         net = empty(2)
         balls = ReachBalls(net, bi(k=1))
         rng = random.Random(0)
-        for i in range(50):
-            mv = step(balls, rng, i)
+        for _ in range(50):
+            mv = step(balls, rng)
             assert mv.kind is MoveKind.NO_CHANGE and not mv.mutating
         assert not net.speaking and not net.listening
 
@@ -104,8 +104,8 @@ class TestStep:
         rng = random.Random(3)
         seen = set()
         balls = ReachBalls(empty(3), Params(k=1, c_s=F(2), c_l=F(2)))
-        for i in range(600):
-            mv = step(balls, rng, i)
+        for _ in range(600):
+            mv = step(balls, rng)
             seen.add((mv.edge_kind, mv.u, mv.v))
         assert seen == set(iter_typed_pairs(3))
 
@@ -117,7 +117,7 @@ class TestStep:
         for seed in range(20):
             ours, oracle = random.Random(seed), random.Random(seed)
             for i in range(100):
-                mv = step(balls, ours, i)
+                mv = step(balls, ours)
                 assert (mv.edge_kind, mv.u, mv.v) == sample_by_randrange(
                     oracle, n), (n, seed, i)
             assert ours.getstate() == oracle.getstate()
@@ -194,22 +194,22 @@ class TestNeverReadd:
         initial = empty(2)
         final = BidirectedNetwork(2, [(0, 1)])
         tr = Trace(seed=0, params=bi(), initial=initial,
-                   moves=[Move(MoveKind.ADD_SPEAKING, EdgeKind.SPEAKING, 0, 1, 0)],
-                   final=final, converged=False, steps_sampled=1)
+                   moves=[Move(MoveKind.ADD_SPEAKING, EdgeKind.SPEAKING, 0, 1)],
+                   final=final, converged=False)
         res = never_readd_check(tr)
         assert res.applicable and not res.ok and not res
 
     @pytest.mark.parametrize("readd, final", [
-        (Move(MoveKind.ADD_SPEAKING, EdgeKind.SPEAKING, 0, 1, 1),
+        (Move(MoveKind.ADD_SPEAKING, EdgeKind.SPEAKING, 0, 1),
          BidirectedNetwork(2, [(0, 1)])),
-        (Move(MoveKind.ADD_LISTENING, EdgeKind.LISTENING, 1, 0, 1),
+        (Move(MoveKind.ADD_LISTENING, EdgeKind.LISTENING, 1, 0),
          BidirectedNetwork(2, [], [(1, 0)]))])
     def test_listening_removal_kills_pair(self, readd, final):
         # removing listening edge (1, 0) leaves pair (0, 1) with neither half
         tr = Trace(seed=0, params=bi(), initial=BidirectedNetwork(2, [], [(1, 0)]),
                    moves=[Move(MoveKind.REMOVE_LISTENING, EdgeKind.LISTENING,
-                               1, 0, 0), readd],
-                   final=final, converged=False, steps_sampled=2)
+                               1, 0), readd],
+                   final=final, converged=False)
         res = never_readd_check(tr)
         assert res.applicable and not res.ok
 
@@ -221,8 +221,8 @@ class TestNeverReadd:
 
     def test_malformed_trace_raises(self):
         tr = Trace(seed=0, params=bi(), initial=empty(2),
-                   moves=[Move(MoveKind.REMOVE_SPEAKING, EdgeKind.SPEAKING, 0, 1, 0)],
-                   final=empty(2), converged=False, steps_sampled=1)
+                   moves=[Move(MoveKind.REMOVE_SPEAKING, EdgeKind.SPEAKING, 0, 1)],
+                   final=empty(2), converged=False)
         with pytest.raises(TraceError):
             never_readd_check(tr)
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 import netform
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
                      TargetSets, agent_utility, is_bi_pairwise_stable,
-                     listening_reach, scan_witnesses, speaking_reach, utility,
-                     welfare)
+                     scan_witnesses, utility, welfare)
 from netform.generators import balanced_flower, cycle, empty
 
-from conftest import oracle_speaking_reach, oracle_utility, net_from_bits
+from conftest import (held_reach, oracle_speaking_reach, oracle_utility,
+                      net_from_bits)
 
 
 def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
@@ -70,7 +70,9 @@ class TestNetwork:
         assert other == net and other.revision == 0
 
         def rows(g):
-            return ([(g.successors(x, m), g.predecessors(x, m))
+            # successors, and predecessors as the k = 1 backward ball
+            return ([(g.successors(x, m),
+                      held_reach(g, Params(k=1, c_s=F(0), mode=m), x, False))
                      for m in Mode for x in range(3)],
                     [(g.out_listen(x), g.in_listen(x)) for x in range(3)])
 
@@ -192,17 +194,17 @@ class TestReach:
         net = cycle(4)
         p = bi()
         for v in range(4):
-            assert len(speaking_reach(net, p, v)) == 3
-            assert len(listening_reach(net, p, v)) == 3
+            assert len(held_reach(net, p, v)) == 3
+            assert len(held_reach(net, p, v, False)) == 3
 
     def test_k_bounds_path_length(self):
         net = cycle(4, lifted=False)
         p = di(k=2)
-        assert speaking_reach(net, p, 0) == {1, 2}
+        assert held_reach(net, p, 0) == {1, 2}
 
     def test_reach_excludes_self(self):
         net = cycle(3)
-        assert 0 not in speaking_reach(net, bi(), 0)
+        assert 0 not in held_reach(net, bi(), 0)
 
     def test_against_path_enumeration_oracle(self):
         # [DERIVED] independent simple-path enumeration over a dense sample
@@ -213,18 +215,18 @@ class TestReach:
                     p = Params(k=k, c_s=F(1), c_l=F(0) if mode is Mode.DIRECTED
                                else F(1), mode=mode)
                     for v in range(3):
-                        assert speaking_reach(net, p, v) == \
+                        assert held_reach(net, p, v) == \
                             oracle_speaking_reach(net, p, v)
 
     def test_duality(self):
-        # u in speaking_reach(v) iff v in listening_reach(u)
+        # v speaks to u within k steps iff u hears v within k steps
         net = net_from_bits(4, 0xBEEF, Mode.BIDIRECTED)
         p = bi(k=2)
         for u in range(4):
             for v in range(4):
                 if u != v:
-                    assert (u in speaking_reach(net, p, v)) == \
-                        (v in listening_reach(net, p, u))
+                    assert (u in held_reach(net, p, v)) == \
+                        (v in held_reach(net, p, u, False))
 
 
 class TestUtility:
@@ -285,6 +287,12 @@ class TestUtility:
         assert scan_witnesses(net, p, wide) == scan_witnesses(net, p, narrow)
         assert is_bi_pairwise_stable(net, p, wide) == \
             is_bi_pairwise_stable(net, p, narrow)
+
+    def test_out_of_range_agent_rejected(self):
+        # the from-scratch count checks its agent before any search
+        for v in (-1, 4):
+            with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+                agent_utility(cycle(4), bi(), ALL_OTHERS, v)
 
     def test_target_set_cannot_contain_owner(self):
         with pytest.raises(ValueError):

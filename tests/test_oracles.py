@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netform import (INF, BidirectedNetwork, Mode, Params, ReachBalls,
-                     condense, listening_reach, speaking_reach)
+                     condense)
 from netform.metrics import diameter
 from netform.model import _bfs, vertices
 from netform.scc import condensation
 
+from conftest import held_reach
 from scan_oracles import bfs_by_sets
 
 
@@ -105,8 +106,8 @@ class TestReach:
             fwd = nx.single_source_shortest_path_length(g, v, cutoff=cutoff)
             bwd = nx.single_source_shortest_path_length(g.reverse(), v,
                                                         cutoff=cutoff)
-            assert speaking_reach(net, params, v) == set(fwd) - {v}
-            assert listening_reach(net, params, v) == set(bwd) - {v}
+            assert held_reach(net, params, v) == set(fwd) - {v}
+            assert held_reach(net, params, v, False) == set(bwd) - {v}
 
 
 @st.composite

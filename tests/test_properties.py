@@ -5,11 +5,11 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import net_from_bits, oracle_speaking_reach, oracle_utility
+from conftest import (held_reach, net_from_bits, oracle_speaking_reach,
+                      oracle_utility)
 from lemma_suite import bidirected_violations, directed_violations
 from netform import (ALL_OTHERS, INF, Classification, EdgeKind, Mode, Params,
-                     agent_utility, classify, listening_reach, run,
-                     speaking_reach, welfare)
+                     agent_utility, classify, run, welfare)
 from netform.dynamics import iter_typed_pairs
 from netform.serialize import trace_from_text, trace_to_text
 
@@ -43,9 +43,9 @@ class TestReach:
     def test_duality(self, case):
         # v hears exactly those who reach v by speaking
         net, params = case
-        fwd = {u: speaking_reach(net, params, u) for u in range(net.n)}
+        fwd = {u: held_reach(net, params, u) for u in range(net.n)}
         for v in range(net.n):
-            assert listening_reach(net, params, v) == {
+            assert held_reach(net, params, v, False) == {
                 u for u in range(net.n) if u != v and v in fwd[u]}
 
     @given(directed_cases())
@@ -54,7 +54,7 @@ class TestReach:
         prev = [set() for _ in range(net.n)]
         for k in (1, 2, 3, 4, INF):
             p = Params(k=k, c_s=params.c_s, mode=Mode.DIRECTED)
-            cur = [speaking_reach(net, p, v) for v in range(net.n)]
+            cur = [held_reach(net, p, v) for v in range(net.n)]
             assert all(prev[v] <= cur[v] for v in range(net.n))
             prev = cur
 
@@ -62,7 +62,7 @@ class TestReach:
     def test_matches_simple_path_oracle(self, case):
         net, params = case
         for v in range(net.n):
-            assert speaking_reach(net, params, v) == \
+            assert held_reach(net, params, v) == \
                 oracle_speaking_reach(net, params, v)
 
     @given(directed_cases(max_n=5))
@@ -77,8 +77,8 @@ class TestReach:
                         full.add_listening(u, v)
         bi = Params(k=params.k, c_s=params.c_s, c_l=F(0))
         for v in range(net.n):
-            assert speaking_reach(net, params, v) == \
-                speaking_reach(full, bi, v)
+            assert held_reach(net, params, v) == \
+                held_reach(full, bi, v)
 
     @given(bidirected_cases(max_n=5))
     def test_dead_edges_never_carry_reach(self, case):
@@ -93,10 +93,10 @@ class TestReach:
             if not net.has_speaking(u, v):
                 pruned.remove_listening(v, u)
         for v in range(net.n):
-            assert speaking_reach(net, params, v) == \
-                speaking_reach(pruned, params, v)
-            assert listening_reach(net, params, v) == \
-                listening_reach(pruned, params, v)
+            assert held_reach(net, params, v) == \
+                held_reach(pruned, params, v)
+            assert held_reach(net, params, v, False) == \
+                held_reach(pruned, params, v, False)
 
 
 class TestUtility:

@@ -87,7 +87,7 @@ def toggle(net, kind, u, v):
     else:
         move = (MoveKind.REMOVE_LISTENING if net.has_listening(u, v)
                 else MoveKind.ADD_LISTENING)
-    apply_move(net, Move(move, kind, u, v, 0))
+    apply_move(net, Move(move, kind, u, v))
 
 
 def oracle_witnesses(net, params, tsets):
@@ -243,7 +243,7 @@ class TestStaleBalls:
             if edge is not None:
                 toggle(net, *edge)
             for v in range(net.n):
-                got = balls.utility(v)
+                got = F(balls.scaled_utility(v), balls.scale)
                 assert got == agent_utility(net, params, tsets, v), (edge, v)
                 if tsets is ALL_OTHERS and net.n <= 4:
                     assert got == oracle_utility(net, params, v), (edge, v)
