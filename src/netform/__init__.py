@@ -2,8 +2,7 @@
 network-formation game with distance-bounded reach utilities."""
 
 from .model import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
-                    TargetSets, UtilityBreakdown, agent_utility, utility,
-                    welfare)
+                    TargetSets, agent_utility, utility, welfare)
 from .dynamics import (Classification, EdgeKind, Move, MoveKind,
                        NeverReaddResult, ReachBalls, Trace, classify,
                        find_witness, never_readd_check, replay, run,

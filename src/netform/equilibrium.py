@@ -91,53 +91,34 @@ def bi_pairwise(balls: ReachBalls) -> StabilityReport:
     return report
 
 
-def agent_strategy(net: BidirectedNetwork, v: int):
-    """v's outgoing speaking and listening edges, as their heads."""
-    return (frozenset(w for w in range(net.n) if net.has_speaking(v, w)),
-            frozenset(w for w in range(net.n) if net.has_listening(v, w)))
-
-
-def set_agent_strategy(net: BidirectedNetwork, v: int,
-                       speak_to: frozenset, listen_to: frozenset):
-    speaks, listens = agent_strategy(net, v)
-    for w in speaks:
-        net.remove_speaking(v, w)
-    for w in listens:
-        net.remove_listening(v, w)
-    for w in speak_to:
-        net.add_speaking(v, w)
-    for w in listen_to:
-        net.add_listening(v, w)
-
-
 def brute_force_nash(net: BidirectedNetwork, params: Params,
                      targets: TargetSets = ALL_OTHERS) -> bool:
     """Literal Nash predicate: no agent has any strategy (its full set of
     outgoing speaking and listening edges) that strictly beats the current
-    one.  Exponential; guarded to small n."""
+    one.  Each agent walks its strategies on its own copy in reflected Gray
+    code order from the current one, so step i flips one edge: the one at
+    the index of i's lowest set bit.  Directed utility reads neither
+    listening edges nor their cost, so there only speaking edges are walked.
+    Exponential; guarded to small n."""
     n = net.n
-    limit = 6 if params.mode is Mode.BIDIRECTED else 7
+    directed = params.mode is Mode.DIRECTED
+    limit = 7 if directed else 6
     if n > limit:
         raise CapacityError(f"brute_force_nash guarded to n <= {limit} "
                             f"in {params.mode.value} mode, got n={n}")
-    work = net.copy()
     for v in range(n):
-        others = [w for w in range(n) if w != v]
+        work = net.copy()
         current = agent_utility(work, params, targets, v)
-        original = agent_strategy(work, v)
-        listen_masks = range(2 ** (n - 1)) if params.mode is Mode.BIDIRECTED else (0,)
-        try:
-            for s_mask in range(2 ** (n - 1)):
-                speak_to = frozenset(others[i] for i in range(n - 1)
-                                     if s_mask >> i & 1)
-                for l_mask in listen_masks:
-                    listen_to = frozenset(others[i] for i in range(n - 1)
-                                          if l_mask >> i & 1)
-                    set_agent_strategy(work, v, speak_to, listen_to)
-                    if agent_utility(work, params, targets, v) > current:
-                        return False
-        finally:
-            set_agent_strategy(work, v, *original)
+        kinds = [(work.has_speaking, work.add_speaking, work.remove_speaking)]
+        if not directed:
+            kinds.append((work.has_listening, work.add_listening,
+                          work.remove_listening))
+        edges = [(kind, w) for kind in kinds for w in range(n) if w != v]
+        for i in range(1, 2 ** len(edges)):
+            (has, add, remove), w = edges[(i & -i).bit_length() - 1]
+            (remove if has(v, w) else add)(v, w)
+            if agent_utility(work, params, targets, v) > current:
+                return False
     return True
 
 

@@ -315,34 +315,23 @@ def _count(net: BidirectedNetwork, params: Params, targets: TargetSets,
             & targets.mask(v, forward, net.n)).bit_count()
 
 
-@dataclass(frozen=True)
-class UtilityBreakdown:
-    speak_reach: int
-    listen_reach: int
-    out_speak: int
-    out_listen: int
-    u_s: Fraction
-    u_l: Fraction
-    u_total: Fraction
+def agent_utility(net: BidirectedNetwork, params: Params,
+                  targets: TargetSets, v: int) -> Fraction:
+    """v's total utility from fresh searches: the from-scratch definition
+    ``brute_force_nash`` uses and ``ReachBalls.scaled_utility`` is tested
+    against.  Directed mode counts the speaking half only."""
+    u = _count(net, params, targets, v, True) - params.c_s * net.out_speak(v)
+    if params.mode is Mode.DIRECTED:
+        return u
+    return (u + _count(net, params, targets, v, False)
+            - params.c_l * net.out_listen(v))
 
 
 def utility(net: BidirectedNetwork, params: Params,
-            targets: TargetSets = ALL_OTHERS, v: int = 0) -> UtilityBreakdown:
-    sr = _count(net, params, targets, v, True)
-    lr = _count(net, params, targets, v, False)
-    ds, dl = net.out_speak(v), net.out_listen(v)
-    u_s = sr - params.c_s * ds
-    u_l = lr - params.c_l * dl
-    total = u_s if params.mode is Mode.DIRECTED else u_s + u_l
-    return UtilityBreakdown(sr, lr, ds, dl, u_s, u_l, total)
-
-
-def agent_utility(net: BidirectedNetwork, params: Params,
-                  targets: TargetSets, v: int) -> Fraction:
-    """v's total utility, ``utility(...).u_total``: the from-scratch
-    definition ``brute_force_nash`` uses and ``ReachBalls.scaled_utility``
-    is tested against."""
-    return utility(net, params, targets, v).u_total
+            targets: TargetSets = ALL_OTHERS, v: int = 0) -> Fraction:
+    """``agent_utility``.  Nothing calls it: it stays only because the
+    benchmark tracer (``perfbench/tracer.LAYERS``) wraps this name."""
+    return agent_utility(net, params, targets, v)
 
 
 def welfare(net: BidirectedNetwork, params: Params,

@@ -23,6 +23,9 @@ MAX_EXPONENT = 4300  # Python's default int/str digit limit
 
 _DOC_FIELDS = {"n", "k", "c_s", "c_l", "mode", "speaking", "listening",
                "targets_s", "targets_l", "meta"}
+_TRACE_FIELDS = {"record", "seed", "rng_id", "converged", "steps_sampled",
+                 "n", "k", "c_s", "c_l", "mode", "initial_speaking",
+                 "initial_listening", "targets_s", "targets_l"}
 
 
 def parse_cost(text, where: str = "cost") -> Fraction:
@@ -89,8 +92,10 @@ def _parse_targets(raw, n: int, where: str) -> Dict[int, frozenset]:
         loc = f"{where}[{key!r}]"
         try:
             v = int(key)
-        except ValueError:
-            raise DocumentError(f"{loc}: key is not a vertex id") from None
+        except (TypeError, ValueError):
+            v = None
+        if key != str(v):  # only the form the emitters write
+            raise DocumentError(f"{loc}: key is not a vertex id")
         if not 0 <= v < n:
             raise DocumentError(f"{loc}: vertex out of range")
         if not isinstance(members, list) or not all(
@@ -254,6 +259,9 @@ def trace_from_text(text: str) -> Trace:
         raise DocumentError("trace: header line is not JSON") from None
     if not isinstance(header, dict) or header.get("record") != "trace":
         raise DocumentError("trace: not a trace record")
+    unknown = set(header) - _TRACE_FIELDS
+    if unknown:
+        raise DocumentError(f"trace: unknown fields {sorted(unknown)}")
     initial, params, targets = _parse_game(
         header, ("initial_speaking", "initial_listening"), "trace")
     seed = _trace_field(header, "seed", int)

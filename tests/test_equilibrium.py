@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import netform.equilibrium
 import netform.model
 from conftest import net_from_bits
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
@@ -12,7 +13,8 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
 from netform.cli import main
 from netform.equilibrium import census, iter_all_networks, net_from_mask
 from netform.errors import CapacityError
-from netform.generators import balanced_flower, complete_net, cycle, empty, kautz
+from netform.generators import (balanced_flower, complete_net, cycle, empty,
+                                kautz, random_net)
 from netform.serialize import format_k
 from scan_oracles import efficient_search_by_definition, poa_pos_by_definition
 
@@ -109,6 +111,49 @@ class TestBruteForceNash:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             brute_force_nash(empty(7), bi())
+
+    @pytest.mark.parametrize("net, p, edge_kinds", [
+        (random_net(4, 0.5, 0.5, 1), bi(k=2), 2),
+        (random_net(5, 0.4, 0.5, 2), di(k=2, cs=F(1, 2)), 1),
+    ], ids=["bidirected", "directed"])
+    def test_gray_walk_visits_each_strategy_once(self, monkeypatch, net, p,
+                                                 edge_kinds):
+        # a recorder that never reports a gain sees every agent's whole
+        # strategy space, each strategy once and one edge flip apart; the
+        # directed walk leaves listening edges as they are
+        def strategy(net, v):
+            return (frozenset(w for w in range(net.n) if net.has_speaking(v, w)),
+                    frozenset(w for w in range(net.n) if net.has_listening(v, w)))
+
+        seen = {v: [] for v in range(net.n)}
+        monkeypatch.setattr(netform.equilibrium, "agent_utility",
+                            lambda work, params, targets, v:
+                            seen[v].append(strategy(work, v)) or 0)
+        before, revision = net.copy(), net.revision
+        assert brute_force_nash(net, p)
+        assert net == before and net.revision == revision
+        for v, walk in seen.items():
+            assert len(walk) == 2 ** (edge_kinds * (net.n - 1))
+            assert len(set(walk)) == len(walk)
+            assert walk[0] == strategy(net, v)
+            assert all(len(s ^ t) + len(l ^ m) == 1
+                       for (s, l), (t, m) in zip(walk, walk[1:]))
+            if p.mode is Mode.DIRECTED:
+                assert {l for _, l in walk} == {strategy(net, v)[1]}
+
+    def test_directed_verdict_ignores_listening_edges(self):
+        # directed utility reads neither listening edges nor their cost
+        verdicts = []
+        nets = [cycle(5), cycle(6)] + [random_net(5, 0.4, 0.5, seed)
+                                       for seed in range(8)]
+        for net in nets:
+            bare = BidirectedNetwork(net.n, net.speaking)
+            assert net.listening and not bare.listening
+            for cs in (F(1, 2), F(2)):
+                verdict = brute_force_nash(net, di(cs=cs))
+                assert verdict == brute_force_nash(bare, di(cs=cs))
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
 
 class TestEfficiency:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import netform
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
                      TargetSets, agent_utility, is_bi_pairwise_stable,
-                     scan_witnesses, utility, welfare)
+                     scan_witnesses, welfare)
 from netform.generators import balanced_flower, cycle, empty
+from netform.model import _count
 
 from conftest import (held_reach, oracle_speaking_reach, oracle_utility,
                       net_from_bits)
@@ -247,8 +248,11 @@ class TestUtility:
         p = Params(k=10, c_s=F(4), mode=Mode.DIRECTED)
         assert welfare(net, p) == 26 * 25 - 4 * 5 - 4 * 25 == 530
         # center pays for q=5 edges, reaches everyone
-        assert utility(net, p, v=0).u_total == 25 - 4 * 5 == 5
-        assert utility(net, p, v=1).u_total == 25 - 4 == 21
+        assert _count(net, p, ALL_OTHERS, 0, True) == 25
+        assert (net.out_speak(0), net.out_speak(1)) == (5, 1)
+        assert agent_utility(net, p, ALL_OTHERS, 0) == 25 - 4 * 5 == 5
+        assert _count(net, p, ALL_OTHERS, 1, True) == 25
+        assert agent_utility(net, p, ALL_OTHERS, 1) == 25 - 4 == 21
 
     def test_directed_welfare_counts_speaking_only(self):
         net = cycle(4, lifted=False)
@@ -259,17 +263,24 @@ class TestUtility:
         net = net_from_bits(4, 0xFACE, Mode.BIDIRECTED)
         p = bi(k=2, cs=F(3, 7), cl=F(2, 5))
         for v in range(4):
-            b = utility(net, p, v=v)
-            assert b.u_s == b.speak_reach - p.c_s * b.out_speak
-            assert b.u_l == b.listen_reach - p.c_l * b.out_listen
-            assert b.u_total == b.u_s + b.u_l
-            assert b.u_total == oracle_utility(net, p, v)
+            speak = _count(net, p, ALL_OTHERS, v, True)
+            listen = _count(net, p, ALL_OTHERS, v, False)
+            assert speak == len(oracle_speaking_reach(net, p, v))
+            assert listen == sum(v in oracle_speaking_reach(net, p, u)
+                                 for u in range(4) if u != v)
+            u = agent_utility(net, p, ALL_OTHERS, v)
+            assert u == (speak - p.c_s * net.out_speak(v)
+                         + listen - p.c_l * net.out_listen(v))
+            assert u == oracle_utility(net, p, v)
 
     def test_target_sets_restrict_reach_value(self):
         net = cycle(4)
         t = TargetSets(speak={0: frozenset({1})}, listen={0: frozenset({1, 2})})
-        b = utility(net, bi(), t, 0)
-        assert b.speak_reach == 1 and b.listen_reach == 2
+        p = bi()
+        assert _count(net, p, t, 0, True) == 1
+        assert _count(net, p, t, 0, False) == 2
+        assert agent_utility(net, p, t, 0) == \
+            1 - p.c_s * net.out_speak(0) + 2 - p.c_l * net.out_listen(0)
 
     def test_out_of_range_targets_never_reached(self):
         # a member outside 0..n-1 (negative or >= n) counts as unreachable
@@ -279,14 +290,27 @@ class TestUtility:
                           listen={0: frozenset({-3, 2, 7})})
         narrow = TargetSets(speak={0: frozenset({1}), 2: frozenset()},
                             listen={0: frozenset({2})})
-        b = utility(net, p, wide, 0)
-        assert b.speak_reach == 1 and b.listen_reach == 1
+        assert _count(net, p, wide, 0, True) == 1
+        assert _count(net, p, wide, 0, False) == 1
         for v in range(4):
             assert agent_utility(net, p, wide, v) == \
                 agent_utility(net, p, narrow, v)
         assert scan_witnesses(net, p, wide) == scan_witnesses(net, p, narrow)
         assert is_bi_pairwise_stable(net, p, wide) == \
             is_bi_pairwise_stable(net, p, narrow)
+
+    def test_directed_runs_one_search_bidirected_two(self, monkeypatch):
+        # directed utility has no listening half, so no backward search
+        directions = []
+        bfs = netform.model._bfs
+        monkeypatch.setattr(netform.model, "_bfs",
+                            lambda *a: directions.append(a[3]) or bfs(*a))
+        net = cycle(4)
+        assert agent_utility(net, di(), ALL_OTHERS, 0) == 3 - 1
+        assert directions == [True]
+        directions.clear()
+        assert agent_utility(net, bi(), ALL_OTHERS, 0) == 3 + 3 - 1
+        assert directions == [True, False]
 
     def test_out_of_range_agent_rejected(self):
         # the from-scratch count checks its agent before any search

@@ -95,6 +95,25 @@ class TestDocuments:
         with pytest.raises(DocumentError, match="frobnicate"):
             parse_document(doc)
 
+    @pytest.mark.parametrize("key", ["01", " 2 ", "+1", "1_0", "1.0", "",
+                                     "x"])
+    def test_target_key_not_written_form_rejected(self, key):
+        # int() reads all of these; "1_0" would be vertex 10
+        doc = emit_document(empty(11), bi())
+        doc["targets_s"] = {key: [3]}
+        loc = re.escape(f"targets_s[{key!r}]")
+        with pytest.raises(DocumentError,
+                           match=f"^{loc}: key is not a vertex id$"):
+            parse_document(doc)
+
+    def test_colliding_target_keys_rejected(self):
+        # "1" and "01" once parsed to one vertex, the last key winning
+        doc = emit_document(empty(3), bi())
+        doc["targets_s"] = {"1": [0], "01": [2]}
+        with pytest.raises(DocumentError, match=r"^targets_s\['01'\]: key is "
+                                                r"not a vertex id$"):
+            parse_document(doc)
+
     def test_self_loop_rejected_with_position(self):
         doc = emit_document(empty(2), bi())
         doc["speaking"] = [[0, 1], [1, 1]]
@@ -272,6 +291,12 @@ class TestTraceDefects:
     @pytest.mark.parametrize("text, error, match", [
         pytest.param(_trace_text(_without("seed")), DocumentError,
                      "missing field 'seed'", id="missing-seed"),
+        pytest.param(_trace_text({**BASE_TRACE, "bogus": 1}), DocumentError,
+                     r"^trace: unknown fields \['bogus'\]$",
+                     id="unknown-field"),
+        pytest.param(_trace_text({**BASE_TRACE, "target_s": {"0": [1]}}),
+                     DocumentError, r"^trace: unknown fields \['target_s'\]$",
+                     id="misspelled-targets"),
         pytest.param(_trace_text({**BASE_TRACE, "mode": "weird"}),
                      DocumentError, "^mode:", id="unknown-mode"),
         pytest.param(_trace_text({**BASE_TRACE, "initial_speaking": [[0, 1], [2, 2]]}),
