@@ -14,8 +14,9 @@ from .equilibrium import (EfficiencyReport, PoAResult, StabilityReport,
 from .generators import (FlowerSpec, KautzSpec, balanced_flower, complete_net,
                          cycle, empty, kautz, lift, random_net,
                          unbalanced_flower)
-from .convergence import (CertMove, ComponentGraph, PathCertificate, condense,
-                          construct_path, lemma_checks, validate_certificate)
+from .convergence import (CertificateVerdict, CertMove, ComponentGraph,
+                          PathCertificate, condense, construct_path,
+                          lemma_checks, validate_certificate)
 from .metrics import (StructureMetrics, clustering_coefficient, diameter,
                       metrics, structure_search)
 from .errors import (CapacityError, ConstructionError, DocumentError,

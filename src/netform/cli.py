@@ -210,8 +210,10 @@ def _cmd_path(args) -> int:
     net, params, _, _ = _read_doc(args.input)
     cert = convergence.construct_path(net, params,
                                       assert_lemmas=args.assert_lemmas)
-    if not convergence.validate_certificate(cert, net, params):
-        raise LemmaCheckError("constructed certificate failed replay validation")
+    verdict = convergence.validate_certificate(cert, net, params)
+    if not verdict:
+        raise LemmaCheckError(
+            f"constructed certificate failed replay validation: {verdict}")
     _write(args.output, serialize.certificate_to_text(cert, net, params))
     return 0
 

@@ -109,18 +109,21 @@ def _addable(balls: ReachBalls, u: int, v: int) -> bool:
 
 
 def _strip_inplace(balls: ReachBalls) -> List[CertMove]:
-    net = balls.net
     removed = []
-    progress = True
-    while progress:
-        progress = False
-        for (u, v) in net.edges(speaking=True):
+    restart = True
+    while restart:
+        restart = False
+        for (u, v) in balls.net.edges(speaking=True):
             if balls.classify(EdgeKind.SPEAKING, u, v) \
                     is Classification.REMOVABLE:
-                net.remove_speaking(u, v)
                 removed.append(CertMove(MoveKind.REMOVE_SPEAKING, u, v, 1))
-                progress = True
-                break
+                # a lossless removal leaves every edge passed unremovable
+                # (same ball, a smaller skip search), so the walk, which
+                # reads each row as it reaches it, goes on; a lossy one
+                # restarts it
+                if not balls.remove_speaking(u, v):
+                    restart = True
+                    break
     return removed
 
 
@@ -364,20 +367,42 @@ _CERT_RULE = {MoveKind.ADD_SPEAKING: Classification.ADDABLE,
               MoveKind.REMOVE_SPEAKING: Classification.REMOVABLE}
 
 
+@dataclass(frozen=True)
+class CertificateVerdict:
+    """Truthy when a certificate replays; else why not ("unknown kind",
+    "bad pair", "wrong classification", "final mismatch" or "final not
+    stable") and the index of the failing move, None for the final checks."""
+    ok: bool
+    reason: str = ""
+    move: Optional[int] = None
+
+    def __bool__(self):
+        return self.ok
+
+    def __str__(self):
+        return (self.reason if self.move is None
+                else f"move {self.move}: {self.reason}")
+
+
 def validate_certificate(cert: PathCertificate, start: BidirectedNetwork,
-                         params: Params) -> bool:
+                         params: Params) -> CertificateVerdict:
     """Replay every move, requiring it to classify as addable/removable at
     its turn, and require the terminal network to match and be stable."""
     net = start.copy()
     balls = ReachBalls(net, params)
-    for mv in cert.moves:
+    for i, mv in enumerate(cert.moves):
         expected = _CERT_RULE.get(mv.kind)
         if expected is None:
-            return False
-        net._check_pair(mv.u, mv.v)
+            return CertificateVerdict(False, "unknown kind", i)
+        try:
+            net._check_pair(mv.u, mv.v)
+        except ValueError:
+            return CertificateVerdict(False, "bad pair", i)
         if balls.classify(EdgeKind.SPEAKING, mv.u, mv.v) is not expected:
-            return False
+            return CertificateVerdict(False, "wrong classification", i)
         apply_move(net, mv)
     if net != cert.final:
-        return False
-    return next(balls.witnesses(), None) is None
+        return CertificateVerdict(False, "final mismatch")
+    if next(balls.witnesses(), None) is not None:
+        return CertificateVerdict(False, "final not stable")
+    return CertificateVerdict(True)

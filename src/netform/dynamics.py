@@ -26,8 +26,8 @@ from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import TraceError
-from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
-                    _bfs)
+from .model import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
+                    TargetSets, _bfs)
 
 RNG_ID = "python-random-mt19937"
 
@@ -95,8 +95,9 @@ class Trace:
 
 class ReachBalls:
     """Reach balls of one network, each built by one BFS on first use and
-    dropped when ``net.revision`` moves, and the edge rule and the agents'
-    utilities decided from them.  Hold one for the network's life.  Balls
+    dropped when ``net.revision`` moves unless ``remove_speaking`` keeps
+    them, and the edge rule and the agents' utilities decided from them.
+    Hold one for the network's life.  Balls
     and target sets are bitsets (see ``model``), with one target mask per
     direction and owner.  A speaking edge moves only its owner's forward
     ball, a listening edge only the backward one.  Adding the live step
@@ -160,6 +161,21 @@ class ReachBalls:
         added = ((self.ball(v, forward)[1] | 1 << v)
                  & ~(self.ball(u, forward)[0] | 1 << u))
         return (added & self._masks[forward][u]).bit_count()
+
+    def remove_speaking(self, u: int, v: int) -> bool:
+        """``net.remove_speaking(u, v)``, keeping the held balls, and saying
+        so, when k = inf and u's ball is the same without the edge: v is
+        still reachable from u, so any path through (u, v) can detour u ~> v
+        instead, and no reach set, so no held ball, changes."""
+        net = self.net
+        net._check_pair(u, v)
+        held = self.ball(u, True)[0]
+        net.remove_speaking(u, v)
+        if self.params.k != INF or held != _bfs(net, INF, u, True,
+                                                self.params.mode)[0]:
+            return False
+        self._revision = net.revision
+        return True
 
     def scaled_utility(self, v: int) -> int:
         """``scale`` times v's utility, an exact integer counted from v's

@@ -55,8 +55,8 @@ def held_reach(net: BidirectedNetwork, params: Params, v: int,
 
 def strip_removables(net: BidirectedNetwork, params: Params):
     """A copy of net with removable speaking edges deleted one at a time,
-    each pass restarting from the lexicographically first edge, plus the
-    deleted edges in order: ``convergence._strip_inplace`` on a copy."""
+    always the lexicographically first removable one, plus the deleted
+    edges in order: ``convergence._strip_inplace`` on a copy."""
     out = net.copy()
     removed = _strip_inplace(ReachBalls(out, params))
     return out, [(m.u, m.v) for m in removed]

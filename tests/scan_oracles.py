@@ -1,13 +1,16 @@
 """Test oracles for the bitset reach kernel, the ball-based stability
-checks, the census folds and the dynamics' draw: the set-based reach
-search the kernel replaced, the edge rule and the bi-pairwise joint
-additions decided by mutating a copy of the network and recomputing reach
-or utility from scratch, the efficiency and PoA/PoS searches over every
-network with from-scratch welfare and a full witness scan, and the
-``randrange`` sampler that ``dynamics.step`` once called."""
+checks, the census folds, the dynamics' draw and the convergence strip:
+the set-based reach search the kernel replaced, the edge rule and the
+bi-pairwise joint additions decided by mutating a copy of the network and
+recomputing reach or utility from scratch, the efficiency and PoA/PoS
+searches over every network with from-scratch welfare and a full witness
+scan, the ``randrange`` sampler that ``dynamics.step`` once called, and the
+strip that restarts its sweep after every removal."""
 
 from netform import (Classification, EdgeKind, EfficiencyReport, Mode,
                      PoAResult, agent_utility, is_stable, welfare)
+from netform.convergence import CertMove
+from netform.dynamics import MoveKind
 from netform.equilibrium import iter_all_networks
 
 
@@ -47,6 +50,26 @@ def sample_by_randrange(rng, n):
     if v >= u:
         v += 1
     return kind, u, v
+
+
+def oracle_strip(balls):
+    """``convergence._strip_inplace`` as it was before removals kept the
+    balls: remove the lexicographically first removable speaking edge of
+    ``balls.net`` and restart the sweep from the first edge, until none is
+    removable.  The removals, as strip moves."""
+    net = balls.net
+    removed = []
+    progress = True
+    while progress:
+        progress = False
+        for (u, v) in net.edges(speaking=True):
+            if balls.classify(EdgeKind.SPEAKING, u, v) \
+                    is Classification.REMOVABLE:
+                net.remove_speaking(u, v)
+                removed.append(CertMove(MoveKind.REMOVE_SPEAKING, u, v, 1))
+                progress = True
+                break
+    return removed
 
 
 def _owner_reach_count(net, params, targets, kind, u):

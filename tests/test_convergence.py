@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,15 +7,17 @@ import pytest
 from netform import (INF, BidirectedNetwork, Mode, Params, ReachBalls,
                      condense, construct_path, is_stable, lemma_checks,
                      validate_certificate)
+from netform.cli import main
 from netform.convergence import CertMove, ComponentGraph
-from netform import dynamics
+from netform import convergence, dynamics
 from netform.dynamics import MoveKind
 from netform.errors import LemmaCheckError
 from netform.generators import cycle, empty, random_net
 from netform.scc import condensation
-from netform.serialize import certificate_to_text
+from netform.serialize import certificate_to_text, document_text, emit_document
 
 from conftest import strip_removables
+from scan_oracles import oracle_strip
 
 
 def di(c=2):
@@ -114,6 +117,64 @@ class TestStrip:
             before = len(condense(ReachBalls(net, p)).large)
             stripped, _ = strip_removables(net, p)
             assert len(condense(ReachBalls(stripped, p)).large) <= before
+
+    def test_lossy_removal_reopens_an_earlier_edge(self):
+        # [DERIVED] at c=2 the chain 0 -> 1 -> 2 keeps (0, 1), which loses
+        # 2 vertices, until the lossy removal of (1, 2) leaves it losing 1:
+        # the sweep must go back to the first edge
+        net = BidirectedNetwork(3, [(0, 1), (1, 2)])
+        balls = ReachBalls(net.copy(), di(2))
+        assert balls.classify(dynamics.EdgeKind.SPEAKING, 0, 1) is \
+            dynamics.Classification.STAY_PRESENT
+        assert balls.remove_speaking(1, 2) is False
+        stripped, removed = strip_removables(net, di(2))
+        assert removed == [(1, 2), (0, 1)] and not stripped.speaking
+        assert [(m.u, m.v) for m in oracle_strip(ReachBalls(net, di(2)))] \
+            == removed
+
+
+# random directed starts for the strip against its restart oracle: n from 2
+# to 12, the costs below, densities from sparse to dense
+STRIP_COSTS = ("1/3", "1/2", "1", "3/2", "2", "5/2", "3", "4")
+
+
+def strip_starts(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        yield (random_net(n, rng.choice((0.1, 0.2, 0.35, 0.6, 0.9)), 0.0,
+                          rng.getrandbits(32)), di(rng.choice(STRIP_COSTS)))
+
+
+class TestStripAgainstOracle:
+    def test_same_removals_and_fresh_balls(self):
+        for start, p in strip_starts(1000, 14):
+            net = start.copy()
+            balls = ReachBalls(net, p)
+            for x in range(net.n):  # every ball held, so any stale one shows
+                balls.ball(x, True), balls.ball(x, False)
+            removed = convergence._strip_inplace(balls)
+            oracle_net = start.copy()
+            assert oracle_strip(ReachBalls(oracle_net, p)) == removed, \
+                (start, p)
+            assert net == oracle_net
+            fresh = ReachBalls(net.copy(), p)
+            for x in range(net.n):
+                for forward in (True, False):
+                    assert balls.ball(x, forward) == fresh.ball(x, forward), \
+                        (start, p, x, forward)
+
+    def test_same_certificates(self, monkeypatch):
+        starts = list(strip_starts(200, 15))
+        runs = []
+        for strip in (convergence._strip_inplace, oracle_strip):
+            monkeypatch.setattr(convergence, "_strip_inplace", strip)
+            runs.append([(certificate_to_text(cert, start, p),
+                          cert.lemma_results)
+                         for start, p in starts
+                         for cert in [construct_path(start, p,
+                                                     assert_lemmas=False)]])
+        assert runs[0] == runs[1]
 
 
 class TestConstructPath:
@@ -272,3 +333,71 @@ class TestLemmaChecks:
 
     def test_lemma_check_error_is_assertion(self):
         assert issubclass(LemmaCheckError, AssertionError)
+
+
+class TestCertificateVerdict:
+    """``validate_certificate`` names the first failing move and why."""
+
+    def verdict(self, edit):
+        start, p = two_cycles(3), di(2)
+        cert = construct_path(start, p)
+        assert len(cert.moves) == 2
+        edit(cert)
+        return validate_certificate(cert, start, p)
+
+    def test_valid(self):
+        verdict = self.verdict(lambda cert: None)
+        assert verdict and verdict.ok and verdict.move is None
+
+    @pytest.mark.parametrize("kind", [MoveKind.NO_CHANGE,
+                                      MoveKind.ADD_LISTENING])
+    def test_unknown_kind(self, kind):
+        verdict = self.verdict(
+            lambda cert: cert.moves.insert(1, CertMove(kind, 0, 1, 5)))
+        assert not verdict
+        assert (verdict.reason, verdict.move) == ("unknown kind", 1)
+        assert str(verdict) == "move 1: unknown kind"
+
+    @pytest.mark.parametrize("u, v", [(2, 2), (0, 6), (-1, 0)])
+    def test_bad_pair(self, u, v):
+        verdict = self.verdict(lambda cert: cert.moves.insert(
+            0, CertMove(MoveKind.ADD_SPEAKING, u, v, 5)))
+        assert not verdict
+        assert (verdict.reason, verdict.move) == ("bad pair", 0)
+
+    def test_wrong_classification(self):
+        # the first move's edge, added a second time, is no longer absent
+        verdict = self.verdict(lambda cert: cert.moves.insert(
+            1, cert.moves[0]))
+        assert not verdict
+        assert (verdict.reason, verdict.move) == ("wrong classification", 1)
+
+    def test_final_mismatch(self):
+        verdict = self.verdict(lambda cert: cert.final.remove_speaking(0, 1))
+        assert not verdict
+        assert (verdict.reason, verdict.move) == ("final mismatch", None)
+        assert str(verdict) == "final mismatch"
+
+    def test_final_not_stable(self):
+        def stop_early(cert):
+            first = cert.moves[0]
+            del cert.moves[1:]
+            cert.final = two_cycles(3)
+            cert.final.add_speaking(first.u, first.v)
+        verdict = self.verdict(stop_early)
+        assert not verdict
+        assert (verdict.reason, verdict.move) == ("final not stable", None)
+
+    def test_cli_path_names_the_reason(self, tmp_path, monkeypatch, capsys):
+        build = convergence.construct_path
+
+        def tampered(start, params, **kw):
+            cert = build(start, params, **kw)
+            cert.moves.insert(0, CertMove(MoveKind.NO_CHANGE, 0, 1, 1))
+            return cert
+        monkeypatch.setattr(convergence, "construct_path", tampered)
+        doc = tmp_path / "d.json"
+        doc.write_text(document_text(emit_document(two_cycles(3), di(2))))
+        assert main(["path", "-i", str(doc), "-o", str(tmp_path / "c")]) == 3
+        assert "replay validation: move 0: unknown kind" in \
+            capsys.readouterr().err

@@ -3,6 +3,7 @@ toggle-and-recompute oracles in ``scan_oracles``."""
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -247,6 +248,39 @@ class TestStaleBalls:
                 assert got == agent_utility(net, params, tsets, v), (edge, v)
                 if tsets is ALL_OTHERS and net.n <= 4:
                     assert got == oracle_utility(net, params, v), (edge, v)
+
+    @given(cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_remove_speaking_keeps_only_valid_balls(self, case, data):
+        # every ball is held before the removal, so a wrong carry-over would
+        # answer from a stale ball; it is carried exactly when the removal
+        # is lossless at k = inf
+        net, params, tsets = case
+        present = list(net.edges(speaking=True))
+        if not present:
+            return
+        u, v = data.draw(st.sampled_from(present))
+        balls = ReachBalls(net, params, tsets)
+        for x in range(net.n):
+            balls.ball(x, True), balls.ball(x, False)
+        before = net.copy()
+        before.remove_speaking(u, v)
+        fresh = ReachBalls(before, params, tsets)
+        lossless = fresh.ball(u, True) == balls.ball(u, True)
+        assert balls.remove_speaking(u, v) is (params.k == INF and lossless)
+        assert net == before
+        for x in range(net.n):
+            for forward in (True, False):
+                assert balls.ball(x, forward) == fresh.ball(x, forward), \
+                    (x, forward)
+
+    def test_remove_speaking_bad_edge_changes_nothing(self):
+        net = BidirectedNetwork(3, [(0, 1)])
+        balls = ReachBalls(net, Params(k=INF, c_s=F(1), mode=Mode.DIRECTED))
+        for u, v in ((0, 0), (0, 3), (1, 0)):
+            with pytest.raises(ValueError):
+                balls.remove_speaking(u, v)
+            assert net.speaking == {(0, 1)} and net.revision == 0
 
 
 def test_target_masks_built_only_where_read(monkeypatch):
