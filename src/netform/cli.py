@@ -40,7 +40,12 @@ def _write(path: Optional[str], text: str):
 
 def _read_doc(path: str):
     with open(path, encoding="utf-8") as fh:
-        return serialize.parse_document(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8/JSON, too deep
+            raise DocumentError(f"{path}: not readable as JSON ({exc})"
+                                ) from None
+    return serialize.parse_document(doc)
 
 
 _FLAGS = {"k": "--k", "c_s": "--cs", "c_l": "--cl"}
@@ -271,7 +276,8 @@ def _cmd_metrics(args) -> int:
         "out_listen_hist": {str(k): v for k, v in sorted(m.out_listen_hist.items())},
         "in_listen_hist": {str(k): v for k, v in sorted(m.in_listen_hist.items())},
         "polarization": None if m.polarization is None else str(m.polarization),
-        "edge_count": len(net.speaking) + len(net.listening),
+        "edge_count": sum(net.out_speak(v) + net.out_listen(v)
+                          for v in range(net.n)),
     }
     _write(args.output, json.dumps(out, sort_keys=True, indent=2) + "\n")
     return 0

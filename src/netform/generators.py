@@ -1,7 +1,8 @@
 """Deterministic constructors for the named networks plus seeded random nets.
 
-Directed constructions emit speaking edges only; ``lifted`` variants add the
-reverse listening edge of every speaking edge so every step is live in the
+Directed constructions emit speaking edges only; their ``lifted`` (or
+``bidirected``) variants are ``lift`` of them, which adds the reverse
+listening edge of every speaking edge so every step is live in the
 bidirected model.
 """
 
@@ -45,24 +46,14 @@ def lift(net: BidirectedNetwork) -> BidirectedNetwork:
 def cycle(n: int, lifted: bool = True) -> BidirectedNetwork:
     if n < 2:
         raise ValueError("cycle needs n >= 2")
-    net = BidirectedNetwork(n)
-    for i in range(n):
-        net.add_speaking(i, (i + 1) % n)
-    if lifted:
-        for i in range(n):
-            net.add_listening((i + 1) % n, i)
-    return net
+    net = BidirectedNetwork(n, [(i, (i + 1) % n) for i in range(n)])
+    return lift(net) if lifted else net
 
 
 def complete_net(n: int, bidirected: bool = True) -> BidirectedNetwork:
-    net = BidirectedNetwork(n)
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                net.add_speaking(u, v)
-                if bidirected:
-                    net.add_listening(u, v)
-    return net
+    net = BidirectedNetwork(n, [(u, v) for u in range(n) for v in range(n)
+                                if u != v])
+    return lift(net) if bidirected else net
 
 
 def _flower_from_petals(n: int, petals: List[List[int]]) -> BidirectedNetwork:
@@ -145,9 +136,7 @@ def kautz(d: int, D: int, lifted: bool = False
         for y in range(d + 1):
             if y != lab[-1]:
                 net.add_speaking(index[lab], index[lab[1:] + (y,)])
-    if lifted:
-        net = lift(net)
-    return net, KautzSpec(d=d, D=D, n=n)
+    return lift(net) if lifted else net, KautzSpec(d=d, D=D, n=n)
 
 
 def random_net(n: int, p_s: float, p_l: float, seed: int) -> BidirectedNetwork:

@@ -1,32 +1,29 @@
-"""Structural metrics on the live-pair graph and stable-structure search."""
+"""Structural metrics on the live rows and stable-structure search."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from .dynamics import run
 from .generators import random_net
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
-                    TargetSets, _bfs)
+                    TargetSets, _bfs, _transpose, ascending)
 from .scc import condensation
 
+#: Network sizes ``structure_search`` cycles through, and its step cap per run.
+SEARCH_SIZES = (4, 5, 6, 7, 8)
+SEARCH_MAX_STEPS = 4000
 
-def live_pairs(net: BidirectedNetwork, mode: Mode) -> List[Tuple[int, int]]:
-    return sorted((u, v) for u in range(net.n)
-                  for v in net.successors(u, mode))
 
-
-def undirected_projection(net: BidirectedNetwork, mode: Mode) -> List[set]:
-    """Adjacency of the simple undirected graph whose edges are unordered
-    pairs live in at least one direction."""
-    adj = [set() for _ in range(net.n)]
-    for u, v in live_pairs(net, mode):
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _live_rows(net: BidirectedNetwork, mode: Mode):
+    """The live out-rows and the rows of the undirected projection, where
+    u and v are adjacent when a step between them is live either way."""
+    live = [net.successors(v, mode) for v in range(net.n)]
+    return live, [row | back for row, back in zip(live, _transpose(live))]
 
 
 def diameter(net: BidirectedNetwork, mode: Mode):
@@ -63,26 +60,19 @@ class StructureMetrics:
     polarization: Optional[Fraction]
 
 
-def _hist(values) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return out
+def _transitivity(adj: List[int]) -> Fraction:
+    """Closed wedges over wedges of an undirected graph given as rows; the
+    sum of |adj[a] & adj[v]| over v's neighbours a finds each closed wedge
+    a-v-b at v from both ends."""
+    wedges = sum(d * (d - 1) // 2 for d in map(int.bit_count, adj))
+    closed = sum((adj[a] & row).bit_count()
+                 for row in adj for a in ascending(row)) // 2
+    return Fraction(closed, wedges) if wedges else Fraction(0)
 
 
 def clustering_coefficient(net: BidirectedNetwork, mode: Mode) -> Fraction:
     """Global clustering (transitivity) of the undirected live projection."""
-    adj = undirected_projection(net, mode)
-    closed = 0
-    wedges = 0
-    for v in range(net.n):
-        deg = len(adj[v])
-        wedges += deg * (deg - 1) // 2
-        for a in adj[v]:
-            for b in adj[v]:
-                if a < b and b in adj[a]:
-                    closed += 1
-    return Fraction(closed, wedges) if wedges else Fraction(0)
+    return _transitivity(_live_rows(net, mode)[1])
 
 
 def _groups_from_targets(net: BidirectedNetwork, targets: TargetSets
@@ -99,25 +89,28 @@ def _groups_from_targets(net: BidirectedNetwork, targets: TargetSets
 def metrics(net: BidirectedNetwork, params: Params,
             targets: TargetSets = ALL_OTHERS) -> StructureMetrics:
     mode = params.mode
-    pairs = live_pairs(net, mode)
+    live, adj = _live_rows(net, mode)
     comps, _ = condensation([_bfs(net, INF, v, True, mode)[0] | 1 << v
                              for v in range(net.n)])
-    speaking = net.speaking
-    reciprocity = (Fraction(sum((v, u) in speaking for (u, v) in speaking),
-                            len(speaking)) if speaking else Fraction(0))
+    speak = [net.successors(v, Mode.DIRECTED) for v in range(net.n)]
+    said = sum(map(int.bit_count, speak))
+    mutual = sum((row & back).bit_count()  # u speaks to v and v to u
+                 for row, back in zip(speak, _transpose(speak)))
     groups = _groups_from_targets(net, targets)
+    steps = sum(map(int.bit_count, live))
     polarization = None
-    if groups is not None and pairs:
-        crossing = sum(1 for (u, v) in pairs if groups[u] != groups[v])
-        polarization = Fraction(crossing, len(pairs))
+    if groups is not None and steps:
+        crossing = sum(groups[u] != groups[v]
+                       for u, row in enumerate(live) for v in ascending(row))
+        polarization = Fraction(crossing, steps)
     return StructureMetrics(
-        clustering=clustering_coefficient(net, mode),
-        scc_sizes=_hist(c.bit_count() for c in comps),
-        reciprocity=reciprocity,
-        out_speak_hist=_hist(net.out_speak(v) for v in range(net.n)),
-        in_speak_hist=_hist(net.in_speak(v) for v in range(net.n)),
-        out_listen_hist=_hist(net.out_listen(v) for v in range(net.n)),
-        in_listen_hist=_hist(net.in_listen(v) for v in range(net.n)),
+        clustering=_transitivity(adj),
+        scc_sizes=Counter(c.bit_count() for c in comps),
+        reciprocity=Fraction(mutual, said) if said else Fraction(0),
+        out_speak_hist=Counter(net.out_speak(v) for v in range(net.n)),
+        in_speak_hist=Counter(net.in_speak(v) for v in range(net.n)),
+        out_listen_hist=Counter(net.out_listen(v) for v in range(net.n)),
+        in_listen_hist=Counter(net.in_listen(v) for v in range(net.n)),
         polarization=polarization,
     )
 
@@ -138,10 +131,7 @@ def start_density(rng: random.Random) -> float:
 
 
 def structure_search(params: Params, budget: int,
-                     targets: TargetSets = ALL_OTHERS,
-                     ns: Sequence[int] = (4, 5, 6, 7, 8),
-                     seed: int = 0,
-                     max_steps_per_run: int = 4000
+                     targets: TargetSets = ALL_OTHERS, seed: int = 0
                      ) -> Optional[BidirectedNetwork]:
     """Random-restart search over dynamics fixed points for a STABLE network
     with both an open and a closed triangle.  The budget counts network states
@@ -151,7 +141,7 @@ def structure_search(params: Params, budget: int,
     spent = 0
     attempt = 0
     while spent < budget:
-        n = ns[attempt % len(ns)]
+        n = SEARCH_SIZES[attempt % len(SEARCH_SIZES)]
         attempt += 1
         p = start_density(rng)
         start = random_net(n, p, p if params.mode is Mode.BIDIRECTED else 0,
@@ -159,7 +149,7 @@ def structure_search(params: Params, budget: int,
         spent += 1
         trace = run(start, params, targets,
                     seed=rng.getrandbits(63),
-                    max_steps=min(max_steps_per_run, max(1, budget - spent)))
+                    max_steps=min(SEARCH_MAX_STEPS, max(1, budget - spent)))
         spent += trace.steps_sampled
         if trace.converged and has_open_and_closed_triangle(trace.final,
                                                             params.mode):

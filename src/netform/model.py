@@ -204,8 +204,9 @@ class BidirectedNetwork:
             return self._speak_out if forward else self._speak_in
         return self._live_out if forward else self._live_in
 
-    def successors(self, x: int, mode: Mode) -> set:
-        return vertices(self._rows(True, mode)[x])
+    def successors(self, x: int, mode: Mode) -> int:
+        """x's live out-row: bit v when the step x -> v is live in ``mode``."""
+        return self._rows(True, mode)[x]
 
     def out_speak(self, v: int) -> int:
         return self._speak_out[v].bit_count()
@@ -273,11 +274,6 @@ def _transpose(rows: list) -> list:
             out[b] |= 1 << a
             row ^= 1 << b
     return out
-
-
-def vertices(bits: int) -> set:
-    """The vertices of a bitset."""
-    return set(ascending(bits))
 
 
 def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,

@@ -255,7 +255,7 @@ def trace_from_text(text: str) -> Trace:
         raise DocumentError("trace: missing header or column line")
     try:
         header = json.loads(lines[0])
-    except ValueError:
+    except (ValueError, RecursionError):  # nested too deep to decode
         raise DocumentError("trace: header line is not JSON") from None
     if not isinstance(header, dict) or header.get("record") != "trace":
         raise DocumentError("trace: not a trace record")

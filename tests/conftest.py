@@ -11,7 +11,7 @@ import pytest
 import netform
 from netform import INF, BidirectedNetwork, Mode, Params, ReachBalls
 from netform.convergence import _strip_inplace
-from netform.model import vertices
+from netform.model import ascending
 
 
 def child_env() -> dict:
@@ -21,6 +21,11 @@ def child_env() -> dict:
     path = os.environ.get("PYTHONPATH")
     return {**os.environ,
             "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
+
+
+def members(bits: int) -> set:
+    """The vertices of a bitset, as a set."""
+    return set(ascending(bits))
 
 
 def oracle_live(net: BidirectedNetwork, mode: Mode, u: int, v: int) -> bool:
@@ -50,7 +55,7 @@ def held_reach(net: BidirectedNetwork, params: Params, v: int,
                forward: bool = True) -> set:
     """v's speaking (forward) or listening reach as ``ReachBalls.ball``, the
     production kernel, holds it."""
-    return vertices(ReachBalls(net, params).ball(v, forward)[0])
+    return members(ReachBalls(net, params).ball(v, forward)[0])
 
 
 def strip_removables(net: BidirectedNetwork, params: Params):

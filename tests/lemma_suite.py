@@ -11,7 +11,7 @@ with an addable edge need not contain a large component.
 
 import networkx as nx
 
-from conftest import strip_removables
+from conftest import oracle_live, strip_removables
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
                      EdgeKind, Mode, Params, all_complete, classify,
                      is_bi_pairwise_stable, is_stable)
@@ -22,8 +22,8 @@ def _live_graph(net: BidirectedNetwork, mode: Mode) -> nx.DiGraph:
     """The live-step digraph, for networkx's independent condensation."""
     g = nx.DiGraph()
     g.add_nodes_from(range(net.n))
-    g.add_edges_from((u, v) for u in range(net.n)
-                     for v in net.successors(u, mode))
+    g.add_edges_from((u, v) for u in range(net.n) for v in range(net.n)
+                     if oracle_live(net, mode, u, v))
     return g
 
 

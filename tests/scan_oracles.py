@@ -7,6 +7,7 @@ searches over every network with from-scratch welfare and a full witness
 scan, the ``randrange`` sampler that ``dynamics.step`` once called, and the
 strip that restarts its sweep after every removal."""
 
+from conftest import oracle_live
 from netform import (Classification, EdgeKind, EfficiencyReport, Mode,
                      PoAResult, agent_utility, is_stable, welfare)
 from netform.convergence import CertMove
@@ -17,9 +18,10 @@ from netform.equilibrium import iter_all_networks
 def bfs_by_sets(net, k, v, forward, mode, skip=None):
     """``model._bfs`` over vertex sets, one live step at a time: the ball
     of v within k steps (never v) and the layer at distance exactly k, with
-    v's own step to ``skip`` left out.  Backward steps are the successor
-    sets reversed, so no in-row is read."""
-    nbrs = [net.successors(x, mode) for x in range(net.n)]
+    v's own step to ``skip`` left out.  Steps come from edge queries
+    (``conftest.oracle_live``), so no row is read."""
+    nbrs = [{y for y in range(net.n) if oracle_live(net, mode, x, y)}
+            for x in range(net.n)]
     if not forward:
         nbrs = [{y for y in range(net.n) if x in nbrs[y]}
                 for x in range(net.n)]

@@ -2,19 +2,21 @@
 code."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netform import (INF, BidirectedNetwork, Mode, Params, ReachBalls,
-                     condense)
-from netform.metrics import diameter
-from netform.model import _bfs, vertices
+                     TargetSets, condense)
+from netform.metrics import diameter, metrics
+from netform.model import _bfs
 from netform.scc import condensation
 
-from conftest import held_reach
+from conftest import held_reach, members, oracle_live
 from scan_oracles import bfs_by_sets
 
 
@@ -151,8 +153,8 @@ class TestReachKernel:
                     assert isinstance(ball, int) and isinstance(last, int)
                     expect_ball, expect_last = bfs_by_sets(net, k, v, forward,
                                                            mode, skip)
-                    assert vertices(ball) == expect_ball
-                    assert vertices(last) == expect_last
+                    assert members(ball) == expect_ball
+                    assert members(last) == expect_last
                     h = gv.copy()
                     if skip is not None:
                         h.remove_edge(v, skip)
@@ -172,3 +174,46 @@ class TestReachKernel:
         g = nx_graph(n, edges)
         expected = (nx.diameter(g) if nx.is_strongly_connected(g) else INF)
         assert diameter(net, mode) == expected
+
+
+@st.composite
+def metrics_cases(draw, max_n=8):
+    """A network, a mode and speaking target sets, some of whose members lie
+    outside 0..n-1 (polarization compares the raw sets)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+    net = BidirectedNetwork(n, draw(edges), draw(edges))
+    speak = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=n - 1),
+        st.frozensets(st.integers(min_value=-1, max_value=n))))
+    targets = TargetSets(speak={v: t - {v} for v, t in speak.items()})
+    return net, draw(st.sampled_from(Mode)), targets
+
+
+class TestMetrics:
+    @given(metrics_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_metrics_match_networkx(self, case):
+        # every number against networkx on graphs built from edge queries
+        net, mode, targets = case
+        n = net.n
+        live = nx_graph(n, [(u, v) for u in range(n) for v in range(n)
+                            if oracle_live(net, mode, u, v)])
+        speaking = nx_graph(n, [(u, v) for u in range(n) for v in range(n)
+                                if net.has_speaking(u, v)])
+        m = metrics(net, Params(k=INF, c_s=F(1), mode=mode), targets)
+        assert float(m.clustering) == pytest.approx(
+            nx.transitivity(live.to_undirected()))
+        assert float(m.reciprocity) == pytest.approx(
+            nx.overall_reciprocity(speaking) if speaking.edges else 0)
+        assert m.scc_sizes == Counter(
+            len(c) for c in nx.strongly_connected_components(live))
+        # the share of live steps between agents of different groups, a
+        # group being an agent's speaking targets with itself
+        group = {v: t | {v} for v, t in targets.speak.items()}
+        if targets.speak and live.edges:
+            crossing = sum(group.get(u) != group.get(v) for u, v in live.edges)
+            assert m.polarization == F(crossing, live.number_of_edges())
+        else:
+            assert m.polarization is None

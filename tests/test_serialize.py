@@ -260,6 +260,11 @@ class TestTraces:
         with pytest.raises(DocumentError):
             trace_from_text("{}\nstep,kind,u,v\n")
 
+    def test_deeply_nested_header_rejected(self):
+        # too deep for the JSON decoder: a DocumentError, not RecursionError
+        with pytest.raises(DocumentError, match="header line is not JSON"):
+            trace_from_text("[" * 200_000 + "\nstep,kind,edge,u,v\n")
+
 
 # a valid trace header on 3 vertices; with the row "0,-s,s,0,1" it replays
 BASE_TRACE = {"record": "trace", "seed": 3, "rng_id": "python-random-mt19937",
@@ -659,6 +664,21 @@ class TestCli:
                               str(tmp_path)], env=child_env(),
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 1 and out.stderr.startswith("error:")
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("content", [b"[" * 200_000, b"\xff\xfe{",
+                                         b'{"n": 3, "speak'],
+                             ids=["deep", "not-utf8", "truncated"])
+    def test_unreadable_document_named(self, tmp_path, content):
+        # nested too deep to decode, not UTF-8, or cut short: an error line
+        # naming the file and exit code 1
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(content)
+        out = subprocess.run([sys.executable, "-m", "netform", "check", "-i",
+                              str(doc)], env=child_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert out.stderr.startswith(f"error: {doc}: not readable as JSON")
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("argv", [["empty", "--n", str(MAX_AGENTS + 1)],
