@@ -45,7 +45,10 @@ def _read_doc(path: str):
         except (ValueError, RecursionError) as exc:  # not UTF-8/JSON, too deep
             raise DocumentError(f"{path}: not readable as JSON ({exc})"
                                 ) from None
-    return serialize.parse_document(doc)
+    try:
+        return serialize.parse_document(doc)
+    except DocumentError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
 
 
 _FLAGS = {"k": "--k", "c_s": "--cs", "c_l": "--cl"}

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from .dynamics import Classification, EdgeKind, MoveKind, ReachBalls, apply_move
+from .dynamics import Classification, EdgeKind, MoveKind, ReachBalls
 from .errors import ConstructionError, LemmaCheckError
 from .model import BidirectedNetwork, INF, Mode, Params, ascending
 from .scc import condensation
@@ -121,7 +121,7 @@ def _strip_inplace(balls: ReachBalls) -> List[CertMove]:
                 # (same ball, a smaller skip search), so the walk, which
                 # reads each row as it reaches it, goes on; a lossy one
                 # restarts it
-                if not balls.remove_speaking(u, v):
+                if not balls.flip(True, u, v, False):
                     restart = True
                     break
     return removed
@@ -224,7 +224,7 @@ def _apply_add(balls: ReachBalls, moves, u, v, label):
     if not _addable(balls, u, v):
         raise LemmaCheckError(
             f"step {label} selected edge ({u}, {v}) that is not addable")
-    balls.net.add_speaking(u, v)
+    balls.flip(True, u, v, True)
     moves.append(CertMove(MoveKind.ADD_SPEAKING, u, v, label))
 
 
@@ -400,7 +400,7 @@ def validate_certificate(cert: PathCertificate, start: BidirectedNetwork,
             return CertificateVerdict(False, "bad pair", i)
         if balls.classify(EdgeKind.SPEAKING, mv.u, mv.v) is not expected:
             return CertificateVerdict(False, "wrong classification", i)
-        apply_move(net, mv)
+        balls.flip(True, mv.u, mv.v, expected is Classification.ADDABLE)
     if net != cert.final:
         return CertificateVerdict(False, "final mismatch")
     if next(balls.witnesses(), None) is not None:

@@ -94,10 +94,10 @@ class Trace:
 
 
 class ReachBalls:
-    """Reach balls of one network, each built by one BFS on first use and
-    dropped when ``net.revision`` moves unless ``remove_speaking`` keeps
-    them, and the edge rule and the agents' utilities decided from them.
-    Hold one for the network's life.  Balls
+    """Reach balls of one network, each built by one BFS on first use, and
+    the edge rule and the agents' utilities decided from them.  Hold one for
+    the network's life and mutate it through ``flip``; ``net.revision`` only
+    guards against a change made outside it, which drops every ball.  Balls
     and target sets are bitsets (see ``model``), with one target mask per
     direction and owner.  A speaking edge moves only its owner's forward
     ball, a listening edge only the backward one.  Adding the live step
@@ -162,20 +162,35 @@ class ReachBalls:
                  & ~(self.ball(u, forward)[0] | 1 << u))
         return (added & self._masks[forward][u]).bit_count()
 
-    def remove_speaking(self, u: int, v: int) -> bool:
-        """``net.remove_speaking(u, v)``, keeping the held balls, and saying
-        so, when k = inf and u's ball is the same without the edge: v is
-        still reachable from u, so any path through (u, v) can detour u ~> v
-        instead, and no reach set, so no held ball, changes."""
-        net = self.net
-        net._check_pair(u, v)
-        held = self.ball(u, True)[0]
-        net.remove_speaking(u, v)
-        if self.params.k != INF or held != _bfs(net, INF, u, True,
-                                                self.params.mode)[0]:
-            return False
+    def flip(self, speaking: bool, a: int, b: int, add: bool) -> bool:
+        """``net._flip(speaking, a, b, add)``, keeping each held ball the
+        change cannot move; True when that is every ball: the edge's step
+        u -> v is dead, or the removal is lossless at k = inf (a's ball is
+        unchanged, so a path through the step can detour).  Else a forward
+        ball stays when its owner is not u and its inner ball lacks u, a
+        backward one likewise for v: a path through u -> v first reaches u,
+        within k - 1 steps."""
+        net, mode = self.net, self.params.mode
+        net._check_pair(a, b)  # before any ball is read
+        if self._revision != net.revision:  # changed outside flip
+            self._balls = ({}, {})
+        u, v = (a, b) if speaking else (b, a)  # the step u -> v
+        live = (speaking if mode is Mode.DIRECTED else
+                (net._listen_out if speaking else net._speak_out)[b] >> a & 1)
+        exact = live and not add and self.params.k == INF
+        held = self.ball(a, speaking)[0] if exact else None
+        net._flip(speaking, a, b, add)
         self._revision = net.revision
-        return True
+        if exact:
+            new = _bfs(net, INF, a, speaking, mode)[0]
+        if not live or exact and new == held:
+            return True
+        self._balls = tuple({x: got for x, got in balls.items()
+                             if x != pivot and not got[1] >> pivot & 1}
+                            for balls, pivot in zip(self._balls, (v, u)))
+        if exact:
+            self._balls[speaking][a] = (new, new)  # no last layer at k = inf
+        return False
 
     def scaled_utility(self, v: int) -> int:
         """``scale`` times v's utility, an exact integer counted from v's
@@ -268,9 +283,9 @@ def apply_move(net: BidirectedNetwork, move) -> None:
 
 
 def step(balls: ReachBalls, rng: random.Random) -> Move:
-    """One dynamics round, drawn as the module docstring says.  Mutates
-    ``balls.net`` when the sampled edge fires; fewer than two agents raise
-    ValueError, since no pair can be drawn."""
+    """One dynamics round, drawn as the module docstring says.  When the
+    sampled edge fires it changes ``balls.net`` through ``balls.flip``;
+    fewer than two agents raise ValueError, since no pair can be drawn."""
     n = balls.net.n
     if n < 2:
         raise ValueError(f"a dynamics round needs two agents, got n={n}")
@@ -292,9 +307,8 @@ def step(balls: ReachBalls, rng: random.Random) -> Move:
     cls = balls.classify(kind, u, v)
     if cls is not Classification.ADDABLE and cls is not Classification.REMOVABLE:
         return Move(MoveKind.NO_CHANGE, kind, u, v)
-    move = Move(_FIRES[cls, kind], kind, u, v)
-    apply_move(balls.net, move)
-    return move
+    balls.flip(kind is EdgeKind.SPEAKING, u, v, cls is Classification.ADDABLE)
+    return Move(_FIRES[cls, kind], kind, u, v)
 
 
 def run(initial: BidirectedNetwork, params: Params,

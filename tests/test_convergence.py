@@ -126,7 +126,7 @@ class TestStrip:
         balls = ReachBalls(net.copy(), di(2))
         assert balls.classify(dynamics.EdgeKind.SPEAKING, 0, 1) is \
             dynamics.Classification.STAY_PRESENT
-        assert balls.remove_speaking(1, 2) is False
+        assert balls.flip(True, 1, 2, False) is False
         stripped, removed = strip_removables(net, di(2))
         assert removed == [(1, 2), (0, 1)] and not stripped.speaking
         assert [(m.u, m.v) for m in oracle_strip(ReachBalls(net, di(2)))] \

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import net_from_bits, oracle_utility
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
                      EdgeKind, Mode, Move, MoveKind, Params, ReachBalls,
-                     TargetSets, agent_utility, classify, find_witness,
-                     is_bi_pairwise_stable, is_stable, scan_witnesses)
+                     TargetSets, agent_utility, classify, construct_path,
+                     find_witness, is_bi_pairwise_stable, is_stable, run,
+                     scan_witnesses, validate_certificate)
 from netform.dynamics import apply_move, iter_typed_pairs
 from netform.generators import random_net
 from scan_oracles import bi_pairwise_by_utility, classify_by_toggle
@@ -250,37 +251,90 @@ class TestStaleBalls:
                     assert got == oracle_utility(net, params, v), (edge, v)
 
     @given(cases(), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_remove_speaking_keeps_only_valid_balls(self, case, data):
-        # every ball is held before the removal, so a wrong carry-over would
-        # answer from a stale ball; it is carried exactly when the removal
-        # is lossless at k = inf
+    @settings(max_examples=300, deadline=None)
+    def test_flip_keeps_only_valid_balls(self, case, data):
+        # a random set of balls is held before each flip, and now and then
+        # the network is changed outside flip, so a wrong carry-over would
+        # answer from a stale ball; every ball still held must be the fresh
+        # one, and all are kept exactly when the flipped edge's step is dead
+        # (its live row does not move) or the removal leaves the owner's
+        # ball unchanged at k = inf
         net, params, tsets = case
-        present = list(net.edges(speaking=True))
-        if not present:
-            return
-        u, v = data.draw(st.sampled_from(present))
         balls = ReachBalls(net, params, tsets)
-        for x in range(net.n):
-            balls.ball(x, True), balls.ball(x, False)
-        before = net.copy()
-        before.remove_speaking(u, v)
-        fresh = ReachBalls(before, params, tsets)
-        lossless = fresh.ball(u, True) == balls.ball(u, True)
-        assert balls.remove_speaking(u, v) is (params.k == INF and lossless)
-        assert net == before
-        for x in range(net.n):
-            for forward in (True, False):
-                assert balls.ball(x, forward) == fresh.ball(x, forward), \
-                    (x, forward)
+        pairs = list(iter_typed_pairs(net.n))
+        held = st.lists(st.tuples(st.integers(0, net.n - 1), st.booleans()),
+                        max_size=2 * net.n)
 
-    def test_remove_speaking_bad_edge_changes_nothing(self):
+        def has(kind, a, b):
+            return (net.has_speaking(a, b) if kind is EdgeKind.SPEAKING
+                    else net.has_listening(a, b))
+
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            for x, forward in data.draw(held):
+                balls.ball(x, forward)
+            if data.draw(st.integers(0, 3)) == 0:
+                toggle(net, *data.draw(st.sampled_from(pairs)))
+            # present edges drawn twice as often, so removals are common
+            kind, a, b = data.draw(st.sampled_from(
+                pairs + [p for p in pairs if has(*p)]))
+            speaking, add = kind is EdgeKind.SPEAKING, not has(kind, a, b)
+            u = a if speaking else b  # the step u -> v
+            before = net.copy()
+            kept = ([dict(d) for d in balls._balls]
+                    if balls._revision == net.revision else [{}, {}])
+            old = ReachBalls(before, params, tsets).ball(a, speaking)
+            keeps_all = balls.flip(speaking, a, b, add)
+            fresh = ReachBalls(net, params, tsets)
+            dead = before.successors(u, params.mode) == \
+                net.successors(u, params.mode)
+            lossless = (params.k == INF and not add
+                        and fresh.ball(a, speaking) == old)
+            assert keeps_all is bool(dead or lossless), (kind, a, b, add)
+            assert balls._revision == net.revision
+            for forward in (False, True):
+                if keeps_all:
+                    assert kept[forward].keys() <= balls._balls[forward].keys()
+                for x, got in balls._balls[forward].items():
+                    assert got == fresh.ball(x, forward), (x, forward)
+
+    def test_flip_bad_edge_changes_nothing(self):
+        # a bad pair (an out-of-range owner too), a present add or an absent
+        # remove raises ValueError and changes neither the network, its
+        # revision nor a held ball
         net = BidirectedNetwork(3, [(0, 1)])
         balls = ReachBalls(net, Params(k=INF, c_s=F(1), mode=Mode.DIRECTED))
-        for u, v in ((0, 0), (0, 3), (1, 0)):
+        balls.ball(1, True)
+        held = [dict(d) for d in balls._balls]
+        for speaking, a, b, add in ((True, 0, 0, True), (True, 0, 3, True),
+                                    (True, 3, 0, True), (True, 3, 0, False),
+                                    (False, 3, 0, True), (True, 1, 0, False),
+                                    (True, 0, 1, True), (False, 0, 1, False)):
             with pytest.raises(ValueError):
-                balls.remove_speaking(u, v)
-            assert net.speaking == {(0, 1)} and net.revision == 0
+                balls.flip(speaking, a, b, add)
+            assert net.speaking == {(0, 1)} and not net.listening
+            assert net.revision == 0 and balls._revision == 0
+            assert [dict(d) for d in balls._balls] == held
+
+    def test_nothing_mutates_held_network_behind_its_balls(self, monkeypatch):
+        # every ball read finds the balls at the network's revision: each
+        # mutation of a held network went through ReachBalls.flip
+        ball = ReachBalls.ball
+
+        def checked(self, x, forward):
+            assert self._revision == self.net.revision
+            return ball(self, x, forward)
+
+        monkeypatch.setattr(ReachBalls, "ball", checked)
+        for seed in range(3):
+            start = random_net(6, 0.3, 0.3, seed)
+            run(start, Params(k=2, c_s=F(1, 2), c_l=F(1, 2)), seed=seed,
+                max_steps=3000)
+            run(start, Params(k=INF, c_s=F(3, 2), mode=Mode.DIRECTED),
+                seed=seed, max_steps=3000)
+            start = random_net(8, 0.3, 0.0, seed)
+            params = Params(k=INF, c_s=F(3, 2), mode=Mode.DIRECTED)
+            cert = construct_path(start, params)
+            assert validate_certificate(cert, start, params)
 
 
 def test_target_masks_built_only_where_read(monkeypatch):

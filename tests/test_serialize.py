@@ -681,6 +681,20 @@ class TestCli:
         assert out.stderr.startswith(f"error: {doc}: not readable as JSON")
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("command", ["run", "check", "path", "metrics",
+                                         "export-dot"])
+    def test_invalid_document_named(self, tmp_path, command):
+        # JSON that is not a document: the error line names the file
+        doc = tmp_path / "notdoc.json"
+        for content in ('{"not": "a document"}', "[1]"):
+            doc.write_text(content)
+            out = subprocess.run([sys.executable, "-m", "netform", command,
+                                  "-i", str(doc)], env=child_env(),
+                                 capture_output=True, text=True, timeout=60)
+            assert out.returncode == 1
+            assert out.stderr.startswith(f"error: {doc}: document: ")
+            assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("argv", [["empty", "--n", str(MAX_AGENTS + 1)],
                                       ["kautz", "--d", "2", "--D", "14"]])
     def test_generate_agent_cap(self, capsys, argv):
