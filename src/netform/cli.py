@@ -249,17 +249,29 @@ def _cmd_census(args) -> int:
     writer.writerow(["k", "c_s", "c_l", "bitmask", "welfare", "stable",
                      "bi_pairwise", "complete", "symmetric"])
     if args.sweep:
-        with open(args.sweep, encoding="utf-8") as fh:
-            rows = csv.DictReader(fh, restval="")
-            missing = {"k", "c_s", "c_l"}.difference(rows.fieldnames or ())
-            if missing:
-                raise DocumentError(f"{args.sweep}: missing column(s) "
-                                    f"{', '.join(sorted(missing))}")
-            for row in rows:
-                where = {column: f"{args.sweep}, line {rows.line_num}, "
-                                 f"column {column}" for column in _FLAGS}
-                _census_rows(args.n, _params(row["k"], row["c_s"], row["c_l"],
-                                             args.mode, where), writer)
+        with open(args.sweep, "rb") as fh:
+            data = fh.read()
+        try:  # decoded whole, so a bad byte's line is known
+            reader = csv.DictReader(io.StringIO(data.decode("utf-8"),
+                                                newline=None), restval="")
+            rows = [(reader.line_num, row) for row in reader]
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DocumentError(f"{args.sweep}, line {line}: not UTF-8 "
+                                f"({exc.reason})") from None
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            # the csv reader's count: DictReader's moves after a good row
+            raise DocumentError(f"{args.sweep}, line {reader.reader.line_num}"
+                                f": not readable as CSV ({exc})") from None
+        missing = {"k", "c_s", "c_l"}.difference(reader.fieldnames or ())
+        if missing:
+            raise DocumentError(f"{args.sweep}: missing column(s) "
+                                f"{', '.join(sorted(missing))}")
+        for line, row in rows:
+            where = {column: f"{args.sweep}, line {line}, column {column}"
+                     for column in _FLAGS}
+            _census_rows(args.n, _params(row["k"], row["c_s"], row["c_l"],
+                                         args.mode, where), writer)
     else:
         _census_rows(args.n, _params(args.k, args.cs, args.cl, args.mode),
                      writer)

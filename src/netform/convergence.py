@@ -25,7 +25,8 @@ addable edge without any strictly-large component existing (e.g. a chain of
 singletons at c = 1); in that regime every removable edge loses nothing, so
 the constructor falls back to adding the lexicographically first addable
 edge (labelled step 4), which strictly grows total reach and terminates.
-Every emitted move is re-verified with ``classify`` before it is applied.
+Every emitted move is made by ``ReachBalls.fire``, which applies it only
+when the edge rule allows it at its turn.
 """
 
 from __future__ import annotations
@@ -114,14 +115,13 @@ def _strip_inplace(balls: ReachBalls) -> List[CertMove]:
     while restart:
         restart = False
         for (u, v) in balls.net.edges(speaking=True):
-            if balls.classify(EdgeKind.SPEAKING, u, v) \
-                    is Classification.REMOVABLE:
+            if balls.fire(EdgeKind.SPEAKING, u, v) is MoveKind.REMOVE_SPEAKING:
                 removed.append(CertMove(MoveKind.REMOVE_SPEAKING, u, v, 1))
-                # a lossless removal leaves every edge passed unremovable
-                # (same ball, a smaller skip search), so the walk, which
-                # reads each row as it reaches it, goes on; a lossy one
-                # restarts it
-                if not balls.flip(True, u, v, False):
+                # a lossless removal (v stays in u's ball, held after fire)
+                # leaves every edge passed unremovable (same ball, a smaller
+                # skip search), so the walk, which reads each row as it
+                # reaches it, goes on; a lossy one restarts it
+                if not balls.ball(u, True)[0] >> v & 1:
                     restart = True
                     break
     return removed
@@ -221,10 +221,9 @@ def _pre_step_checks(balls: ReachBalls, cg: ComponentGraph,
 
 
 def _apply_add(balls: ReachBalls, moves, u, v, label):
-    if not _addable(balls, u, v):
+    if balls.fire(EdgeKind.SPEAKING, u, v) is not MoveKind.ADD_SPEAKING:
         raise LemmaCheckError(
             f"step {label} selected edge ({u}, {v}) that is not addable")
-    balls.flip(True, u, v, True)
     moves.append(CertMove(MoveKind.ADD_SPEAKING, u, v, label))
 
 
@@ -362,11 +361,6 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
     raise ConstructionError("step 8 found no qualifying small root component")
 
 
-# the classification a certificate move must have at its turn
-_CERT_RULE = {MoveKind.ADD_SPEAKING: Classification.ADDABLE,
-              MoveKind.REMOVE_SPEAKING: Classification.REMOVABLE}
-
-
 @dataclass(frozen=True)
 class CertificateVerdict:
     """Truthy when a certificate replays; else why not ("unknown kind",
@@ -386,21 +380,19 @@ class CertificateVerdict:
 
 def validate_certificate(cert: PathCertificate, start: BidirectedNetwork,
                          params: Params) -> CertificateVerdict:
-    """Replay every move, requiring it to classify as addable/removable at
-    its turn, and require the terminal network to match and be stable."""
+    """Replay every move, requiring the edge rule to make it at its turn,
+    and require the terminal network to match and be stable."""
     net = start.copy()
     balls = ReachBalls(net, params)
     for i, mv in enumerate(cert.moves):
-        expected = _CERT_RULE.get(mv.kind)
-        if expected is None:
+        if mv.kind not in (MoveKind.ADD_SPEAKING, MoveKind.REMOVE_SPEAKING):
             return CertificateVerdict(False, "unknown kind", i)
         try:
             net._check_pair(mv.u, mv.v)
         except ValueError:
             return CertificateVerdict(False, "bad pair", i)
-        if balls.classify(EdgeKind.SPEAKING, mv.u, mv.v) is not expected:
+        if balls.fire(EdgeKind.SPEAKING, mv.u, mv.v) is not mv.kind:
             return CertificateVerdict(False, "wrong classification", i)
-        balls.flip(True, mv.u, mv.v, expected is Classification.ADDABLE)
     if net != cert.final:
         return CertificateVerdict(False, "final mismatch")
     if next(balls.witnesses(), None) is not None:

@@ -96,7 +96,7 @@ class Trace:
 class ReachBalls:
     """Reach balls of one network, each built by one BFS on first use, and
     the edge rule and the agents' utilities decided from them.  Hold one for
-    the network's life and mutate it through ``flip``; ``net.revision`` only
+    the network's life and mutate it through ``fire``; ``net.revision`` only
     guards against a change made outside it, which drops every ball.  Balls
     and target sets are bitsets (see ``model``), with one target mask per
     direction and owner.  A speaking edge moves only its owner's forward
@@ -113,7 +113,7 @@ class ReachBalls:
     times a utility, ``scale`` the least common denominator of the costs."""
 
     __slots__ = ("net", "params", "_balls", "_revision", "_masks", "rules",
-                 "scale", "_costs")
+                 "scale", "_costs", "_after")
 
     def __init__(self, net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS):
@@ -133,6 +133,8 @@ class ReachBalls:
         # [forward]: scale times the listening (backward) or speaking cost
         self._costs = tuple(c.numerator * (self.scale // c.denominator)
                             for c in (params.c_l, params.c_s))
+        # the last present edge's skip search, None if dead; fire reads it
+        self._after = None
 
     def with_net(self, net: BidirectedNetwork) -> "ReachBalls":
         """Empty reach balls of ``net``, a network on as many agents, sharing
@@ -162,36 +164,6 @@ class ReachBalls:
                  & ~(self.ball(u, forward)[0] | 1 << u))
         return (added & self._masks[forward][u]).bit_count()
 
-    def flip(self, speaking: bool, a: int, b: int, add: bool) -> bool:
-        """``net._flip(speaking, a, b, add)``, keeping each held ball the
-        change cannot move; True when that is every ball: the edge's step
-        u -> v is dead, or the removal is lossless at k = inf (a's ball is
-        unchanged, so a path through the step can detour).  Else a forward
-        ball stays when its owner is not u and its inner ball lacks u, a
-        backward one likewise for v: a path through u -> v first reaches u,
-        within k - 1 steps."""
-        net, mode = self.net, self.params.mode
-        net._check_pair(a, b)  # before any ball is read
-        if self._revision != net.revision:  # changed outside flip
-            self._balls = ({}, {})
-        u, v = (a, b) if speaking else (b, a)  # the step u -> v
-        live = (speaking if mode is Mode.DIRECTED else
-                (net._listen_out if speaking else net._speak_out)[b] >> a & 1)
-        exact = live and not add and self.params.k == INF
-        held = self.ball(a, speaking)[0] if exact else None
-        net._flip(speaking, a, b, add)
-        self._revision = net.revision
-        if exact:
-            new = _bfs(net, INF, a, speaking, mode)[0]
-        if not live or exact and new == held:
-            return True
-        self._balls = tuple({x: got for x, got in balls.items()
-                             if x != pivot and not got[1] >> pivot & 1}
-                            for balls, pivot in zip(self._balls, (v, u)))
-        if exact:
-            self._balls[speaking][a] = (new, new)  # no last layer at k = inf
-        return False
-
     def scaled_utility(self, v: int) -> int:
         """``scale`` times v's utility, an exact integer counted from v's
         held balls, target masks and out-degrees."""
@@ -219,13 +191,40 @@ class ReachBalls:
             return (Classification.ADDABLE
                     if live and self.gain(u, v, forward) >= add_min
                     else Classification.STAY_ABSENT)
-        lost = 0
-        if live:
-            kept = _bfs(net, self.params.k, u, forward, self.params.mode, v)[0]
-            lost = (self.ball(u, forward)[0] & ~kept
-                    & self._masks[forward][u]).bit_count()
+        after = self._after = (_bfs(net, self.params.k, u, forward,
+                                    self.params.mode, v) if live else None)
+        lost = 0 if after is None else (self.ball(u, forward)[0] & ~after[0]
+                                        & self._masks[forward][u]).bit_count()
         return (Classification.REMOVABLE if lost <= lost_max
                 else Classification.STAY_PRESENT)
+
+    def fire(self, kind: EdgeKind, u: int, v: int) -> MoveKind:
+        """Classify the typed edge (u, v) and make the move when it is
+        addable or removable: the move made, or NO_CHANGE.  Every held ball
+        stays when the step is dead or, at k = inf, the removal keeps v in
+        u's ball (a path through the step can detour).  Else a ball in the
+        edge's direction stays when its owner is not u and its inner ball
+        lacks u (a path through the step reaches u within k - 1 steps), one
+        in the other direction likewise for v, and a removal holds u's new
+        ball, classify's skip search."""
+        cls = self.classify(kind, u, v)
+        if cls is Classification.STAY_ABSENT or cls is Classification.STAY_PRESENT:
+            return MoveKind.NO_CHANGE
+        net, forward = self.net, kind is EdgeKind.SPEAKING
+        add = cls is Classification.ADDABLE
+        after = None if add else self._after
+        if self._revision != net.revision:  # changed outside fire
+            self._balls = ({}, {})
+        net._flip(forward, u, v, add)
+        self._revision = net.revision
+        if add or after and not (self.params.k == INF and after[0] >> v & 1):
+            pivots = (v, u) if forward else (u, v)  # [forward]
+            self._balls = tuple({x: got for x, got in balls.items()
+                                 if x != pivot and not got[1] >> pivot & 1}
+                                for balls, pivot in zip(self._balls, pivots))
+            if not add:
+                self._balls[forward][u] = (after[0], after[0] & ~after[1])
+        return _FIRES[cls, kind]
 
     def witnesses(self):
         """Every addable or removable typed edge, in ``iter_typed_pairs``
@@ -283,9 +282,9 @@ def apply_move(net: BidirectedNetwork, move) -> None:
 
 
 def step(balls: ReachBalls, rng: random.Random) -> Move:
-    """One dynamics round, drawn as the module docstring says.  When the
-    sampled edge fires it changes ``balls.net`` through ``balls.flip``;
-    fewer than two agents raise ValueError, since no pair can be drawn."""
+    """One dynamics round, drawn as the module docstring says: ``balls.fire``
+    decides the sampled edge and, when it fires, changes ``balls.net``.
+    Fewer than two agents raise ValueError, since no pair can be drawn."""
     n = balls.net.n
     if n < 2:
         raise ValueError(f"a dynamics round needs two agents, got n={n}")
@@ -304,11 +303,7 @@ def step(balls: ReachBalls, rng: random.Random) -> Move:
         v = bits(width)
     if v >= u:
         v += 1
-    cls = balls.classify(kind, u, v)
-    if cls is not Classification.ADDABLE and cls is not Classification.REMOVABLE:
-        return Move(MoveKind.NO_CHANGE, kind, u, v)
-    balls.flip(kind is EdgeKind.SPEAKING, u, v, cls is Classification.ADDABLE)
-    return Move(_FIRES[cls, kind], kind, u, v)
+    return Move(balls.fire(kind, u, v), kind, u, v)
 
 
 def run(initial: BidirectedNetwork, params: Params,

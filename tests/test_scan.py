@@ -13,6 +13,7 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
                      TargetSets, agent_utility, classify, construct_path,
                      find_witness, is_bi_pairwise_stable, is_stable, run,
                      scan_witnesses, validate_certificate)
+from netform import dynamics
 from netform.dynamics import apply_move, iter_typed_pairs
 from netform.generators import random_net
 from scan_oracles import bi_pairwise_by_utility, classify_by_toggle
@@ -252,13 +253,15 @@ class TestStaleBalls:
 
     @given(cases(), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_flip_keeps_only_valid_balls(self, case, data):
-        # a random set of balls is held before each flip, and now and then
-        # the network is changed outside flip, so a wrong carry-over would
-        # answer from a stale ball; every ball still held must be the fresh
-        # one, and all are kept exactly when the flipped edge's step is dead
-        # (its live row does not move) or the removal leaves the owner's
-        # ball unchanged at k = inf
+    def test_fire_makes_the_oracle_move_and_keeps_only_valid_balls(
+            self, case, data):
+        # a random set of balls is held before each fire, and now and then
+        # the network is changed outside fire, so a wrong carry-over would
+        # answer from a stale ball.  fire makes the toggle oracle's move and
+        # changes the network by exactly that edge; every ball still held
+        # must be the fresh one, and all are kept when nothing fires, when
+        # the fired edge's step is dead (its live row does not move) or when
+        # the removal leaves the owner's ball unchanged at k = inf
         net, params, tsets = case
         balls = ReachBalls(net, params, tsets)
         pairs = list(iter_typed_pairs(net.n))
@@ -275,49 +278,67 @@ class TestStaleBalls:
             if data.draw(st.integers(0, 3)) == 0:
                 toggle(net, *data.draw(st.sampled_from(pairs)))
             # present edges drawn twice as often, so removals are common
-            kind, a, b = data.draw(st.sampled_from(
+            kind, u, v = data.draw(st.sampled_from(
                 pairs + [p for p in pairs if has(*p)]))
-            speaking, add = kind is EdgeKind.SPEAKING, not has(kind, a, b)
-            u = a if speaking else b  # the step u -> v
-            before = net.copy()
+            forward, removal = kind is EdgeKind.SPEAKING, has(kind, u, v)
+            cls = classify_by_toggle(net, params, tsets, kind, u, v)
+            expected = (MoveKind(("-" if removal else "+") + kind.value)
+                        if cls in FIRES else MoveKind.NO_CHANGE)
+            before, revision = net.copy(), net.revision
             kept = ([dict(d) for d in balls._balls]
                     if balls._revision == net.revision else [{}, {}])
-            old = ReachBalls(before, params, tsets).ball(a, speaking)
-            keeps_all = balls.flip(speaking, a, b, add)
+            old = ReachBalls(before, params, tsets).ball(u, forward)
+            got = balls.fire(kind, u, v)
+            assert got is expected, (kind, u, v)
+            if got is MoveKind.NO_CHANGE:
+                assert net == before and net.revision == revision
+                keeps_all = True
+            else:
+                tail = u if forward else v  # the step tail -> head
+                dead = net.successors(tail, params.mode) == \
+                    before.successors(tail, params.mode)
+                lossless = (params.k == INF and removal and
+                            ReachBalls(net, params, tsets).ball(u, forward)
+                            == old)
+                keeps_all = dead or lossless
+                toggle(before, kind, u, v)
+                assert net == before and balls._revision == net.revision
             fresh = ReachBalls(net, params, tsets)
-            dead = before.successors(u, params.mode) == \
-                net.successors(u, params.mode)
-            lossless = (params.k == INF and not add
-                        and fresh.ball(a, speaking) == old)
-            assert keeps_all is bool(dead or lossless), (kind, a, b, add)
-            assert balls._revision == net.revision
             for forward in (False, True):
                 if keeps_all:
-                    assert kept[forward].keys() <= balls._balls[forward].keys()
-                for x, got in balls._balls[forward].items():
-                    assert got == fresh.ball(x, forward), (x, forward)
+                    assert kept[forward].items() <= \
+                        balls._balls[forward].items(), (kind, u, v)
+                if balls._revision == net.revision:
+                    for x, ball in balls._balls[forward].items():
+                        assert ball == fresh.ball(x, forward), (x, forward)
 
-    def test_flip_bad_edge_changes_nothing(self):
-        # a bad pair (an out-of-range owner too), a present add or an absent
-        # remove raises ValueError and changes neither the network, its
-        # revision nor a held ball
-        net = BidirectedNetwork(3, [(0, 1)])
-        balls = ReachBalls(net, Params(k=INF, c_s=F(1), mode=Mode.DIRECTED))
-        balls.ball(1, True)
-        held = [dict(d) for d in balls._balls]
-        for speaking, a, b, add in ((True, 0, 0, True), (True, 0, 3, True),
-                                    (True, 3, 0, True), (True, 3, 0, False),
-                                    (False, 3, 0, True), (True, 1, 0, False),
-                                    (True, 0, 1, True), (False, 0, 1, False)):
-            with pytest.raises(ValueError):
-                balls.flip(speaking, a, b, add)
-            assert net.speaking == {(0, 1)} and not net.listening
-            assert net.revision == 0 and balls._revision == 0
-            assert [dict(d) for d in balls._balls] == held
+    @pytest.mark.parametrize("edge", [(0, 2), (1, 2)],
+                             ids=["lossless", "lossy"])
+    def test_removal_runs_one_search(self, monkeypatch, edge):
+        # with u's ball held, a removal at k = inf runs only classify's skip
+        # search: fire reads it for the lossless check and u's new ball
+        net = BidirectedNetwork(3, [(0, 1), (1, 2), (0, 2)])
+        balls = ReachBalls(net, Params(k=INF, c_s=F(2), mode=Mode.DIRECTED))
+        u, v = edge
+        balls.ball(u, True)
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return bfs(*args)
+
+        bfs = dynamics._bfs
+        monkeypatch.setattr(dynamics, "_bfs", counted)
+        assert balls.fire(EdgeKind.SPEAKING, u, v) is MoveKind.REMOVE_SPEAKING
+        assert len(searches) == 1
+        # u's new ball is held: only the fresh one below is searched
+        assert balls.ball(u, True) == \
+            ReachBalls(net, balls.params).ball(u, True)
+        assert len(searches) == 2
 
     def test_nothing_mutates_held_network_behind_its_balls(self, monkeypatch):
         # every ball read finds the balls at the network's revision: each
-        # mutation of a held network went through ReachBalls.flip
+        # mutation of a held network went through ReachBalls.fire
         ball = ReachBalls.ball
 
         def checked(self, x, forward):

@@ -681,6 +681,24 @@ class TestCli:
         assert out.stderr.startswith(f"error: {doc}: not readable as JSON")
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("content, line", [
+        (b"k,c_s,c_l\n1,1,0\n2,\xff,0\n", 3),
+        (b"k,c_s,c_l\n1,1,0\n2," + b"1" * 200_000 + b",0\n", 3),
+        (b"k," + b"c" * 200_000 + b"\n", 1),
+    ], ids=["not-utf8", "huge-field", "huge-header"])
+    def test_unreadable_sweep_named(self, tmp_path, content, line):
+        # a byte that is not UTF-8 or a field over the csv module's size
+        # limit: an error line naming the file and the line, exit code 1
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_bytes(content)
+        out = subprocess.run([sys.executable, "-m", "netform", "census",
+                              "--n", "2", "--mode", "directed", "--sweep",
+                              str(sweep)], env=child_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1 and out.stdout == ""
+        assert out.stderr.startswith(f"error: {sweep}, line {line}: ")
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("command", ["run", "check", "path", "metrics",
                                          "export-dot"])
     def test_invalid_document_named(self, tmp_path, command):
