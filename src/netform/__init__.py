@@ -11,9 +11,8 @@ from .equilibrium import (EfficiencyReport, PoAResult, StabilityReport,
                           all_complete, brute_force_nash, check_symmetric,
                           efficient_search, is_bi_pairwise_stable, is_stable,
                           poa_pos)
-from .generators import (FlowerSpec, KautzSpec, balanced_flower, complete_net,
-                         cycle, empty, kautz, lift, random_net,
-                         unbalanced_flower)
+from .generators import (FlowerSpec, balanced_flower, complete_net, cycle,
+                         empty, kautz, lift, random_net, unbalanced_flower)
 from .convergence import (CertificateVerdict, CertMove, ComponentGraph,
                           PathCertificate, condense, construct_path,
                           lemma_checks, validate_certificate)

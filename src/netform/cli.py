@@ -166,8 +166,8 @@ def _cmd_generate(args) -> int:
             raise _UsageError("unbalanced-flower requires a finite --k")
         net = generators.unbalanced_flower(n, params.k)
     elif fam == "kautz":
-        net, spec = generators.kautz(d, D, lifted=args.lifted)
-        meta.update(d=spec.d, D=spec.D)
+        net = generators.kautz(d, D, lifted=args.lifted)
+        meta.update(d=d, D=D)
     elif fam == "random":
         net = generators.random_net(n, args.ps, args.pl, args.seed)
         meta.update(p_s=args.ps, p_l=args.pl, seed=args.seed)

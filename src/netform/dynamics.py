@@ -51,18 +51,15 @@ class MoveKind(Enum):
     REMOVE_LISTENING = "-l"
     NO_CHANGE = "."
 
+    def __init__(self, value: str):
+        # speaking: the move's edge is a speaking edge; add: it adds the edge
+        self.speaking = value[1:] == "s"
+        self.add = value[0] == "+"
 
-# keyed by ``_value_``: an enum member's ``__hash__`` runs in Python
-_APPLY = {MoveKind.ADD_SPEAKING._value_: BidirectedNetwork.add_speaking,
-          MoveKind.REMOVE_SPEAKING._value_: BidirectedNetwork.remove_speaking,
-          MoveKind.ADD_LISTENING._value_: BidirectedNetwork.add_listening,
-          MoveKind.REMOVE_LISTENING._value_: BidirectedNetwork.remove_listening}
 
-# move fired by an addable/removable classification of a typed edge
-_FIRES = {(Classification.ADDABLE, EdgeKind.SPEAKING): MoveKind.ADD_SPEAKING,
-          (Classification.ADDABLE, EdgeKind.LISTENING): MoveKind.ADD_LISTENING,
-          (Classification.REMOVABLE, EdgeKind.SPEAKING): MoveKind.REMOVE_SPEAKING,
-          (Classification.REMOVABLE, EdgeKind.LISTENING): MoveKind.REMOVE_LISTENING}
+# [add, speaking]: the move that adds or removes that edge kind
+_MOVES = {(kind.add, kind.speaking): kind for kind in MoveKind
+          if kind is not MoveKind.NO_CHANGE}
 
 
 class Move(NamedTuple):
@@ -133,7 +130,8 @@ class ReachBalls:
         # [forward]: scale times the listening (backward) or speaking cost
         self._costs = tuple(c.numerator * (self.scale // c.denominator)
                             for c in (params.c_l, params.c_s))
-        # the last present edge's skip search, None if dead; fire reads it
+        # the skip search of the last edge classified REMOVABLE, None if
+        # dead; fire reads it after that answer only
         self._after = None
 
     def with_net(self, net: BidirectedNetwork) -> "ReachBalls":
@@ -191,12 +189,14 @@ class ReachBalls:
             return (Classification.ADDABLE
                     if live and self.gain(u, v, forward) >= add_min
                     else Classification.STAY_ABSENT)
-        after = self._after = (_bfs(net, self.params.k, u, forward,
-                                    self.params.mode, v) if live else None)
+        after = (_bfs(net, self.params.k, u, forward, self.params.mode, v)
+                 if live else None)
         lost = 0 if after is None else (self.ball(u, forward)[0] & ~after[0]
                                         & self._masks[forward][u]).bit_count()
-        return (Classification.REMOVABLE if lost <= lost_max
-                else Classification.STAY_PRESENT)
+        if lost > lost_max:
+            return Classification.STAY_PRESENT
+        self._after = after
+        return Classification.REMOVABLE
 
     def fire(self, kind: EdgeKind, u: int, v: int) -> MoveKind:
         """Classify the typed edge (u, v) and make the move when it is
@@ -224,7 +224,7 @@ class ReachBalls:
                                 for balls, pivot in zip(self._balls, pivots))
             if not add:
                 self._balls[forward][u] = (after[0], after[0] & ~after[1])
-        return _FIRES[cls, kind]
+        return _MOVES[add, forward]
 
     def witnesses(self):
         """Every addable or removable typed edge, in ``iter_typed_pairs``
@@ -272,11 +272,10 @@ def scan_witnesses(net: BidirectedNetwork, params: Params,
 def apply_move(net: BidirectedNetwork, move) -> None:
     """Apply a recorded ``Move`` or ``CertMove`` to ``net`` (NO_CHANGE does
     nothing); a move inconsistent with the network raises TraceError."""
-    method = _APPLY.get(move.kind._value_)
-    if method is None:
+    if move.kind is MoveKind.NO_CHANGE:
         return
     try:
-        method(net, move.u, move.v)
+        net._flip(move.kind.speaking, move.u, move.v, move.kind.add)
     except ValueError as exc:
         raise TraceError(f"inconsistent move {move}: {exc}") from exc
 
@@ -370,10 +369,8 @@ def never_readd_check(trace: Trace) -> NeverReaddResult:
             continue
         # pair (a, b) is the speaking edge (a, b) plus the listening edge
         # (b, a), so a listening move on (u, v) belongs to pair (v, u)
-        listening = mv.kind in (MoveKind.ADD_LISTENING, MoveKind.REMOVE_LISTENING)
-        a, b = (mv.v, mv.u) if listening else (mv.u, mv.v)
-        if (a, b) in dead and mv.kind in (MoveKind.ADD_SPEAKING,
-                                          MoveKind.ADD_LISTENING):
+        a, b = (mv.u, mv.v) if mv.kind.speaking else (mv.v, mv.u)
+        if (a, b) in dead and mv.kind.add:
             return NeverReaddResult(ok=False, applicable=True)
         apply_move(net, mv)
         if not net.has_speaking(a, b) and not net.has_listening(b, a):

@@ -24,13 +24,6 @@ class FlowerSpec:
     center: int = 0
 
 
-@dataclass(frozen=True)
-class KautzSpec:
-    d: int
-    D: int
-    n: int
-
-
 def empty(n: int) -> BidirectedNetwork:
     return BidirectedNetwork(n)
 
@@ -124,8 +117,7 @@ def kautz_order(d: int, D: int) -> int:
     return (d + 1) * d ** (D - 1)
 
 
-def kautz(d: int, D: int, lifted: bool = False
-          ) -> Tuple[BidirectedNetwork, KautzSpec]:
+def kautz(d: int, D: int, lifted: bool = False) -> BidirectedNetwork:
     """Shift-register graph on length-D no-repeat strings over {0..d}:
     (d+1)*d^(D-1) vertices, uniform out-degree d, measured diameter D."""
     n = kautz_order(d, D)
@@ -136,7 +128,7 @@ def kautz(d: int, D: int, lifted: bool = False
         for y in range(d + 1):
             if y != lab[-1]:
                 net.add_speaking(index[lab], index[lab[1:] + (y,)])
-    return lift(net) if lifted else net, KautzSpec(d=d, D=D, n=n)
+    return lift(net) if lifted else net
 
 
 def random_net(n: int, p_s: float, p_l: float, seed: int) -> BidirectedNetwork:

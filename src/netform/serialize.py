@@ -214,13 +214,16 @@ def to_dot(net: BidirectedNetwork,
 
 # -- trace / certificate text ---------------------------------------------------
 
+_TRACE_COLUMNS = "step,kind,edge,u,v"
+
+
 def trace_to_text(trace: Trace) -> str:
     header = {"record": "trace", "seed": trace.seed, "rng_id": trace.rng_id,
               "converged": trace.converged,
               "steps_sampled": trace.steps_sampled,
               **_game_fields(trace.initial, trace.params, trace.targets,
                              "initial_")}
-    lines = [json.dumps(header, sort_keys=True), "step,kind,edge,u,v"]
+    lines = [json.dumps(header, sort_keys=True), _TRACE_COLUMNS]
     # an enum's ``value`` is a property; its ``_value_`` a plain attribute
     lines.extend(f"{i},{kind._value_},{edge._value_},{u},{v}"
                  for i, (kind, edge, u, v) in enumerate(trace.moves))
@@ -240,16 +243,16 @@ def _trace_field(header: dict, key: str, kind: type):
 # the edge ("+s" adds an "s" edge); a no-change row may name either edge
 _ROW_KINDS = {(kind.value, edge.value):
               (kind, edge) if kind is MoveKind.NO_CHANGE
-              or kind.value[1:] == edge.value else None
+              or kind.speaking == (edge is EdgeKind.SPEAKING) else None
               for kind in MoveKind for edge in EdgeKind}
 
 
 def trace_from_text(text: str) -> Trace:
-    """Parse a trace record and replay its moves.  A malformed record raises
-    DocumentError, a move inconsistent with the network TraceError; either
-    names the file line of the row at fault.  Row i is step i, a move's kind
-    matches its edge kind, every pair is two distinct agents, and there are
-    ``steps_sampled`` rows."""
+    """Parse a trace record as ``trace_to_text`` writes it and replay its
+    moves.  A malformed record raises DocumentError, a move inconsistent
+    with the network TraceError; either names the file line of the row at
+    fault.  Row i is step i, a move's kind matches its edge kind, every pair
+    is two distinct agents, and there are ``steps_sampled`` rows."""
     lines = text.splitlines()
     if len(lines) < 2:
         raise DocumentError("trace: missing header or column line")
@@ -268,30 +271,36 @@ def trace_from_text(text: str) -> Trace:
     rng_id = _trace_field(header, "rng_id", str)
     converged = _trace_field(header, "converged", bool)
     steps_sampled = _trace_field(header, "steps_sampled", int)
+    if steps_sampled < 0:
+        raise DocumentError(f"steps_sampled: expected a nonnegative int, "
+                            f"got {steps_sampled}")
+    if lines[1] != _TRACE_COLUMNS:
+        raise DocumentError(f"trace line 2: expected the column line "
+                            f"{_TRACE_COLUMNS!r}, got {lines[1]!r}")
     n = initial.n
     final = initial.copy()
     moves = []
+    agents = {str(x): x for x in range(n)}  # the ids trace_to_text writes
     for line, row in enumerate(lines[2:], 3):
-        if not row:
-            continue
         try:
             step_s, kind_s, edge_s, u_s, v_s = row.split(",")
             kinds = _ROW_KINDS[kind_s, edge_s]
-            step, u, v = int(step_s), int(u_s), int(v_s)
         except (KeyError, ValueError) as exc:
             raise DocumentError(f"trace line {line}: malformed move row "
                                 f"{row!r}") from exc
-        if len(moves) == steps_sampled:
+        step = len(moves)
+        if step == steps_sampled:
             raise DocumentError(f"trace line {line}: more rows than "
                                 f"steps_sampled ({steps_sampled})")
-        if step != len(moves):
-            raise DocumentError(f"trace line {line}: step {step} "
-                                f"in the row of step {len(moves)}")
+        if step_s != str(step):
+            raise DocumentError(f"trace line {line}: step {step_s} "
+                                f"in the row of step {step}")
         if kinds is None:
             raise DocumentError(f"trace line {line}: move {kind_s} on a "
                                 f"{edge_s} edge")
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise DocumentError(f"trace line {line}: ({u}, {v}) is "
+        u, v = agents.get(u_s), agents.get(v_s)
+        if u is None or v is None or u == v:
+            raise DocumentError(f"trace line {line}: ({u_s}, {v_s}) is "
                                 f"not a pair of two of the {n} agents")
         move = Move(*kinds, u, v)
         try:

@@ -101,8 +101,8 @@ def test_criterion_4_flower_numbers():
 
 
 def test_criterion_5_kautz_numbers():
-    net, spec = kautz(2, 4)
-    ok = (spec.n == 24 and len(net.speaking) == 48
+    net = kautz(2, 4)
+    ok = (net.n == 24 and len(net.speaking) == 48
           and all(net.out_speak(v) == 2 for v in range(24))
           and diameter(net, Mode.DIRECTED) == 4)
     util_ok = True
@@ -163,7 +163,7 @@ def _bidirected_suite_inputs():
     nets = [cycle(n) for n in (3, 4, 5, 6, 8)]
     nets += [complete_net(n) for n in (3, 4, 5)]
     nets += [empty(n) for n in (2, 5)]
-    nets += [kautz(2, 2, lifted=True)[0], kautz(2, 3, lifted=True)[0]]
+    nets += [kautz(2, 2, lifted=True), kautz(2, 3, lifted=True)]
     nets += [lift(balanced_flower(10, 4)[0])]
     nets += [random_net(n, ps, pl, seed) for n in (4, 5, 6)
              for ps, pl in ((0.3, 0.3), (0.6, 0.4)) for seed in range(3)]
@@ -174,7 +174,7 @@ def _directed_suite_inputs():
     costs = (F(1, 2), F(1), F(3, 2), F(2), F(3))
     nets = [balanced_flower(n, k)[0] for n, k in ((10, 4), (17, 6), (26, 10))]
     nets += [unbalanced_flower(8, 6), unbalanced_flower(23, 8)]
-    nets += [kautz(2, 2)[0], kautz(2, 3)[0], kautz(2, 4)[0]]
+    nets += [kautz(2, 2), kautz(2, 3), kautz(2, 4)]
     nets += [cycle(n, lifted=False) for n in (3, 5, 7)]
     nets += [complete_net(4, bidirected=False), empty(4)]
     nets += [random_net(n, p, 0.0, seed) for n in (5, 6, 7)

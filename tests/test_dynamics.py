@@ -10,7 +10,7 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
                      EdgeKind, Mode, Move, MoveKind, Params, ReachBalls,
                      TargetSets, Trace, classify, find_witness,
                      never_readd_check, replay, run, scan_witnesses, step)
-from netform.dynamics import iter_typed_pairs
+from netform.dynamics import apply_move, iter_typed_pairs
 from netform.errors import TraceError
 from netform.generators import cycle, empty, random_net
 from netform.metrics import start_density
@@ -179,6 +179,46 @@ class TestRun:
     def test_bad_budgets_rejected(self):
         with pytest.raises(ValueError):
             run(empty(3), bi(), max_steps=0)
+
+
+def test_move_kind_attributes_match_the_value_text():
+    # (speaking, add) of every member, keyed by its value
+    assert {kind.value: (kind.speaking, kind.add) for kind in MoveKind} == {
+        "+s": (True, True), "-s": (True, False), "+l": (False, True),
+        "-l": (False, False), ".": (False, False)}
+
+
+class TestApplyMove:
+    # on BidirectedNetwork(3, [(0, 1)], [(1, 0)]): each mutating kind, its
+    # named mutator, a pair it applies to, and the mutator's refusal of that
+    # pair once applied
+    @pytest.mark.parametrize("kind, mutator, pair, refusal", [
+        (MoveKind.ADD_SPEAKING, "add_speaking", (1, 2),
+         "speaking edge (1, 2) already present"),
+        (MoveKind.REMOVE_SPEAKING, "remove_speaking", (0, 1),
+         "speaking edge (0, 1) not present"),
+        (MoveKind.ADD_LISTENING, "add_listening", (2, 1),
+         "listening edge (2, 1) already present"),
+        (MoveKind.REMOVE_LISTENING, "remove_listening", (1, 0),
+         "listening edge (1, 0) not present")])
+    def test_changes_the_named_mutators_edge(self, kind, mutator, pair,
+                                             refusal):
+        net = BidirectedNetwork(3, [(0, 1)], [(1, 0)])
+        expect = net.copy()
+        getattr(expect, mutator)(*pair)
+        edge = EdgeKind.SPEAKING if kind.speaking else EdgeKind.LISTENING
+        move = Move(kind, edge, *pair)
+        apply_move(net, move)
+        assert net == expect
+        for bad, reason in [(move, refusal),
+                            (Move(kind, edge, 2, 2),
+                             "self-pair (2, 2) is not allowed"),
+                            (Move(kind, edge, 0, 3),
+                             "pair (0, 3) out of range for n=3")]:
+            with pytest.raises(TraceError) as err:
+                apply_move(net, bad)
+            assert str(err.value) == f"inconsistent move {bad}: {reason}"
+            assert net == expect
 
 
 class TestNeverReadd:

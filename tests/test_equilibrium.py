@@ -65,7 +65,7 @@ class TestBiPairwise:
 
     def test_kautz_lifted_bi_pairwise(self):
         # [PAPER] lifted Kautz stays pairwise stable for c <= 1
-        net, _ = kautz(2, 4, lifted=True)
+        net = kautz(2, 4, lifted=True)
         assert is_bi_pairwise_stable(net, bi(k=4)).bi_pairwise
 
     def test_bi_pairwise_implies_stable_on_census(self):
@@ -218,7 +218,7 @@ class TestSymmetry:
                                                mode=Mode.DIRECTED))  # [PAPER]
 
     def test_kautz_symmetric(self):
-        net, _ = kautz(2, 4)
+        net = kautz(2, 4)
         assert check_symmetric(net, Params(k=4, c_s=F(3), mode=Mode.DIRECTED))
 
     def test_complete_symmetric(self):

@@ -5,8 +5,8 @@ import pytest
 
 from netform import INF, BidirectedNetwork, Mode, Params, is_stable, welfare
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
-                                kautz, kautz_labels, lift, random_net,
-                                unbalanced_flower)
+                                kautz, kautz_labels, kautz_order, lift,
+                                random_net, unbalanced_flower)
 from netform.metrics import diameter
 
 from conftest import oracle_live
@@ -85,14 +85,14 @@ class TestFlower:
 class TestKautz:
     def test_reference_instance_2_4(self):
         # [PAPER] 24 vertices, 48 edges, out-degree 2, diameter 4
-        net, spec = kautz(2, 4)
-        assert spec.n == 24 == net.n
+        net = kautz(2, 4)
+        assert net.n == 24 == kautz_order(2, 4)
         assert len(net.speaking) == 48
         assert all(net.out_speak(v) == 2 for v in range(24))
         assert diameter(net, Mode.DIRECTED) == 4
 
     def test_small_instance(self):
-        net, spec = kautz(2, 2)
+        net = kautz(2, 2)
         assert net.n == 6 and len(net.speaking) == 12
         assert diameter(net, Mode.DIRECTED) == 2
 
@@ -100,10 +100,10 @@ class TestKautz:
         # [DERIVED] measured diameter equals D for all (d, D) with n <= 200
         for d in (2, 3, 4):
             for D in (2, 3, 4):
-                net, spec = kautz(d, D)
-                if spec.n > 200:
+                if kautz_order(d, D) > 200:
                     continue
-                assert all(net.out_speak(v) == d for v in range(spec.n))
+                net = kautz(d, D)
+                assert all(net.out_speak(v) == d for v in range(net.n))
                 assert diameter(net, Mode.DIRECTED) == D, (d, D)
 
     def test_labels_no_repeats(self):
@@ -112,7 +112,7 @@ class TestKautz:
         assert all(a != b for lab in labels for a, b in zip(lab, lab[1:]))
 
     def test_lift_adds_reverse_listening(self):
-        net, _ = kautz(2, 2, lifted=True)
+        net = kautz(2, 2, lifted=True)
         assert len(net.listening) == len(net.speaking)
         assert all(net.has_listening(v, u) for (u, v) in net.speaking)
 

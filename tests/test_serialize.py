@@ -346,6 +346,39 @@ class TestTraceDefects:
             trace_from_text(text)
 
 
+    # records trace_to_text never writes: a certificate's column line, a
+    # negative row count, a blank row, and step, u or v cells that ``int``
+    # reads but ``str(int)`` never writes (a space, a leading zero, a sign,
+    # an Arabic-Indic digit), in the fifth row, line 7
+    @pytest.mark.parametrize("text, match", [
+        pytest.param(_trace_text(BASE_TRACE).replace(
+            "step,kind,edge,u,v", "step,kind,u,v,step_label"),
+            r"^trace line 2: expected the column line 'step,kind,edge,u,v', "
+            r"got 'step,kind,u,v,step_label'$", id="certificate-columns"),
+        pytest.param(_trace_text({**BASE_TRACE, "steps_sampled": -1}),
+                     r"^steps_sampled: expected a nonnegative int, got -1$",
+                     id="negative-steps"),
+        pytest.param(_trace_text(BASE_TRACE, ["0,-s,s,0,1", ""]),
+                     r"^trace line 4: malformed move row ''$", id="blank-row"),
+        *(pytest.param(
+            _trace_text({**BASE_TRACE, "steps_sampled": 5},
+                        [f"{i},.,s,0,1" for i in range(4)]
+                        + [row.format(cell)]),
+            "^trace line 7: " + re.escape(message.format(cell)) + "$",
+            id=f"{field}-{form}")
+          for field, digit, row, message in [
+              ("step", "4", "{},.,s,0,1", "step {} in the row of step 4"),
+              ("u", "1", "4,.,s,{},2",
+               "({}, 2) is not a pair of two of the 3 agents"),
+              ("v", "1", "4,.,s,0,{}",
+               "(0, {}) is not a pair of two of the 3 agents")]
+          for form, cell in [("space", " " + digit), ("zero", "0" + digit),
+                             ("sign", "+" + digit),
+                             ("arabic-indic", chr(0x0660 + int(digit)))])])
+    def test_unwritten_form_rejected_with_location(self, text, match):
+        with pytest.raises(DocumentError, match=match):
+            trace_from_text(text)
+
     # every (move, edge) cell pair but the six legal ones, in the second
     # row: a contradicting pair of known cells is named, any other is
     # malformed
@@ -489,7 +522,7 @@ class TestMetrics:
 
     def test_diameter_values(self):
         assert diameter(cycle(4, lifted=False), Mode.DIRECTED) == 3
-        assert diameter(kautz(2, 4)[0], Mode.DIRECTED) == 4
+        assert diameter(kautz(2, 4), Mode.DIRECTED) == 4
         assert diameter(empty(2), Mode.DIRECTED) == INF
 
 
