@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -80,6 +81,7 @@ def _add_param_flags(sub):
     sub.add_argument("--mode", choices=["bidirected", "directed"], default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="netform")
     subs = p.add_subparsers(dest="command", required=True)
@@ -201,8 +203,8 @@ def _cmd_check(args) -> int:
     witnesses = list(balls.witnesses()) if report is None else report.witnesses
     out = {
         "stable": not witnesses,
-        "witnesses": [[k.value, u, v, cls.value]
-                      for k, u, v, cls in witnesses],
+        "witnesses": [[k.value, u, v, "addable" if move.add else "removable"]
+                      for k, u, v, move in witnesses],
         "all_complete": equilibrium.all_complete(net),
         "symmetric": len(set(map(balls.scaled_utility, range(net.n)))) <= 1,
     }

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Set, Tuple
 
-from .dynamics import Classification, EdgeKind, MoveKind, ReachBalls
+from .dynamics import EdgeKind, MoveKind, ReachBalls
 from .errors import ConstructionError, LemmaCheckError
 from .model import BidirectedNetwork, INF, Mode, Params, ascending
 from .scc import condensation
@@ -106,7 +106,7 @@ def condense(balls: ReachBalls) -> ComponentGraph:
 
 
 def _addable(balls: ReachBalls, u: int, v: int) -> bool:
-    return balls.classify(EdgeKind.SPEAKING, u, v) is Classification.ADDABLE
+    return balls.classify(EdgeKind.SPEAKING, u, v) is MoveKind.ADD_SPEAKING
 
 
 def _strip_inplace(balls: ReachBalls) -> List[CertMove]:
@@ -385,7 +385,7 @@ def validate_certificate(cert: PathCertificate, start: BidirectedNetwork,
     net = start.copy()
     balls = ReachBalls(net, params)
     for i, mv in enumerate(cert.moves):
-        if mv.kind not in (MoveKind.ADD_SPEAKING, MoveKind.REMOVE_SPEAKING):
+        if not mv.kind.speaking:
             return CertificateVerdict(False, "unknown kind", i)
         try:
             net._check_pair(mv.u, mv.v)

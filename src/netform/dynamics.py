@@ -37,13 +37,6 @@ class EdgeKind(Enum):
     LISTENING = "l"
 
 
-class Classification(Enum):
-    ADDABLE = "addable"
-    REMOVABLE = "removable"
-    STAY_PRESENT = "stay_present"
-    STAY_ABSENT = "stay_absent"
-
-
 class MoveKind(Enum):
     ADD_SPEAKING = "+s"
     REMOVE_SPEAKING = "-s"
@@ -82,7 +75,6 @@ class Trace:
     final: BidirectedNetwork
     converged: bool
     targets: TargetSets = ALL_OTHERS
-    rng_id: str = RNG_ID
 
     @property
     def steps_sampled(self) -> int:
@@ -130,8 +122,8 @@ class ReachBalls:
         # [forward]: scale times the listening (backward) or speaking cost
         self._costs = tuple(c.numerator * (self.scale // c.denominator)
                             for c in (params.c_l, params.c_s))
-        # the skip search of the last edge classified REMOVABLE, None if
-        # dead; fire reads it after that answer only
+        # the skip search of the last edge classify answered with a removal,
+        # None if dead; fire reads it after that answer only
         self._after = None
 
     def with_net(self, net: BidirectedNetwork) -> "ReachBalls":
@@ -173,7 +165,8 @@ class ReachBalls:
         lr = (self.ball(v, False)[0] & masks[False][v]).bit_count()
         return u + self.scale * lr - self._costs[False] * net.out_listen(v)
 
-    def classify(self, kind: EdgeKind, u: int, v: int) -> Classification:
+    def classify(self, kind: EdgeKind, u: int, v: int) -> MoveKind:
+        """The edge rule's move on the typed edge (u, v), or NO_CHANGE."""
         net, forward = self.net, kind is EdgeKind.SPEAKING
         directed = self.params.mode is Mode.DIRECTED
         if forward:
@@ -186,32 +179,31 @@ class ReachBalls:
             live = not directed and net._speak_out[v] >> u & 1
         add_min, lost_max = self.rules[forward]
         if not present:
-            return (Classification.ADDABLE
+            return (_MOVES[True, forward]
                     if live and self.gain(u, v, forward) >= add_min
-                    else Classification.STAY_ABSENT)
+                    else MoveKind.NO_CHANGE)
         after = (_bfs(net, self.params.k, u, forward, self.params.mode, v)
                  if live else None)
         lost = 0 if after is None else (self.ball(u, forward)[0] & ~after[0]
                                         & self._masks[forward][u]).bit_count()
         if lost > lost_max:
-            return Classification.STAY_PRESENT
+            return MoveKind.NO_CHANGE
         self._after = after
-        return Classification.REMOVABLE
+        return _MOVES[False, forward]
 
     def fire(self, kind: EdgeKind, u: int, v: int) -> MoveKind:
-        """Classify the typed edge (u, v) and make the move when it is
-        addable or removable: the move made, or NO_CHANGE.  Every held ball
-        stays when the step is dead or, at k = inf, the removal keeps v in
-        u's ball (a path through the step can detour).  Else a ball in the
-        edge's direction stays when its owner is not u and its inner ball
-        lacks u (a path through the step reaches u within k - 1 steps), one
-        in the other direction likewise for v, and a removal holds u's new
-        ball, classify's skip search."""
-        cls = self.classify(kind, u, v)
-        if cls is Classification.STAY_ABSENT or cls is Classification.STAY_PRESENT:
-            return MoveKind.NO_CHANGE
-        net, forward = self.net, kind is EdgeKind.SPEAKING
-        add = cls is Classification.ADDABLE
+        """Make the move ``classify`` answers for the typed edge (u, v) and
+        return it; NO_CHANGE changes nothing.  Every held ball stays when
+        the step is dead or, at k = inf, the removal keeps v in u's ball (a
+        path through the step can detour).  Else a ball in the edge's
+        direction stays when its owner is not u and its inner ball lacks u
+        (a path through the step reaches u within k - 1 steps), one in the
+        other direction likewise for v, and a removal holds u's new ball,
+        classify's skip search."""
+        move = self.classify(kind, u, v)
+        if move is MoveKind.NO_CHANGE:
+            return move
+        net, forward, add = self.net, move.speaking, move.add
         after = None if add else self._after
         if self._revision != net.revision:  # changed outside fire
             self._balls = ({}, {})
@@ -224,25 +216,25 @@ class ReachBalls:
                                 for balls, pivot in zip(self._balls, pivots))
             if not add:
                 self._balls[forward][u] = (after[0], after[0] & ~after[1])
-        return _MOVES[add, forward]
+        return move
 
     def witnesses(self):
         """Every addable or removable typed edge, in ``iter_typed_pairs``
-        order, as ``(kind, u, v, classification)``.  In directed mode the
-        walk ends with the speaking pairs: a listening edge there never
-        fires (see ``classify``)."""
+        order, as ``(kind, u, v, move)``.  In directed mode the walk ends
+        with the speaking pairs: a listening edge there never fires (see
+        ``classify``)."""
         pairs = iter_typed_pairs(self.net.n)
         if self.params.mode is Mode.DIRECTED:
             pairs = itertools.islice(pairs, self.net.n * (self.net.n - 1))
         for kind, u, v in pairs:
-            cls = self.classify(kind, u, v)
-            if cls is Classification.ADDABLE or cls is Classification.REMOVABLE:
-                yield kind, u, v, cls
+            move = self.classify(kind, u, v)
+            if move is not MoveKind.NO_CHANGE:
+                yield kind, u, v, move
 
 
 def classify(net: BidirectedNetwork, params: Params, targets: TargetSets,
-             kind: EdgeKind, u: int, v: int) -> Classification:
-    """Addable/removable status of the typed edge (u, v) for its owner u."""
+             kind: EdgeKind, u: int, v: int) -> MoveKind:
+    """The move the edge rule makes on the typed edge (u, v) for its owner u."""
     net._check_pair(u, v)
     return ReachBalls(net, params, targets).classify(kind, u, v)
 
@@ -257,14 +249,14 @@ def iter_typed_pairs(n: int):
 
 def find_witness(net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS
-                 ) -> Optional[Tuple[EdgeKind, int, int, Classification]]:
+                 ) -> Optional[Tuple[EdgeKind, int, int, MoveKind]]:
     """First addable or removable typed edge in deterministic order, or None."""
     return next(ReachBalls(net, params, targets).witnesses(), None)
 
 
 def scan_witnesses(net: BidirectedNetwork, params: Params,
                    targets: TargetSets = ALL_OTHERS
-                   ) -> List[Tuple[EdgeKind, int, int, Classification]]:
+                   ) -> List[Tuple[EdgeKind, int, int, MoveKind]]:
     """Every addable or removable typed edge."""
     return list(ReachBalls(net, params, targets).witnesses())
 

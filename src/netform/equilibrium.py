@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
-from .dynamics import Classification, EdgeKind, ReachBalls, scan_witnesses
+from .dynamics import EdgeKind, MoveKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
                     agent_utility, all_complete)
@@ -20,7 +20,7 @@ from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
 @dataclass
 class StabilityReport:
     stable: bool
-    witnesses: List[Tuple[EdgeKind, int, int, Classification]]
+    witnesses: List[Tuple[EdgeKind, int, int, MoveKind]]
     bi_pairwise: Optional[bool] = None
     bi_pairwise_witness: Optional[Tuple[int, int, Fraction, Fraction]] = None
 
@@ -62,7 +62,7 @@ def bi_pairwise(balls: ReachBalls) -> StabilityReport:
     net, params = balls.net, balls.params
     witnesses = list(balls.witnesses())
     report = StabilityReport(stable=not witnesses, witnesses=witnesses)
-    if any(w[3] is Classification.REMOVABLE for w in report.witnesses):
+    if any(not w[3].add for w in report.witnesses):
         report.bi_pairwise = False
         return report
     directed = params.mode is Mode.DIRECTED

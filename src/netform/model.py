@@ -38,6 +38,9 @@ class Mode(Enum):
 
 
 def _as_cost(value) -> Fraction:
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"costs must be an exact Fraction, int or string, "
+                         f"got {value!r}")
     c = Fraction(value)
     if c < 0:
         raise ValueError(f"costs must be nonnegative, got {c}")

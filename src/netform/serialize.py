@@ -12,8 +12,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from .convergence import PathCertificate
-from .dynamics import (Classification, EdgeKind, Move, MoveKind, Trace,
-                       apply_move)
+from .dynamics import RNG_ID, EdgeKind, Move, MoveKind, Trace, apply_move
 from .errors import DocumentError, TraceError
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets)
@@ -189,19 +188,18 @@ def document_text(doc: dict) -> str:
 # -- DOT ----------------------------------------------------------------------
 
 def to_dot(net: BidirectedNetwork,
-           annot: Optional[Iterable[Tuple[EdgeKind, int, int, Classification]]]
+           annot: Optional[Iterable[Tuple[EdgeKind, int, int, MoveKind]]]
            = None) -> str:
     """Deterministic DOT text.  Speaking edges are solid, listening edges
     dashed.  With an annotation (a witness scan), removable edges are red
     and addable edges are drawn in green."""
     annot = list(annot or ())
-    removable = {(kind, u, v) for kind, u, v, cls in annot
-                 if cls is Classification.REMOVABLE}
+    removable = {(kind, u, v) for kind, u, v, move in annot if not move.add}
     drawn = [(kind, u, v, ' color="red"' if (kind, u, v) in removable else "")
              for kind in EdgeKind
              for u, v in net.edges(speaking=kind is EdgeKind.SPEAKING)]
-    drawn += sorted(((kind, u, v, ' color="green"') for kind, u, v, cls in annot
-                     if cls is Classification.ADDABLE),
+    drawn += sorted(((kind, u, v, ' color="green"')
+                     for kind, u, v, move in annot if move.add),
                     key=lambda t: (t[0].value, t[1], t[2]))
     attrs = {EdgeKind.SPEAKING: 'kind="speaking"',
              EdgeKind.LISTENING: 'kind="listening" style="dashed"'}
@@ -218,7 +216,7 @@ _TRACE_COLUMNS = "step,kind,edge,u,v"
 
 
 def trace_to_text(trace: Trace) -> str:
-    header = {"record": "trace", "seed": trace.seed, "rng_id": trace.rng_id,
+    header = {"record": "trace", "seed": trace.seed, "rng_id": RNG_ID,
               "converged": trace.converged,
               "steps_sampled": trace.steps_sampled,
               **_game_fields(trace.initial, trace.params, trace.targets,
@@ -269,6 +267,9 @@ def trace_from_text(text: str) -> Trace:
         header, ("initial_speaking", "initial_listening"), "trace")
     seed = _trace_field(header, "seed", int)
     rng_id = _trace_field(header, "rng_id", str)
+    if rng_id != RNG_ID:
+        raise DocumentError(f"rng_id: netform replays only {RNG_ID!r}, "
+                            f"got {rng_id!r}")
     converged = _trace_field(header, "converged", bool)
     steps_sampled = _trace_field(header, "steps_sampled", int)
     if steps_sampled < 0:
@@ -312,8 +313,7 @@ def trace_from_text(text: str) -> Trace:
         raise DocumentError(f"trace line {len(lines) + 1}: no row for step "
                             f"{len(moves)} of steps_sampled ({steps_sampled})")
     return Trace(seed=seed, params=params, initial=initial, moves=moves,
-                 final=final, converged=converged, targets=targets,
-                 rng_id=rng_id)
+                 final=final, converged=converged, targets=targets)
 
 
 def certificate_to_text(cert: PathCertificate, start: BidirectedNetwork,

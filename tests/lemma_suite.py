@@ -12,8 +12,8 @@ with an addable edge need not contain a large component.
 import networkx as nx
 
 from conftest import oracle_live, strip_removables
-from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Params, all_complete, classify,
+from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
+                     MoveKind, Params, all_complete, classify,
                      is_bi_pairwise_stable, is_stable)
 from scan_oracles import bfs_by_sets
 
@@ -54,9 +54,9 @@ def bidirected_violations(net: BidirectedNetwork, params: Params) -> list:
     if params.c_s > 0:
         for (v, w) in net.speaking:
             if not net.has_listening(w, v):
-                cls = classify(net, params, ALL_OTHERS,
-                               EdgeKind.SPEAKING, v, w)
-                if cls is not Classification.REMOVABLE:
+                move = classify(net, params, ALL_OTHERS,
+                                EdgeKind.SPEAKING, v, w)
+                if move is not MoveKind.REMOVE_SPEAKING:
                     out.append(f"dead-edge-removable:{v}->{w}")
     if (params.k == INF and rep.stable and rep.bi_pairwise is False
             and _live_strongly_connected(net, params.mode)):
@@ -99,12 +99,12 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
         for v in range(n):
             if u == v:
                 continue
-            cls = classify(net, params, ALL_OTHERS, EdgeKind.SPEAKING, u, v)
-            if cls is Classification.ADDABLE:
+            move = classify(net, params, ALL_OTHERS, EdgeKind.SPEAKING, u, v)
+            if move is MoveKind.ADD_SPEAKING:
                 addable.append((u, v))
                 if comp_of[u] == comp_of[v]:
                     out.append(f"addable-crosses-components:{u}->{v}")
-            elif cls is Classification.REMOVABLE:
+            elif move is MoveKind.REMOVE_SPEAKING:
                 removable.add((u, v))
             elif net.has_speaking(u, v) and 1 + len(reach[v]) < c:
                 out.append(f"unremovable-head-reaches-c:{u}->{v}")
@@ -129,9 +129,9 @@ def directed_violations(net: BidirectedNetwork, params: Params) -> list:
             if u in comp or comp & ({u} | reach[u]):
                 continue
             for v in comp:
-                cls = classify(net, params, ALL_OTHERS,
-                               EdgeKind.SPEAKING, u, v)
-                if cls is not Classification.ADDABLE:
+                move = classify(net, params, ALL_OTHERS,
+                                EdgeKind.SPEAKING, u, v)
+                if move is not MoveKind.ADD_SPEAKING:
                     out.append(f"edge-into-large-addable:{u}->{v}")
 
     before = len(large)

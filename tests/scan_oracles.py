@@ -8,8 +8,8 @@ scan, the ``randrange`` sampler that ``dynamics.step`` once called, and the
 strip that restarts its sweep after every removal."""
 
 from conftest import oracle_live
-from netform import (Classification, EdgeKind, EfficiencyReport, Mode,
-                     PoAResult, agent_utility, is_stable, welfare)
+from netform import (EdgeKind, EfficiencyReport, Mode, PoAResult,
+                     agent_utility, is_stable, welfare)
 from netform.convergence import CertMove
 from netform.dynamics import MoveKind
 from netform.equilibrium import iter_all_networks
@@ -66,7 +66,7 @@ def oracle_strip(balls):
         progress = False
         for (u, v) in net.edges(speaking=True):
             if balls.classify(EdgeKind.SPEAKING, u, v) \
-                    is Classification.REMOVABLE:
+                    is MoveKind.REMOVE_SPEAKING:
                 net.remove_speaking(u, v)
                 removed.append(CertMove(MoveKind.REMOVE_SPEAKING, u, v, 1))
                 progress = True
@@ -83,10 +83,10 @@ def _owner_reach_count(net, params, targets, kind, u):
 
 def classify_by_toggle(net, params, targets, kind, u, v):
     """Toggle the typed edge on a copy and compare the owner's reach count
-    before and after against the edge cost."""
+    before and after against the edge cost: the toggle's move if it strictly
+    pays, else NO_CHANGE."""
     if kind is EdgeKind.LISTENING and params.mode is Mode.DIRECTED:
-        return (Classification.STAY_PRESENT if net.has_listening(u, v)
-                else Classification.STAY_ABSENT)
+        return MoveKind.NO_CHANGE
     work = net.copy()
     if kind is EdgeKind.SPEAKING:
         present, cost = work.has_speaking(u, v), params.c_s
@@ -97,11 +97,9 @@ def classify_by_toggle(net, params, targets, kind, u, v):
     base = _owner_reach_count(work, params, targets, kind, u)
     (remove if present else add)(u, v)
     alt = _owner_reach_count(work, params, targets, kind, u)
-    if present:
-        return (Classification.REMOVABLE if base - alt < cost
-                else Classification.STAY_PRESENT)
-    return (Classification.ADDABLE if alt - base > cost
-            else Classification.STAY_ABSENT)
+    pays = base - alt < cost if present else alt - base > cost
+    return (MoveKind(("-" if present else "+") + kind.value) if pays
+            else MoveKind.NO_CHANGE)
 
 
 def bi_pairwise_by_utility(net, params, targets):

@@ -125,7 +125,7 @@ class TestStrip:
         net = BidirectedNetwork(3, [(0, 1), (1, 2)])
         balls = ReachBalls(net.copy(), di(2))
         assert balls.classify(dynamics.EdgeKind.SPEAKING, 0, 1) is \
-            dynamics.Classification.STAY_PRESENT
+            dynamics.MoveKind.NO_CHANGE
         assert balls.fire(dynamics.EdgeKind.SPEAKING, 1, 2) \
             is dynamics.MoveKind.REMOVE_SPEAKING
         assert not balls.ball(1, True)[0] >> 2 & 1

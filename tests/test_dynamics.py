@@ -6,10 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Move, MoveKind, Params, ReachBalls,
-                     TargetSets, Trace, classify, find_witness,
-                     never_readd_check, replay, run, scan_witnesses, step)
+from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
+                     Move, MoveKind, Params, ReachBalls, TargetSets, Trace,
+                     classify, find_witness, never_readd_check, replay, run,
+                     scan_witnesses, step)
 from netform.dynamics import apply_move, iter_typed_pairs
 from netform.errors import TraceError
 from netform.generators import cycle, empty, random_net
@@ -30,23 +30,23 @@ class TestClassify:
         net = empty(2)
         p = Params(k=1, c_s=F(1, 2), mode=Mode.DIRECTED)
         assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) \
-            is Classification.ADDABLE
+            is MoveKind.ADD_SPEAKING
         p1 = Params(k=1, c_s=F(1), mode=Mode.DIRECTED)
         assert classify(net, p1, ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) \
-            is Classification.STAY_ABSENT
+            is MoveKind.NO_CHANGE
 
     def test_dead_speaking_edge_removable(self):
         # [PAPER] a speaking edge with no listening partner is removable
         # whenever it costs anything
         net = BidirectedNetwork(3, [(0, 1)])
         assert classify(net, bi(), ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) \
-            is Classification.REMOVABLE
+            is MoveKind.REMOVE_SPEAKING
 
     def test_listening_inert_in_directed_mode(self):
         net = empty(2)
         p = Params(k=INF, c_s=F(1), mode=Mode.DIRECTED)
         assert classify(net, p, ALL_OTHERS, EdgeKind.LISTENING, 0, 1) \
-            is Classification.STAY_ABSENT
+            is MoveKind.NO_CHANGE
 
     def test_matches_full_utility_recomputation(self):
         # [DERIVED] the owner-reach shortcut must agree with toggling the
@@ -59,7 +59,7 @@ class TestClassify:
                        c_l=F(0) if mode is Mode.DIRECTED else F(rng.randrange(5), 2),
                        mode=mode)
             for kind, u, v in iter_typed_pairs(4):
-                cls = classify(net, p, ALL_OTHERS, kind, u, v)
+                move = classify(net, p, ALL_OTHERS, kind, u, v)
                 base = oracle_utility(net, p, u)
                 work = net.copy()
                 if kind is EdgeKind.SPEAKING:
@@ -69,13 +69,9 @@ class TestClassify:
                     present = work.has_listening(u, v)
                     (work.remove_listening if present else work.add_listening)(u, v)
                 improved = oracle_utility(work, p, u) > base
-                if present:
-                    expect = (Classification.REMOVABLE if improved
-                              else Classification.STAY_PRESENT)
-                else:
-                    expect = (Classification.ADDABLE if improved
-                              else Classification.STAY_ABSENT)
-                assert cls is expect, (mode, p.k, p.c_s, kind, u, v)
+                expect = (MoveKind(("-" if present else "+") + kind.value)
+                          if improved else MoveKind.NO_CHANGE)
+                assert move is expect, (mode, p.k, p.c_s, kind, u, v)
 
 
 class TestStep:
@@ -274,8 +270,7 @@ class TestPotential:
         for seed in range(5):
             start = random_net(5, 0.6, 0.6, seed)
             p = bi(cs=F(5), cl=F(5))  # costs above n-1: nothing is ever addable
-            assert not any(cls is Classification.ADDABLE
-                           for *_, cls in scan_witnesses(start, p))
+            assert not any(move.add for *_, move in scan_witnesses(start, p))
             tr = run(start, p, seed=seed)
             assert tr.converged
             assert not any(mv.kind in (MoveKind.ADD_SPEAKING,
@@ -289,7 +284,7 @@ class TestWitnessScan:
     def test_stable_iff_no_witness(self):
         assert find_witness(cycle(4), bi(cs=F(1), cl=F(1))) is None
         w = find_witness(BidirectedNetwork(2, [(0, 1)]), bi())
-        assert w is not None and w[3] is Classification.REMOVABLE
+        assert w is not None and w[3] is MoveKind.REMOVE_SPEAKING
 
 
 # (params, n, speaking density, listening density, targets) per golden

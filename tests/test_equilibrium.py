@@ -5,8 +5,8 @@ import pytest
 import netform.equilibrium
 import netform.model
 from conftest import net_from_bits
-from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Params, TargetSets, agent_utility,
+from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
+                     MoveKind, Params, TargetSets, agent_utility,
                      all_complete, brute_force_nash, check_symmetric,
                      efficient_search, is_bi_pairwise_stable, is_stable,
                      poa_pos, welfare)
@@ -48,8 +48,8 @@ class TestIsStable:
         rep = is_stable(BidirectedNetwork(2, [(0, 1)]), bi())
         assert not rep.stable
         assert {(k, u, v, c) for k, u, v, c in rep.witnesses} == {
-            (EdgeKind.SPEAKING, 0, 1, Classification.REMOVABLE),
-            (EdgeKind.LISTENING, 1, 0, Classification.ADDABLE)}
+            (EdgeKind.SPEAKING, 0, 1, MoveKind.REMOVE_SPEAKING),
+            (EdgeKind.LISTENING, 1, 0, MoveKind.ADD_LISTENING)}
 
 
 class TestBiPairwise:

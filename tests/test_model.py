@@ -43,6 +43,12 @@ class TestParams:
         p = Params(k=2, c_s="1.5")
         assert p.c_s == F(3, 2) and isinstance(p.c_s, F)
 
+    @pytest.mark.parametrize("cost", [0.1, True])
+    def test_inexact_costs_rejected(self, cost):
+        # 0.1 is not 1/10 in binary, and a bool is no cost
+        with pytest.raises(ValueError, match=rf"got {cost!r}$"):
+            Params(k=1, c_s=cost)
+
 
 class TestNetwork:
     def test_duplicate_and_self_edges_rejected(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (held_reach, net_from_bits, oracle_speaking_reach,
                       oracle_utility)
 from lemma_suite import bidirected_violations, directed_violations
-from netform import (ALL_OTHERS, INF, Classification, EdgeKind, Mode, Params,
+from netform import (ALL_OTHERS, INF, EdgeKind, Mode, MoveKind, Params,
                      agent_utility, classify, run, welfare)
 from netform.dynamics import iter_typed_pairs
 from netform.serialize import trace_from_text, trace_to_text
@@ -121,7 +121,7 @@ class TestClassify:
         # improves after the toggle
         net, params = case
         for kind, u, v in iter_typed_pairs(net.n):
-            cls = classify(net, params, ALL_OTHERS, kind, u, v)
+            move = classify(net, params, ALL_OTHERS, kind, u, v)
             work = net.copy()
             before = agent_utility(work, params, ALL_OTHERS, u)
             if kind is EdgeKind.SPEAKING:
@@ -133,11 +133,9 @@ class TestClassify:
             improves = agent_utility(work, params, ALL_OTHERS, u) > before
             if params.mode is Mode.DIRECTED and kind is EdgeKind.LISTENING:
                 improves = False  # inert in the reduced model
-            expected = ((Classification.REMOVABLE if improves
-                         else Classification.STAY_PRESENT) if present else
-                        (Classification.ADDABLE if improves
-                         else Classification.STAY_ABSENT))
-            assert cls is expected, (kind, u, v)
+            expected = (MoveKind(("-" if present else "+") + kind.value)
+                        if improves else MoveKind.NO_CHANGE)
+            assert move is expected, (kind, u, v)
 
 
 class TestDynamicsProperties:

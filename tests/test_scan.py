@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import net_from_bits, oracle_utility
-from netform import (ALL_OTHERS, INF, BidirectedNetwork, Classification,
-                     EdgeKind, Mode, Move, MoveKind, Params, ReachBalls,
-                     TargetSets, agent_utility, classify, construct_path,
-                     find_witness, is_bi_pairwise_stable, is_stable, run,
-                     scan_witnesses, validate_certificate)
+from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
+                     Move, MoveKind, Params, ReachBalls, TargetSets,
+                     agent_utility, classify, construct_path, find_witness,
+                     is_bi_pairwise_stable, is_stable, run, scan_witnesses,
+                     validate_certificate)
 from netform import dynamics
 from netform.dynamics import apply_move, iter_typed_pairs
 from netform.generators import random_net
@@ -22,7 +22,6 @@ from scan_oracles import bi_pairwise_by_utility, classify_by_toggle
 # loss can equal the cost exactly, where the strict rule must not fire
 COSTS = (F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(3))
 KS = (1, 2, 3, INF)
-FIRES = (Classification.ADDABLE, Classification.REMOVABLE)
 
 
 @st.composite
@@ -96,9 +95,9 @@ def toggle(net, kind, u, v):
 def oracle_witnesses(net, params, tsets):
     out = []
     for kind, u, v in iter_typed_pairs(net.n):
-        cls = classify_by_toggle(net, params, tsets, kind, u, v)
-        if cls in FIRES:
-            out.append((kind, u, v, cls))
+        move = classify_by_toggle(net, params, tsets, kind, u, v)
+        if move is not MoveKind.NO_CHANGE:
+            out.append((kind, u, v, move))
     return out
 
 
@@ -130,7 +129,7 @@ class TestAgainstOracles:
         report = is_bi_pairwise_stable(net, params, tsets)
         assert report.witnesses == expected
         assert report.stable == (not expected)
-        if any(w[3] is Classification.REMOVABLE for w in expected):
+        if any(not w[3].add for w in expected):
             verdict, witness = False, None
         else:
             verdict, witness = bi_pairwise_by_utility(net, params, tsets)
@@ -143,11 +142,12 @@ class TestDirectedScan:
     @settings(max_examples=200, deadline=None)
     def test_scan_equals_full_typed_pair_scan(self, case):
         # the directed scan walks the speaking pairs alone; every listening
-        # pair, present or absent, still classifies as staying put
+        # pair, present or absent, still answers NO_CHANGE
         net, params, tsets = case
         balls = ReachBalls(net, params, tsets)
-        full = [(kind, u, v, cls) for kind, u, v in iter_typed_pairs(net.n)
-                for cls in [balls.classify(kind, u, v)] if cls in FIRES]
+        full = [(kind, u, v, move) for kind, u, v in iter_typed_pairs(net.n)
+                for move in [balls.classify(kind, u, v)]
+                if move is not MoveKind.NO_CHANGE]
         assert list(balls.witnesses()) == full
         assert not any(kind is EdgeKind.LISTENING for kind, *_ in full)
 
@@ -155,28 +155,31 @@ class TestDirectedScan:
 class TestBoundaries:
     def test_gain_equal_to_integer_cost_is_not_addable(self):
         net = BidirectedNetwork(3, [(1, 2)])  # 0 -> 1 would reach 1 and 2
-        for cost, cls in ((F(2), Classification.STAY_ABSENT),
-                          (F(19, 10), Classification.ADDABLE)):
+        for cost, move in ((F(2), MoveKind.NO_CHANGE),
+                           (F(19, 10), MoveKind.ADD_SPEAKING)):
             p = Params(k=INF, c_s=cost, mode=Mode.DIRECTED)
-            assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) is cls
+            assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) \
+                is move
 
     def test_loss_equal_to_integer_cost_is_not_removable(self):
         net = BidirectedNetwork(3, [(0, 1), (1, 2)])  # 0 -> 1 reaches 1 and 2
-        for cost, cls in ((F(2), Classification.STAY_PRESENT),
-                          (F(21, 10), Classification.REMOVABLE)):
+        for cost, move in ((F(2), MoveKind.NO_CHANGE),
+                           (F(21, 10), MoveKind.REMOVE_SPEAKING)):
             p = Params(k=INF, c_s=cost, mode=Mode.DIRECTED)
-            assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) is cls
+            assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) \
+                is move
 
     def test_dead_edges_follow_their_cost(self):
         # speaking (0, 1) without listening (1, 0) is dead: it reaches nothing
         net = BidirectedNetwork(2, [(0, 1)])
-        for cost, cls in ((F(0), Classification.STAY_PRESENT),
-                          (F(1, 100), Classification.REMOVABLE)):
+        for cost, move in ((F(0), MoveKind.NO_CHANGE),
+                           (F(1, 100), MoveKind.REMOVE_SPEAKING)):
             p = Params(k=INF, c_s=cost, c_l=F(1))
-            assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) is cls
+            assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 1) \
+                is move
         p = Params(k=INF, c_s=F(0), c_l=F(0))
         assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 1, 0) is \
-            Classification.STAY_ABSENT
+            MoveKind.NO_CHANGE
 
     def test_joint_addition_that_the_listener_does_not_notice(self):
         # 0 -> 1 -> 2 -> 3 is live and 2 already listens to 0: speaking
@@ -191,10 +194,11 @@ class TestBoundaries:
     def test_removal_keeps_longer_route(self):
         # 0 -> 2 is redundant at k=2 (0 -> 1 -> 2) but not at k=1
         net = BidirectedNetwork(3, [(0, 1), (1, 2), (0, 2)])
-        for k, cls in ((2, Classification.REMOVABLE),
-                       (1, Classification.STAY_PRESENT)):
+        for k, move in ((2, MoveKind.REMOVE_SPEAKING),
+                        (1, MoveKind.NO_CHANGE)):
             p = Params(k=k, c_s=F(1, 2), mode=Mode.DIRECTED)
-            assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 2) is cls
+            assert classify(net, p, ALL_OTHERS, EdgeKind.SPEAKING, 0, 2) \
+                is move
 
 
 READ_ONLY_CHECKS = (
@@ -281,9 +285,7 @@ class TestStaleBalls:
             kind, u, v = data.draw(st.sampled_from(
                 pairs + [p for p in pairs if has(*p)]))
             forward, removal = kind is EdgeKind.SPEAKING, has(kind, u, v)
-            cls = classify_by_toggle(net, params, tsets, kind, u, v)
-            expected = (MoveKind(("-" if removal else "+") + kind.value)
-                        if cls in FIRES else MoveKind.NO_CHANGE)
+            expected = classify_by_toggle(net, params, tsets, kind, u, v)
             before, revision = net.copy(), net.revision
             kept = ([dict(d) for d in balls._balls]
                     if balls._revision == net.revision else [{}, {}])

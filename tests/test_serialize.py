@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import child_env
 from netform import (INF, BidirectedNetwork, EdgeKind, Mode, Move, MoveKind,
                      Params, TargetSets, Trace, construct_path, run)
-from netform.cli import main
+from netform.cli import build_parser, main
 from netform.dynamics import apply_move, scan_witnesses
 from netform.errors import DocumentError, TraceError
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
@@ -320,6 +320,9 @@ class TestTraceDefects:
                      "^seed: expected int", id="float-seed"),
         pytest.param(_trace_text({**BASE_TRACE, "rng_id": 7}), DocumentError,
                      "^rng_id: expected str", id="int-rng-id"),
+        pytest.param(_trace_text({**BASE_TRACE, "rng_id": "numpy-pcg64"}),
+                     DocumentError, "^rng_id: netform replays only",
+                     id="foreign-rng-id"),
         pytest.param(_trace_text({**BASE_TRACE, "converged": 1}), DocumentError,
                      "^converged: expected bool", id="int-converged"),
         pytest.param(_trace_text({**BASE_TRACE, "steps_sampled": True}),
@@ -588,6 +591,56 @@ class TestCli:
         assert self.run_cli("export-dot", "-i", str(doc), "--annotate") == 0
         dot = capsys.readouterr().out
         assert dot.startswith("digraph") and "red" not in dot
+
+    # every move is a witness here: speaking (1, 2) and listening (0, 2) are
+    # dead, so removable; speaking (2, 0) and listening (2, 1) each make a
+    # live step, so addable
+    WITNESS_DOC = {"n": 3, "k": "inf", "c_s": "1/2", "c_l": "1/2",
+                   "mode": "bidirected", "speaking": [[0, 1], [1, 2]],
+                   "listening": [[0, 2], [1, 0]]}
+    WITNESS_CHECK = {"all_complete": False, "bi_pairwise": False,
+                     "stable": False, "symmetric": True,
+                     "witnesses": [["s", 1, 2, "removable"],
+                                   ["s", 2, 0, "addable"],
+                                   ["l", 0, 2, "removable"],
+                                   ["l", 2, 1, "addable"]]}
+    WITNESS_DOT = """digraph network {
+  0;
+  1;
+  2;
+  0 -> 1 [kind="speaking"];
+  1 -> 2 [kind="speaking" color="red"];
+  0 -> 2 [kind="listening" style="dashed" color="red"];
+  1 -> 0 [kind="listening" style="dashed"];
+  2 -> 1 [kind="listening" style="dashed" color="green"];
+  2 -> 0 [kind="speaking" color="green"];
+}
+"""
+
+    def test_witness_labels_golden(self, tmp_path, capsys):
+        doc = tmp_path / "w.json"
+        doc.write_text(json.dumps(self.WITNESS_DOC))
+        assert self.run_cli("check", "-i", str(doc), "--bi-pairwise") == 0
+        assert capsys.readouterr().out == \
+            json.dumps(self.WITNESS_CHECK, sort_keys=True, indent=2) + "\n"
+        assert self.run_cli("export-dot", "-i", str(doc), "--annotate") == 0
+        assert capsys.readouterr().out == self.WITNESS_DOT
+
+    def test_parser_reused_across_calls(self, capsys):
+        # main builds its parser once per process; calls in a row, a usage
+        # error among them, write what a fresh process writes for each
+        lifted = ["generate", "cycle", "--n", "4", "--lifted"]
+        for argv in (lifted, ["generate", "cycle", "--n", "4",
+                              "--mode", "directed"],
+                     ["generate", "cycle", "--n", "four"], lifted):
+            code = self.run_cli(*argv)
+            got = capsys.readouterr()
+            child = subprocess.run([sys.executable, "-m", "netform", *argv],
+                                   env=child_env(), capture_output=True,
+                                   text=True, timeout=60)
+            assert (code, got.out, got.err) == \
+                (child.returncode, child.stdout, child.stderr), argv
+        assert build_parser() is build_parser()
 
     # sweep rows at cost 0, at integer costs (utility scale 1) and at
     # fractional ones; a row with c_l = 0 runs the directed census
