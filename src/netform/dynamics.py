@@ -7,11 +7,11 @@ a present edge is removed iff removing it strictly increases it, decided
 from reach balls without touching the network (see ``ReachBalls``).
 
 Runs are driven by Python's ``random.Random`` (MT19937) seeded with the
-64-bit seed recorded in the trace.  A round draws its kind, u and v from
-``getrandbits`` alone, each an integer below m for m = 2, n, n - 1 in that
-order: take ``getrandbits(m.bit_length())`` until the value is below m (so
-the kind takes 2 bits, 0 being speaking), and v at or above u is moved up
-by one.  The draw is what ``randrange(m)`` does, written out here so a
+64-bit seed recorded in the trace (``seeded_rng``).  A round draws its
+kind, u and v from ``getrandbits`` alone, each an integer below m for
+m = 2, n, n - 1 in that order: take ``getrandbits(m.bit_length())`` until
+the value is below m (so the kind takes 2 bits, 0 being speaking), and v
+at or above u is moved up by one.  The draw is what ``randrange(m)`` does, written out here so a
 trace's bytes rest on MT19937's ``getrandbits`` only.  A round yields a
 ``Move``, a named tuple.
 """
@@ -30,6 +30,16 @@ from .model import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
                     TargetSets, _bfs)
 
 RNG_ID = "python-random-mt19937"
+MAX_SEED = 2 ** 64 - 1
+
+
+def seeded_rng(seed: int) -> random.Random:
+    """``random.Random(seed)`` for a seed in 0..MAX_SEED.  Any other seed
+    raises ValueError: ``random.Random`` seeds with ``abs(seed)``, so a
+    negative seed would replay the positive one under its own name."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
+    return random.Random(seed)
 
 
 class EdgeKind(Enum):
@@ -275,7 +285,10 @@ def apply_move(net: BidirectedNetwork, move) -> None:
 def step(balls: ReachBalls, rng: random.Random) -> Move:
     """One dynamics round, drawn as the module docstring says: ``balls.fire``
     decides the sampled edge and, when it fires, changes ``balls.net``.
-    Fewer than two agents raise ValueError, since no pair can be drawn."""
+    Fewer than two agents raise ValueError, since no pair can be drawn.
+    ``run`` makes its rounds in its own loop; this is the one-round
+    reference that tests check it against, and the name the benchmark's
+    tracer wraps."""
     n = balls.net.n
     if n < 2:
         raise ValueError(f"a dynamics round needs two agents, got n={n}")
@@ -302,7 +315,12 @@ def run(initial: BidirectedNetwork, params: Params,
         max_steps: Optional[int] = None,
         scan_interval: Optional[int] = None) -> Trace:
     """Run the dynamics until a full scan finds nothing addable or removable,
-    or until max_steps.  Non-convergence is reported, never raised."""
+    or until max_steps.  Non-convergence is reported, never raised; a seed
+    outside 0..MAX_SEED raises ValueError (``seeded_rng``).  A round is
+    ``step``'s, made here: a dead draw (a listening edge in directed
+    mode, or an absent edge whose partner half is absent) is NO_CHANGE
+    without a ``fire`` call, and every no-change round on one typed edge
+    appends the same ``Move``."""
     n = initial.n
     if max_steps is None:
         max_steps = 50 * n ** 6
@@ -310,14 +328,45 @@ def run(initial: BidirectedNetwork, params: Params,
         scan_interval = max(1, 2 * n * (n - 1))
     if max_steps < 1 or scan_interval < 1:
         raise ValueError("max_steps and scan_interval must be >= 1")
+    bits = seeded_rng(seed).getrandbits
     net = initial.copy()
     balls = ReachBalls(net, params, targets)
-    rng = random.Random(seed)
     moves: List[Move] = []
     converged = next(balls.witnesses(), None) is None
+    fire, no_change = balls.fire, MoveKind.NO_CHANGE
+    directed = params.mode is Mode.DIRECTED
+    # [listening]; the partner half of listening (u, v) is speaking (v, u)
+    kinds = (EdgeKind.SPEAKING, EdgeKind.LISTENING)
+    rows = (net._speak_out, net._listen_out)
+    # [listening][u][v], filled as rounds come: made up front, it would
+    # hold 2*n*n moves, 2*10**8 at a document's 10,000 agents
+    idle = ([{} for _ in range(n)], [{} for _ in range(n)])
+    u_width, v_width = n.bit_length(), (n - 1).bit_length()
     steps = 0
     while not converged and steps < max_steps:
-        moves.append(step(balls, rng))
+        r = bits(2)
+        while r >= 2:
+            r = bits(2)
+        u = bits(u_width)
+        while u >= n:
+            u = bits(u_width)
+        v = bits(v_width)
+        while v >= n - 1:
+            v = bits(v_width)
+        if v >= u:
+            v += 1
+        if (not r if directed
+                else rows[r][u] >> v & 1 or rows[1 - r][v] >> u & 1):
+            kind = fire(kinds[r], u, v)
+        else:
+            kind = no_change
+        if kind is no_change:
+            move = idle[r][u].get(v)
+            if move is None:
+                move = idle[r][u][v] = Move(no_change, kinds[r], u, v)
+        else:
+            move = Move(kind, kinds[r], u, v)
+        moves.append(move)
         steps += 1
         if steps % scan_interval == 0:
             converged = next(balls.witnesses(), None) is None

@@ -8,10 +8,10 @@ bidirected model.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from .dynamics import seeded_rng
 from .model import BidirectedNetwork
 
 
@@ -132,9 +132,11 @@ def kautz(d: int, D: int, lifted: bool = False) -> BidirectedNetwork:
 
 
 def random_net(n: int, p_s: float, p_l: float, seed: int) -> BidirectedNetwork:
+    """Each speaking, then each listening, edge present with probability
+    p_s or p_l, drawn from ``seeded_rng(seed)``."""
     if not (0 <= p_s <= 1 and 0 <= p_l <= 1):
         raise ValueError("probabilities must be in [0, 1]")
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     net = BidirectedNetwork(n)
     for u in range(n):
         for v in range(n):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .dynamics import run
+from .dynamics import run, seeded_rng
 from .generators import random_net
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets, _bfs, _transpose, ascending)
@@ -137,7 +137,7 @@ def structure_search(params: Params, budget: int,
     with both an open and a closed triangle.  The budget counts network states
     examined (every dynamics step plus every start); returns the first hit
     or None once the budget is exhausted."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     spent = 0
     attempt = 0
     while spent < budget:

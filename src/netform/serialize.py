@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from .convergence import PathCertificate
-from .dynamics import RNG_ID, EdgeKind, Move, MoveKind, Trace, apply_move
+from .dynamics import (MAX_SEED, RNG_ID, EdgeKind, Move, MoveKind, Trace,
+                       apply_move)
 from .errors import DocumentError, TraceError
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets)
@@ -266,6 +267,8 @@ def trace_from_text(text: str) -> Trace:
     initial, params, targets = _parse_game(
         header, ("initial_speaking", "initial_listening"), "trace")
     seed = _trace_field(header, "seed", int)
+    if not 0 <= seed <= MAX_SEED:
+        raise DocumentError(f"seed: expected an int in 0..2**64-1, got {seed}")
     rng_id = _trace_field(header, "rng_id", str)
     if rng_id != RNG_ID:
         raise DocumentError(f"rng_id: netform replays only {RNG_ID!r}, "

@@ -142,6 +142,66 @@ class TestStep:
         assert out.stdout.strip() == "rejected", out.stderr
 
 
+def stepped_run(initial, params, targets, seed, max_steps, scan_interval):
+    """``run``'s reference: rounds of ``step`` on a copy of ``initial``,
+    with a first-witness scan before the first round and after every
+    scan_interval-th.  The moves, the final network and ``converged``."""
+    net = initial.copy()
+    balls = ReachBalls(net, params, targets)
+    rng = random.Random(seed)
+    moves = []
+    converged = find_witness(net, params, targets) is None
+    while not converged and len(moves) < max_steps:
+        moves.append(step(balls, rng))
+        if len(moves) % scan_interval == 0:
+            converged = find_witness(net, params, targets) is None
+    return moves, net, converged
+
+
+# (params, n, speaking density, listening density, targets): both modes at
+# k = 1, 2 and inf, default and custom target sets, directed starts holding
+# listening edges, and n or n - 1 a power of two
+RUN_CASES = {
+    "bi-k1-n2": (bi(k=1, cs=F(1, 3), cl=F(1, 3)), 2, 0.5, 0.5, ALL_OTHERS),
+    "bi-k2-n5": (bi(k=2), 5, 0.4, 0.4, ALL_OTHERS),
+    "bi-kinf-n9-targets": (bi(cs=F(1), cl=F(1, 3)), 9, 0.3, 0.3,
+                           TargetSets(speak={0: frozenset({1, 2, 3})},
+                                      listen={4: frozenset({0, 5, 8})})),
+    "dir-k1-n3-listening": (Params(k=1, c_s=F(1, 2), mode=Mode.DIRECTED), 3,
+                            0.3, 0.6, ALL_OTHERS),
+    "dir-k2-n4-targets": (Params(k=2, c_s=F(1), mode=Mode.DIRECTED), 4, 0.4,
+                          0.4, TargetSets(speak={1: frozenset({0, 3})})),
+    "dir-kinf-n8-listening": (Params(k=INF, c_s=F(3, 2), mode=Mode.DIRECTED),
+                              8, 0.2, 0.5, ALL_OTHERS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+@pytest.mark.parametrize("scan_interval, max_steps", [
+    (1, None), (None, None), (None, 6)], ids=["scan-1", "scan-default", "cut"])
+def test_run_matches_stepped_reference(case, scan_interval, max_steps):
+    # run makes its rounds in its own loop; a loop of step must give the
+    # same moves, final network and verdict, and the draws must be
+    # randrange's
+    params, n, ps, pl, targets = RUN_CASES[case]
+    for seed in range(4):
+        start = random_net(n, ps, pl, 50 + seed)
+        trace = run(start, params, targets, seed=seed, max_steps=max_steps,
+                    scan_interval=scan_interval)
+        moves, final, converged = stepped_run(
+            start, params, targets, seed,
+            50 * n ** 6 if max_steps is None else max_steps,
+            scan_interval or 2 * n * (n - 1))
+        assert trace.moves == moves, (case, seed)
+        assert trace.final == final and trace.converged is converged
+        assert trace.initial == start
+        if max_steps is not None and not converged:
+            assert trace.steps_sampled == max_steps
+        oracle = random.Random(seed)
+        assert [(mv.edge_kind, mv.u, mv.v) for mv in trace.moves] == [
+            sample_by_randrange(oracle, n) for _ in trace.moves]
+
+
 class TestRun:
     def test_stable_start_converges_immediately(self):
         # [PAPER] the lifted cycle is stable for 0 < c <= n-1, k unbounded
@@ -175,6 +235,15 @@ class TestRun:
     def test_bad_budgets_rejected(self):
         with pytest.raises(ValueError):
             run(empty(3), bi(), max_steps=0)
+
+    def test_seed_outside_64_bits_refused(self):
+        # random.Random seeds with abs(seed): -5 would replay seed 5's rows
+        start = BidirectedNetwork(3, [(0, 1)])
+        for seed in (-5, 2 ** 64):
+            with pytest.raises(ValueError, match="seed must be in"):
+                run(start, bi(), seed=seed)
+        tr = run(start, bi(), seed=2 ** 64 - 1, max_steps=3)
+        assert tr.seed == 2 ** 64 - 1 and tr.steps_sampled >= 1
 
 
 def test_move_kind_attributes_match_the_value_text():

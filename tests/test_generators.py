@@ -130,6 +130,13 @@ class TestRandomAndComplete:
         with pytest.raises(ValueError):
             random_net(3, 1.2, 0, 0)
 
+    def test_seed_outside_64_bits_refused(self):
+        # random.Random seeds with abs(seed): -1 would build seed 1's network
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed must be in"):
+                random_net(3, 0.5, 0.5, seed)
+        assert random_net(3, 1, 1, 2 ** 64 - 1) == complete_net(3)
+
 
 def _petal_sizes(net):
     """Non-center cycle lengths of a flower: follow each center out-edge."""

@@ -318,6 +318,13 @@ class TestTraceDefects:
                      id="remove-absent-edge"),
         pytest.param(_trace_text({**BASE_TRACE, "seed": 1.5}), DocumentError,
                      "^seed: expected int", id="float-seed"),
+        # random.Random seeds with abs(seed): -3 would replay seed 3's draws
+        pytest.param(_trace_text({**BASE_TRACE, "seed": -3}), DocumentError,
+                     r"^seed: expected an int in 0\.\.2\*\*64-1, got -3$",
+                     id="negative-seed"),
+        pytest.param(_trace_text({**BASE_TRACE, "seed": 2 ** 64}),
+                     DocumentError, "^seed: expected an int in 0",
+                     id="seed-over-64-bits"),
         pytest.param(_trace_text({**BASE_TRACE, "rng_id": 7}), DocumentError,
                      "^rng_id: expected str", id="int-rng-id"),
         pytest.param(_trace_text({**BASE_TRACE, "rng_id": "numpy-pcg64"}),
@@ -533,6 +540,11 @@ class TestStructureSearch:
     def test_zero_budget_finds_nothing(self):
         p = Params(k=2, c_s=F(3, 2), mode=Mode.DIRECTED)
         assert structure_search(p, budget=0) is None  # [TRIVIAL]
+
+    def test_negative_seed_refused(self):
+        p = Params(k=2, c_s=F(3, 2), mode=Mode.DIRECTED)
+        with pytest.raises(ValueError, match="seed must be in"):
+            structure_search(p, budget=0, seed=-1)
 
     def test_triangle_predicate(self):
         net = BidirectedNetwork(4, [(0, 1), (1, 2), (2, 0)])
@@ -817,6 +829,22 @@ class TestCli:
                                   *argv], env=child_env(), preexec_fn=limit,
                                  capture_output=True, text=True, timeout=30)
             assert out.returncode == 1 and "cap of a document" in out.stderr
+
+    @pytest.mark.parametrize("seed", ["-5", str(2 ** 64)])
+    def test_seed_outside_64_bits_refused(self, tmp_path, capsys, seed):
+        # random.Random seeds with abs(seed), so -5 would write seed 5's
+        # network and rows under the name -5
+        doc = tmp_path / "r.json"
+        assert self.run_cli("generate", "random", "--n", "4", "--seed", seed,
+                            "-o", str(doc)) == 1
+        assert not doc.exists()
+        assert self.run_cli("generate", "random", "--n", "4", "-o",
+                            str(doc)) == 0
+        assert self.run_cli("run", "-i", str(doc), "--seed", seed,
+                            "-o", str(tmp_path / "t")) == 1
+        assert not (tmp_path / "t").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: seed must be in 0..2**64-1, got {seed}"] * 2
 
     def test_exit_codes(self, tmp_path, capsys):
         assert self.run_cli("generate", "flower", "--n", "26") == 1  # no finite k
