@@ -67,10 +67,10 @@ def _params(k: str, c_s: str, c_l: str, mode: Optional[str],
     c_s = serialize.parse_cost(c_s, where["c_s"])
     c_l = serialize.parse_cost(c_l, where["c_l"])
     mode = Mode(mode or ("directed" if c_l == 0 else "bidirected"))
-    if mode is Mode.DIRECTED and c_l != 0:
-        raise DocumentError(f"{where['c_l']}: directed mode requires c_l = 0, "
-                            f"got {c_l}")
-    return Params(k=k, c_s=c_s, c_l=c_l, mode=mode)
+    try:  # only the mode rule is left: directed mode needs c_l = 0
+        return Params(k=k, c_s=c_s, c_l=c_l, mode=mode)
+    except ValueError as exc:
+        raise DocumentError(f"{where['c_l']}: {exc}") from None
 
 
 def _add_param_flags(sub):
@@ -104,7 +104,6 @@ def build_parser() -> _Parser:
     r.add_argument("-i", "--input", required=True)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--max-steps", type=int, default=None)
-    r.add_argument("--scan", type=int, default=None)
     r.add_argument("-o", "--output", default=None)
 
     c = subs.add_parser("check", help="stability / oracle checks")
@@ -190,7 +189,7 @@ def _req(value, flag):
 def _cmd_run(args) -> int:
     net, params, targets, _ = _read_doc(args.input)
     trace = dynamics.run(net, params, targets, seed=args.seed,
-                         max_steps=args.max_steps, scan_interval=args.scan)
+                         max_steps=args.max_steps)
     _write(args.output, serialize.trace_to_text(trace))
     return 0
 

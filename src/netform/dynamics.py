@@ -312,22 +312,22 @@ def step(balls: ReachBalls, rng: random.Random) -> Move:
 
 def run(initial: BidirectedNetwork, params: Params,
         targets: TargetSets = ALL_OTHERS, seed: int = 0,
-        max_steps: Optional[int] = None,
-        scan_interval: Optional[int] = None) -> Trace:
-    """Run the dynamics until a full scan finds nothing addable or removable,
-    or until max_steps.  Non-convergence is reported, never raised; a seed
-    outside 0..MAX_SEED raises ValueError (``seeded_rng``).  A round is
-    ``step``'s, made here: a dead draw (a listening edge in directed
-    mode, or an absent edge whose partner half is absent) is NO_CHANGE
-    without a ``fire`` call, and every no-change round on one typed edge
-    appends the same ``Move``."""
+        max_steps: Optional[int] = None) -> Trace:
+    """Run the dynamics until a full scan, made first and after every
+    2n(n-1)-th round, finds nothing addable or removable, or until
+    max_steps: ``run`` on a trace's header, with max_steps
+    ``max(1, steps_sampled)``, makes the trace again.  Non-convergence is
+    reported, never raised; a seed outside 0..MAX_SEED raises ValueError
+    (``seeded_rng``).  A round is ``step``'s, made here: a dead draw (a
+    listening edge in directed mode, or an absent edge whose partner half is
+    absent) is NO_CHANGE without a ``fire`` call, and every no-change round
+    on one typed edge appends the same ``Move``."""
     n = initial.n
     if max_steps is None:
         max_steps = 50 * n ** 6
-    if scan_interval is None:
-        scan_interval = max(1, 2 * n * (n - 1))
-    if max_steps < 1 or scan_interval < 1:
-        raise ValueError("max_steps and scan_interval must be >= 1")
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    scan_interval = max(1, 2 * n * (n - 1))
     bits = seeded_rng(seed).getrandbits
     net = initial.copy()
     balls = ReachBalls(net, params, targets)

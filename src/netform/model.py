@@ -27,6 +27,7 @@ from typing import Iterable, Mapping
 #: Sentinel for an unbounded path-length horizon.  Code must branch on it
 #: explicitly; several results hold only in the unbounded regime.
 INF = float("inf")
+MAX_EXPONENT = 4300  # of a decimal cost: Python's default int/str digit limit
 
 
 class Mode(Enum):
@@ -38,10 +39,24 @@ class Mode(Enum):
 
 
 def _as_cost(value) -> Fraction:
+    """The one cost rule: an exact nonnegative Fraction, int, or decimal
+    ('1.5') or p/q string that ``str`` can write back; else ValueError."""
     if isinstance(value, (bool, float)):
-        raise ValueError(f"costs must be an exact Fraction, int or string, "
-                         f"got {value!r}")
-    c = Fraction(value)
+        raise ValueError(f"expected an exact string or integer, got {value!r}")
+    try:  # Fraction would build 10**exponent (of text or a Decimal) first
+        exponent = abs(int(str(value).lower().partition("e")[2] or 0))
+    except ValueError:
+        exponent = 0  # malformed, or an int with no text: checked below
+    if exponent > MAX_EXPONENT:
+        raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT}")
+    try:
+        c = Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ValueError(f"cannot parse {value!r} exactly") from exc
+    try:  # apart from the parse: past the limit repr(value) fails too
+        str(c)
+    except ValueError:
+        raise ValueError("cost has too many digits to write back") from None
     if c < 0:
         raise ValueError(f"costs must be nonnegative, got {c}")
     return c
@@ -63,7 +78,8 @@ class Params:
         object.__setattr__(self, "c_s", _as_cost(self.c_s))
         object.__setattr__(self, "c_l", _as_cost(self.c_l))
         if self.mode is Mode.DIRECTED and self.c_l != 0:
-            raise ValueError("directed-reduced mode requires c_l = 0")
+            raise ValueError(f"directed-reduced mode requires c_l = 0, "
+                             f"got {self.c_l}")
 
 
 @dataclass(frozen=True)

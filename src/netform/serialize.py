@@ -1,8 +1,9 @@
 """Network documents (JSON), DOT export, and trace/certificate text formats.
 
 All emission is sorted so output is byte-identical across runs for the same
-input.  Parsing refuses more than ``MAX_AGENTS`` agents and costs it could
-not write back, among them any decimal exponent above ``MAX_EXPONENT``.
+input.  Parsing refuses more than ``MAX_AGENTS`` agents; costs and the
+directed mode's free listening are ``Params``'s rules, whose refusals it
+locates at ``c_s`` or ``c_l``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from .dynamics import (MAX_SEED, RNG_ID, EdgeKind, Move, MoveKind, Trace,
                        apply_move)
 from .errors import DocumentError, TraceError
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
-                    TargetSets)
+                    TargetSets, _as_cost)
 
 MAX_AGENTS = 10_000  # a network allocates four per-vertex lists up front
-MAX_EXPONENT = 4300  # Python's default int/str digit limit
 
 _DOC_FIELDS = {"n", "k", "c_s", "c_l", "mode", "speaking", "listening",
                "targets_s", "targets_l", "meta"}
@@ -29,30 +29,11 @@ _TRACE_FIELDS = {"record", "seed", "rng_id", "converged", "steps_sampled",
 
 
 def parse_cost(text, where: str = "cost") -> Fraction:
-    """Exact nonnegative cost from a decimal ('1.5') or fraction ('3/2')
-    string, or an integer.  Floats are rejected: they are not exact."""
-    if isinstance(text, bool) or isinstance(text, float):
-        raise DocumentError(f"{where}: expected an exact string or integer, "
-                            f"got {text!r}")
-    try:  # Fraction would build 10**exponent before any check
-        exponent = abs(int(text.lower().partition("e")[2] or 0))
-    except (AttributeError, ValueError):
-        exponent = 0  # an integer, or malformed: Fraction reports it
-    if exponent > MAX_EXPONENT:
-        raise DocumentError(f"{where}: exponent of {text!r} exceeds "
-                            f"{MAX_EXPONENT}")
+    """``model._as_cost``, its ValueError a DocumentError at ``where``."""
     try:
-        cost = Fraction(text)
-        format_cost(cost)  # more than 4300 digits cannot be written back
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DocumentError(f"{where}: cannot parse {text!r} exactly") from exc
-    if cost < 0:
-        raise DocumentError(f"{where}: costs must be nonnegative, got {cost}")
-    return cost
-
-
-def format_cost(c: Fraction) -> str:
-    return str(c)
+        return _as_cost(text)
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}") from None
 
 
 def parse_k(value, where: str = "k"):
@@ -126,11 +107,12 @@ def _parse_game(doc: dict, edge_keys: Tuple[str, str], where: str
     except ValueError:
         raise DocumentError(f"mode: expected 'bidirected' or 'directed', "
                             f"got {doc['mode']!r}") from None
-    try:
-        params = Params(k=parse_k(doc["k"]), c_s=parse_cost(doc["c_s"], "c_s"),
-                        c_l=parse_cost(doc["c_l"], "c_l"), mode=mode)
+    k, c_s = parse_k(doc["k"]), parse_cost(doc["c_s"], "c_s")
+    c_l = parse_cost(doc["c_l"], "c_l")
+    try:  # only the mode rule is left: directed mode needs c_l = 0
+        params = Params(k=k, c_s=c_s, c_l=c_l, mode=mode)
     except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+        raise DocumentError(f"c_l: {exc}") from None
     speaking, listening = edge_keys
     net = BidirectedNetwork(n)
     _add_edges(net.add_speaking, doc[speaking], speaking)
@@ -147,8 +129,8 @@ def _game_fields(net: BidirectedNetwork, params: Params, targets: TargetSets,
     fields = {
         "n": net.n,
         "k": format_k(params.k),
-        "c_s": format_cost(params.c_s),
-        "c_l": format_cost(params.c_l),
+        "c_s": str(params.c_s),
+        "c_l": str(params.c_l),
         "mode": params.mode.value,
         prefix + "speaking": [list(e) for e in net.edges(speaking=True)],
         prefix + "listening": [list(e) for e in net.edges(speaking=False)],

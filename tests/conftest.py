@@ -1,8 +1,10 @@
 """Shared helpers: an independent reachability oracle (simple-path
 enumeration, no BFS), the production reach and strip read through their
-kernels, and small strategies for property tests."""
+kernels, small strategies for property tests, and a time limit on every
+test."""
 
 import os
+import signal
 from fractions import Fraction
 from itertools import permutations
 
@@ -12,6 +14,38 @@ import netform
 from netform import INF, BidirectedNetwork, Mode, Params, ReachBalls
 from netform.convergence import _strip_inplace
 from netform.model import ascending
+
+
+#: Seconds one test may take; the slowest takes about 6.
+LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, and not pytest's ``Failed``: hypothesis takes either
+    for a failing example and shrinks it, running the spinning code again
+    each time, while this one it lets through at once."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past ``LIMIT_S`` instead of hanging the suite;
+    the next test still runs.  The alarm repeats, so code that catches the
+    first expiry and spins on is stopped again.  Skipped where
+    ``signal.setitimer`` is missing."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past the {LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, LIMIT_S, LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def child_env() -> dict:

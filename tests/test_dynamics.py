@@ -142,10 +142,11 @@ class TestStep:
         assert out.stdout.strip() == "rejected", out.stderr
 
 
-def stepped_run(initial, params, targets, seed, max_steps, scan_interval):
+def stepped_run(initial, params, targets, seed, max_steps):
     """``run``'s reference: rounds of ``step`` on a copy of ``initial``,
     with a first-witness scan before the first round and after every
-    scan_interval-th.  The moves, the final network and ``converged``."""
+    2n(n-1)-th.  The moves, the final network and ``converged``."""
+    scan_interval = max(1, 2 * initial.n * (initial.n - 1))
     net = initial.copy()
     balls = ReachBalls(net, params, targets)
     rng = random.Random(seed)
@@ -177,21 +178,18 @@ RUN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(RUN_CASES))
-@pytest.mark.parametrize("scan_interval, max_steps", [
-    (1, None), (None, None), (None, 6)], ids=["scan-1", "scan-default", "cut"])
-def test_run_matches_stepped_reference(case, scan_interval, max_steps):
+@pytest.mark.parametrize("max_steps", [None, 6], ids=["scan-default", "cut"])
+def test_run_matches_stepped_reference(case, max_steps):
     # run makes its rounds in its own loop; a loop of step must give the
     # same moves, final network and verdict, and the draws must be
     # randrange's
     params, n, ps, pl, targets = RUN_CASES[case]
     for seed in range(4):
         start = random_net(n, ps, pl, 50 + seed)
-        trace = run(start, params, targets, seed=seed, max_steps=max_steps,
-                    scan_interval=scan_interval)
+        trace = run(start, params, targets, seed=seed, max_steps=max_steps)
         moves, final, converged = stepped_run(
             start, params, targets, seed,
-            50 * n ** 6 if max_steps is None else max_steps,
-            scan_interval or 2 * n * (n - 1))
+            50 * n ** 6 if max_steps is None else max_steps)
         assert trace.moves == moves, (case, seed)
         assert trace.final == final and trace.converged is converged
         assert trace.initial == start
@@ -227,10 +225,9 @@ class TestRun:
         assert c.moves != a.moves or c.final == a.final
 
     def test_nonconvergence_reported_not_raised(self):
-        tr = run(random_net(8, 0.5, 0.5, 0), bi(), seed=0, max_steps=1,
-                 scan_interval=1)
-        assert tr.steps_sampled <= 1
-        assert isinstance(tr.converged, bool)
+        # cut before the first scan after the start: 1 < 2n(n-1) = 112
+        tr = run(random_net(8, 0.5, 0.5, 0), bi(), seed=0, max_steps=1)
+        assert tr.steps_sampled == 1 and tr.converged is False
 
     def test_bad_budgets_rejected(self):
         with pytest.raises(ValueError):
@@ -320,7 +317,7 @@ class TestNeverReadd:
 
     def test_vacuous_for_directed(self):
         p = Params(k=INF, c_s=F(1), mode=Mode.DIRECTED)
-        tr = run(empty(3), p, seed=0, max_steps=5, scan_interval=5)
+        tr = run(empty(3), p, seed=0, max_steps=5)
         res = never_readd_check(tr)
         assert res.ok and not res.applicable
 

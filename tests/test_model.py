@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +15,8 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
 from netform.generators import balanced_flower, cycle, empty
 from netform.model import _count
 
-from conftest import (held_reach, oracle_speaking_reach, oracle_utility,
-                      net_from_bits)
+from conftest import (child_env, held_reach, oracle_speaking_reach,
+                      oracle_utility, net_from_bits)
 
 
 def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
@@ -48,6 +50,25 @@ class TestParams:
         # 0.1 is not 1/10 in binary, and a bool is no cost
         with pytest.raises(ValueError, match=rf"got {cost!r}$"):
             Params(k=1, c_s=cost)
+
+    @pytest.mark.parametrize("cost", ["1e5000", 10 ** 5000],
+                             ids=["exponent", "digits"])
+    def test_unwritable_costs_rejected(self, cost):
+        # a document could not write either back: past 4300 digits
+        with pytest.raises(ValueError):
+            Params(k=1, c_s=cost)
+
+    def test_giant_exponent_fails_fast(self):
+        # in a child process, so a regression fails on the timeout instead of
+        # hanging the suite while Fraction builds 10**999999999
+        code = ("from decimal import Decimal\n"
+                "from netform import Params\n"
+                "for cost in ('1e999999999', Decimal('1e999999999')):\n"
+                "    try:\n        Params(k=1, c_s=cost)\n"
+                "    except ValueError:\n        print('rejected')\n")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                             capture_output=True, text=True, timeout=30)
+        assert out.stdout.split() == ["rejected"] * 2, out.stderr
 
 
 class TestNetwork:

@@ -150,6 +150,13 @@ class TestDocuments:
         with pytest.raises(DocumentError, match="^n:"):
             trace_from_text(_trace_text(header))
 
+    def test_directed_listening_cost_named(self):
+        doc = emit_document(empty(2), bi())
+        doc["mode"] = "directed"
+        with pytest.raises(DocumentError, match=r"^c_l: directed-reduced mode "
+                                                r"requires c_l = 0, got 1/2$"):
+            parse_document(doc)
+
     def test_decimal_cost_directed_document(self):
         doc = emit_document(empty(3), Params(k=2, c_s="1.5",
                                              mode=Mode.DIRECTED))
@@ -304,6 +311,9 @@ class TestTraceDefects:
                      id="misspelled-targets"),
         pytest.param(_trace_text({**BASE_TRACE, "mode": "weird"}),
                      DocumentError, "^mode:", id="unknown-mode"),
+        pytest.param(_trace_text({**BASE_TRACE, "mode": "directed"}),
+                     DocumentError, "^c_l: directed-reduced mode requires",
+                     id="directed-listening-cost"),
         pytest.param(_trace_text({**BASE_TRACE, "initial_speaking": [[0, 1], [2, 2]]}),
                      DocumentError, r"initial_speaking\[1\]: self-pair",
                      id="self-pair"),
@@ -570,6 +580,39 @@ class TestCli:
                             "-o", str(trace)) == 0
         header = json.loads(trace.read_text().splitlines()[0])
         assert header["converged"] is True
+
+    # (generate arguments, run arguments): bidirected and directed starts,
+    # each run to convergence and cut by --max-steps, and a stable start
+    BI_START = ("random", "--n", "8", "--seed", "4", "--ps", "0.3", "--pl",
+                "0.3", "--cs", "1/2", "--cl", "1/2")
+    DI_START = ("random", "--n", "7", "--seed", "5", "--ps", "0.3", "--cs",
+                "2", "--mode", "directed")
+    HEADER_RUNS = [
+        (BI_START, ("--seed", "3")),
+        (BI_START, ("--seed", "3", "--max-steps", "40")),
+        (DI_START, ("--seed", "1")),
+        (DI_START, ("--seed", "1", "--max-steps", "9")),
+        (("cycle", "--n", "5", "--cs", "2", "--cl", "2"), ("--seed", "2")),
+    ]
+
+    def test_trace_is_a_function_of_its_header(self, tmp_path):
+        # run on a trace's header, with max_steps its row count (at least
+        # 1), writes the trace again: no input that shapes it goes unrecorded
+        doc, out = tmp_path / "d.json", tmp_path / "t.trace"
+        seen = set()
+        for generate, run_args in self.HEADER_RUNS:
+            assert self.run_cli("generate", *generate, "-o", str(doc)) == 0
+            assert self.run_cli("run", "-i", str(doc), *run_args,
+                                "-o", str(out)) == 0
+            text = out.read_text()
+            t = trace_from_text(text)
+            again = run(t.initial, t.params, t.targets, seed=t.seed,
+                        max_steps=max(1, t.steps_sampled))
+            assert trace_to_text(again) == text, (generate, run_args)
+            seen.add((t.params.mode, t.converged, t.steps_sampled > 0))
+        assert seen == {(mode, converged, True) for mode in Mode
+                        for converged in (True, False)} | {
+            (Mode.BIDIRECTED, True, False)}
 
     def test_flower_metrics(self, tmp_path, capsys):
         doc = tmp_path / "flower.json"
