@@ -18,7 +18,6 @@ trace's bytes rest on MT19937's ``getrandbits`` only.  A round yields a
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -228,18 +227,38 @@ class ReachBalls:
                 self._balls[forward][u] = (after[0], after[0] & ~after[1])
         return move
 
-    def witnesses(self):
-        """Every addable or removable typed edge, in ``iter_typed_pairs``
-        order, as ``(kind, u, v, move)``.  In directed mode the walk ends
-        with the speaking pairs: a listening edge there never fires (see
-        ``classify``)."""
-        pairs = iter_typed_pairs(self.net.n)
-        if self.params.mode is Mode.DIRECTED:
-            pairs = itertools.islice(pairs, self.net.n * (self.net.n - 1))
-        for kind, u, v in pairs:
-            move = self.classify(kind, u, v)
-            if move is not MoveKind.NO_CHANGE:
-                yield kind, u, v, move
+    def witnesses(self, quiet=None):
+        """Every addable or removable typed edge as ``(kind, u, v, move)``,
+        speaking before listening, u ascending, then v ascending.  A pair
+        whose bit v is set in ``quiet[listening][u]`` (``run``'s record of
+        the pairs that answered NO_CHANGE since its last fired move) is
+        skipped, and each pair found NO_CHANGE gets its bit; without
+        ``quiet`` no pair counts as quiet.  An absent dead pair (bidirected,
+        partner half absent) is never addable and is skipped too, and in
+        directed mode the walk ends with the speaking pairs: a listening
+        edge there never fires (see ``classify``)."""
+        net, n, no_change = self.net, self.net.n, MoveKind.NO_CHANGE
+        if quiet is None:
+            quiet = ([0] * n, [0] * n)
+        directed = self.params.mode is Mode.DIRECTED
+        # [listening]: (kind, out, partner_in), bit v of out[u] | partner_in[u]
+        # set when the typed edge (u, v) or its partner half (v, u) is present
+        halves = ((EdgeKind.SPEAKING, net._speak_out, net._listen_in),
+                  (EdgeKind.LISTENING, net._listen_out, net._speak_in))
+        for (kind, out, partner_in), q in zip(halves[:1 if directed else 2],
+                                              quiet):
+            for u in range(n):
+                todo = (((1 << n) - 1 if directed else out[u] | partner_in[u])
+                        & ~q[u] & ~(1 << u))
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    v = low.bit_length() - 1
+                    move = self.classify(kind, u, v)
+                    if move is no_change:
+                        q[u] |= low
+                    else:
+                        yield kind, u, v, move
 
 
 def classify(net: BidirectedNetwork, params: Params, targets: TargetSets,
@@ -247,14 +266,6 @@ def classify(net: BidirectedNetwork, params: Params, targets: TargetSets,
     """The move the edge rule makes on the typed edge (u, v) for its owner u."""
     net._check_pair(u, v)
     return ReachBalls(net, params, targets).classify(kind, u, v)
-
-
-def iter_typed_pairs(n: int):
-    for kind in (EdgeKind.SPEAKING, EdgeKind.LISTENING):
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    yield kind, u, v
 
 
 def find_witness(net: BidirectedNetwork, params: Params,
@@ -321,7 +332,10 @@ def run(initial: BidirectedNetwork, params: Params,
     (``seeded_rng``).  A round is ``step``'s, made here: a dead draw (a
     listening edge in directed mode, or an absent edge whose partner half is
     absent) is NO_CHANGE without a ``fire`` call, and every no-change round
-    on one typed edge appends the same ``Move``."""
+    on one typed edge appends the same ``Move``.  So is a quiet draw, a pair
+    that answered NO_CHANGE since the last fired move, and the scans skip
+    quiet pairs (``witnesses``): ``classify`` reads only the network, which
+    only a fired move changes, so their answer stands."""
     n = initial.n
     if max_steps is None:
         max_steps = 50 * n ** 6
@@ -332,7 +346,9 @@ def run(initial: BidirectedNetwork, params: Params,
     net = initial.copy()
     balls = ReachBalls(net, params, targets)
     moves: List[Move] = []
-    converged = next(balls.witnesses(), None) is None
+    # [listening][u]: bit v set when the typed edge (u, v) is quiet
+    quiet = ([0] * n, [0] * n)
+    converged = next(balls.witnesses(quiet), None) is None
     fire, no_change = balls.fire, MoveKind.NO_CHANGE
     directed = params.mode is Mode.DIRECTED
     # [listening]; the partner half of listening (u, v) is speaking (v, u)
@@ -355,11 +371,16 @@ def run(initial: BidirectedNetwork, params: Params,
             v = bits(v_width)
         if v >= u:
             v += 1
-        if (not r if directed
+        if quiet[r][u] >> v & 1 or not (
+                not r if directed
                 else rows[r][u] >> v & 1 or rows[1 - r][v] >> u & 1):
-            kind = fire(kinds[r], u, v)
-        else:
             kind = no_change
+        else:
+            kind = fire(kinds[r], u, v)
+            if kind is no_change:
+                quiet[r][u] |= 1 << v
+            else:
+                quiet = ([0] * n, [0] * n)
         if kind is no_change:
             move = idle[r][u].get(v)
             if move is None:
@@ -369,7 +390,7 @@ def run(initial: BidirectedNetwork, params: Params,
         moves.append(move)
         steps += 1
         if steps % scan_interval == 0:
-            converged = next(balls.witnesses(), None) is None
+            converged = next(balls.witnesses(quiet), None) is None
     return Trace(seed=seed, params=params, initial=initial.copy(), moves=moves,
                  final=net, converged=converged, targets=targets)
 

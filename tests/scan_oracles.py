@@ -4,8 +4,9 @@ the set-based reach search the kernel replaced, the edge rule and the
 bi-pairwise joint additions decided by mutating a copy of the network and
 recomputing reach or utility from scratch, the efficiency and PoA/PoS
 searches over every network with from-scratch welfare and a full witness
-scan, the ``randrange`` sampler that ``dynamics.step`` once called, and the
-strip that restarts its sweep after every removal."""
+scan, the typed-pair order of the witness walk, the ``randrange`` sampler
+that ``dynamics.step`` once called, and the strip that restarts its sweep
+after every removal."""
 
 from conftest import oracle_live
 from netform import (EdgeKind, EfficiencyReport, Mode, PoAResult,
@@ -41,6 +42,16 @@ def bfs_by_sets(net, k, v, forward, mode, skip=None):
         frontier = nxt
     seen.discard(v)
     return seen, set(frontier)
+
+
+def iter_typed_pairs(n):
+    """Every typed pair ``(kind, u, v)`` in the order ``ReachBalls.witnesses``
+    walks: speaking before listening, u ascending, then v ascending."""
+    for kind in (EdgeKind.SPEAKING, EdgeKind.LISTENING):
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    yield kind, u, v
 
 
 def sample_by_randrange(rng, n):

@@ -10,14 +10,14 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
                      Move, MoveKind, Params, ReachBalls, TargetSets, Trace,
                      classify, find_witness, never_readd_check, replay, run,
                      scan_witnesses, step)
-from netform.dynamics import apply_move, iter_typed_pairs
+from netform.dynamics import apply_move
 from netform.errors import TraceError
 from netform.generators import cycle, empty, random_net
 from netform.metrics import start_density
 from netform.serialize import trace_to_text
 
 from conftest import child_env, net_from_bits, oracle_utility
-from scan_oracles import sample_by_randrange
+from scan_oracles import iter_typed_pairs, sample_by_randrange
 
 
 def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
@@ -198,6 +198,35 @@ def test_run_matches_stepped_reference(case, max_steps):
         oracle = random.Random(seed)
         assert [(mv.edge_kind, mv.u, mv.v) for mv in trace.moves] == [
             sample_by_randrange(oracle, n) for _ in trace.moves]
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_run_asks_no_quiet_pair_again(case, monkeypatch):
+    # classify reads only the network, which moves only when a move fires:
+    # at one revision, a pair that answered NO_CHANGE is never asked again,
+    # by a draw or a scan.  A pair that answered with a move may be: a scan
+    # finds it and a later draw fires it
+    params, n, ps, pl, targets = RUN_CASES[case]
+    classify = ReachBalls.classify
+    asked = []
+
+    def recorded(self, kind, u, v):
+        move = classify(self, kind, u, v)
+        asked.append(((self.net.revision, kind, u, v), move))
+        return move
+
+    monkeypatch.setattr(ReachBalls, "classify", recorded)
+    answered_quiet = 0
+    for seed in range(4):
+        asked.clear()
+        run(random_net(n, ps, pl, 50 + seed), params, targets, seed=seed)
+        quiet = set()
+        for key, move in asked:
+            assert key not in quiet, (case, seed, key)
+            if move is MoveKind.NO_CHANGE:
+                quiet.add(key)
+        answered_quiet += len(quiet)
+    assert answered_quiet, case
 
 
 class TestRun:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import (held_reach, net_from_bits, oracle_speaking_reach,
                       oracle_utility)
 from lemma_suite import bidirected_violations, directed_violations
+from scan_oracles import iter_typed_pairs
 from netform import (ALL_OTHERS, INF, EdgeKind, Mode, MoveKind, Params,
                      agent_utility, classify, run, welfare)
-from netform.dynamics import iter_typed_pairs
 from netform.serialize import trace_from_text, trace_to_text
 
 COSTS = (F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(3))

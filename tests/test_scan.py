@@ -14,9 +14,10 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
                      is_bi_pairwise_stable, is_stable, run, scan_witnesses,
                      validate_certificate)
 from netform import dynamics
-from netform.dynamics import apply_move, iter_typed_pairs
+from netform.dynamics import apply_move
 from netform.generators import random_net
-from scan_oracles import bi_pairwise_by_utility, classify_by_toggle
+from scan_oracles import (bi_pairwise_by_utility, classify_by_toggle,
+                          iter_typed_pairs)
 
 # zero, fractional and integer costs: with integer costs an integer gain or
 # loss can equal the cost exactly, where the strict rule must not fire
@@ -150,6 +151,61 @@ class TestDirectedScan:
                 if move is not MoveKind.NO_CHANGE]
         assert list(balls.witnesses()) == full
         assert not any(kind is EdgeKind.LISTENING for kind, *_ in full)
+
+
+def walked(net, mode, kind, u, v):
+    """Whether the witness walk asks about the typed pair (u, v): every
+    speaking pair in directed mode, and in bidirected mode a pair that is
+    present or whose partner half (v, u) is."""
+    if mode is Mode.DIRECTED:
+        return kind is EdgeKind.SPEAKING
+    if kind is EdgeKind.SPEAKING:
+        return net.has_speaking(u, v) or net.has_listening(v, u)
+    return net.has_listening(u, v) or net.has_speaking(v, u)
+
+
+class AskedBalls(ReachBalls):
+    """``ReachBalls`` recording every typed pair ``classify`` is asked."""
+    __slots__ = ("asked",)
+
+    def classify(self, kind, u, v):
+        self.asked.append((kind, u, v))
+        return super().classify(kind, u, v)
+
+
+class TestQuietWalk:
+    @given(st.one_of(cases(), larger_cases(), directed_with_listening()),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_quiet_walk_matches_oracle_and_marks_what_it_asks(
+            self, case, data):
+        # a random subset of the pairs the oracle answers NO_CHANGE is
+        # marked quiet first, as run's record holds them.  The walk yields
+        # the oracle's witnesses in order, asks about each walked pair that
+        # is not marked, once, and marks every one it finds NO_CHANGE
+        net, params, tsets = case
+        n, pairs = net.n, list(iter_typed_pairs(net.n))
+        answers = {pair: classify_by_toggle(net, params, tsets, *pair)
+                   for pair in pairs}
+        picked = data.draw(st.integers(0, 2 ** len(pairs) - 1))
+        quiet, marked = ([0] * n, [0] * n), set()
+        for i, (kind, u, v) in enumerate(pairs):
+            if picked >> i & 1 and answers[kind, u, v] is MoveKind.NO_CHANGE:
+                quiet[kind is EdgeKind.LISTENING][u] |= 1 << v
+                marked.add((kind, u, v))
+        balls = AskedBalls(net, params, tsets)
+        balls.asked = []
+        assert list(balls.witnesses(quiet)) == \
+            oracle_witnesses(net, params, tsets)
+        assert balls.asked == [
+            pair for pair in pairs
+            if walked(net, params.mode, *pair) and pair not in marked]
+        for kind, u, v in pairs:
+            bit = quiet[kind is EdgeKind.LISTENING][u] >> v & 1
+            quiet_answer = answers[kind, u, v] is MoveKind.NO_CHANGE
+            assert bit <= quiet_answer, (kind, u, v)
+            if walked(net, params.mode, kind, u, v):
+                assert bit == quiet_answer, (kind, u, v)
 
 
 class TestBoundaries:
