@@ -228,20 +228,23 @@ def _cmd_path(args) -> int:
 
 
 def _census_rows(n: int, params: Params, writer):
+    """One row per mask, in mask order: each relabelling class's cells are
+    computed once, from its least mask, and shared by its masks."""
     head = [serialize.format_k(params.k), str(params.c_s), str(params.c_l)]
-    for mask, balls in equilibrium.census(n, params):
+    cells = [None] * 2 ** equilibrium.enumeration_bits(n, params.mode)
+    for _, balls, orbit in equilibrium.census(n, params):
         report = equilibrium.bi_pairwise(balls)
         # one list of scaled integer utilities for the welfare and symmetric
         # columns, one Fraction for the welfare
         utilities = [balls.scaled_utility(v) for v in range(n)]
-        writer.writerow(head + [
-            mask,
-            str(Fraction(sum(utilities), balls.scale)),
-            int(report.stable),
-            int(bool(report.bi_pairwise)),
-            int(equilibrium.all_complete(balls.net)),
-            int(len(set(utilities)) <= 1),
-        ])
+        row = [str(Fraction(sum(utilities), balls.scale)), int(report.stable),
+               int(bool(report.bi_pairwise)),
+               int(equilibrium.all_complete(balls.net)),
+               int(len(set(utilities)) <= 1)]
+        for mask in orbit:
+            cells[mask] = row
+    for mask, row in enumerate(cells):  # the orbits partition the masks
+        writer.writerow(head + [mask] + row)
 
 
 def _cmd_census(args) -> int:

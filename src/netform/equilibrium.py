@@ -7,9 +7,10 @@ used to validate the scan on small instances rather than trusted blindly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .dynamics import EdgeKind, MoveKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
@@ -137,51 +138,87 @@ def net_from_mask(n: int, mask: int, mode: Mode) -> BidirectedNetwork:
 
 
 def enumeration_bits(n: int, mode: Mode) -> int:
-    per = n * (n - 1)
-    return 2 * per if mode is Mode.BIDIRECTED else per
-
-
-def iter_all_networks(n: int, mode: Mode) -> Iterator[BidirectedNetwork]:
-    bits = enumeration_bits(n, mode)
+    """The census's mask width, refused over 12 bits before any 2^bits."""
+    bits = n * (n - 1) * (2 if mode is Mode.BIDIRECTED else 1)
     if bits > 12:
         raise CapacityError(f"exhaustive enumeration over 2^{bits} networks "
                             f"refused (n={n}, {mode.value})")
-    for mask in range(2 ** bits):
-        yield net_from_mask(n, mask, mode)
+    return bits
+
+
+def _relabelings(n: int, mode: Mode, targets: TargetSets) -> List[list]:
+    """Per-byte image tables of each agent permutation s that maps every
+    agent's targets onto its image's targets, in each direction the mode
+    reads: all n! under ``ALL_OTHERS``.  Mask bit (a, b) of either half,
+    owner a and other end b, goes to (s[a], s[b]) of the same half, so a
+    mask's image is the sum of its bytes' table entries."""
+    directions = (True,) if mode is Mode.DIRECTED else (True, False)
+    masks = [[targets.mask(v, f, n) for v in range(n)] for f in directions]
+    width, out = n - 1, []
+    for s in itertools.permutations(range(n)):
+        if any(m[s[v]] != sum(1 << s[w] for w in range(n) if m[v] >> w & 1)
+               for m in masks for v in range(n)):
+            continue
+        image = []
+        for i in range(len(directions) * n):  # chunk i: half i // n, owner a
+            a = i % n
+            image += [1 << (i - a + s[a]) * width + s[b] - (s[b] > s[a])
+                      for b in range(n) if b != a]
+        tables = []
+        for low in range(0, len(image), 8):
+            t = [0]  # t[x]: t[x & (x - 1)] plus the image of x's lowest bit
+            for x in range(1, 1 << min(8, len(image) - low)):
+                t.append(t[x & (x - 1)]
+                         | image[low + (x & -x).bit_length() - 1])
+            tables.append(t)
+        out.append(tables)
+    return out
 
 
 def census(n: int, params: Params, targets: TargetSets = ALL_OTHERS
-           ) -> Iterator[Tuple[int, ReachBalls]]:
-    """Every network on n agents with its mask, in one ``ReachBalls`` each.
-    They share one set of target masks and cost constants, which depend on
-    n, params and targets only."""
-    balls = None
-    for mask, net in enumerate(iter_all_networks(n, params.mode)):
+           ) -> Iterator[Tuple[int, ReachBalls, Set[int]]]:
+    """Every relabelling class of the networks on n agents as ``(mask,
+    balls, orbit)``: its least mask, one ``ReachBalls`` of that network and
+    the class's masks.  A relabelling keeps the targets, so each agent's
+    utility moves with it and welfare, stability, bi-pairwise stability,
+    completeness and symmetry hold one value per class.  The balls share
+    their target masks and cost constants (``with_net``)."""
+    seen = bytearray(2 ** enumeration_bits(n, params.mode))
+    relabelings = _relabelings(n, params.mode, targets)
+    mask, balls = 0, None
+    while mask >= 0:
+        orbit = {sum(t[mask >> 8 * i & 255] for i, t in enumerate(tables))
+                 for tables in relabelings}
+        for m in orbit:
+            seen[m] = 1
+        net = net_from_mask(n, mask, params.mode)
         balls = (ReachBalls(net, params, targets) if balls is None
                  else balls.with_net(net))
-        yield mask, balls
+        yield mask, balls, orbit
+        mask = seen.find(0, mask + 1)
 
 
 def efficient_search(n: int, params: Params,
                      targets: TargetSets = ALL_OTHERS) -> EfficiencyReport:
-    """Welfare maxima over all networks on n agents (exhaustive)."""
+    """Welfare maxima over all networks on n agents (exhaustive), the
+    argmax in ascending mask order."""
     best, argmax = None, []
-    for _, balls in census(n, params, targets):
+    for _, balls, orbit in census(n, params, targets):
         w = sum(map(balls.scaled_utility, range(n)))  # scale times welfare
         if best is None or w > best:
-            best, argmax = w, [balls.net]
+            best, argmax = w, list(orbit)
         elif w == best:
-            argmax.append(balls.net)
-    return EfficiencyReport(best_welfare=Fraction(best, balls.scale),
-                            argmax_nets=argmax)
+            argmax.extend(orbit)
+    nets = [net_from_mask(n, m, params.mode) for m in sorted(argmax)]
+    return EfficiencyReport(Fraction(best, balls.scale), nets)
 
 
 def poa_pos(n: int, params: Params,
             targets: TargetSets = ALL_OTHERS) -> PoAResult:
     """Price of anarchy and stability over the full census: worst and best
     stable welfare divided by the optimum."""
-    welfares, stable = [], []  # scale times each welfare
-    for _, balls in census(n, params, targets):
+    welfares, stable = [], []  # scale times each class's welfare
+    for _, balls, _ in census(n, params, targets):
         welfares.append(sum(map(balls.scaled_utility, range(n))))
         if next(balls.witnesses(), None) is None:
             stable.append(welfares[-1])

@@ -1,19 +1,23 @@
 """Test oracles for the bitset reach kernel, the ball-based stability
-checks, the census folds, the dynamics' draw and the convergence strip:
-the set-based reach search the kernel replaced, the edge rule and the
+checks, the census, the dynamics' draw and the convergence strip: the
+set-based reach search the kernel replaced, the edge rule and the
 bi-pairwise joint additions decided by mutating a copy of the network and
-recomputing reach or utility from scratch, the efficiency and PoA/PoS
-searches over every network with from-scratch welfare and a full witness
-scan, the typed-pair order of the witness walk, the ``randrange`` sampler
-that ``dynamics.step`` once called, and the strip that restarts its sweep
-after every removal."""
+recomputing reach or utility from scratch, the raw census enumeration
+(every mask, with its own reach balls and row cells) that the walk by
+relabelling class replaced, the efficiency and PoA/PoS searches over every
+network with from-scratch welfare and a full witness scan, the typed-pair
+order of the witness walk, the ``randrange`` sampler that ``dynamics.step``
+once called, and the strip that restarts its sweep after every removal."""
+
+from fractions import Fraction
 
 from conftest import oracle_live
-from netform import (EdgeKind, EfficiencyReport, Mode, PoAResult,
-                     agent_utility, is_stable, welfare)
+from netform import (ALL_OTHERS, EdgeKind, EfficiencyReport, Mode, PoAResult,
+                     ReachBalls, agent_utility, all_complete, is_stable,
+                     welfare)
 from netform.convergence import CertMove
 from netform.dynamics import MoveKind
-from netform.equilibrium import iter_all_networks
+from netform.equilibrium import bi_pairwise, enumeration_bits, net_from_mask
 
 
 def bfs_by_sets(net, k, v, forward, mode, skip=None):
@@ -142,6 +146,32 @@ def bi_pairwise_by_utility(net, params, targets):
             if after_u > before_u and not after_v < before_v:
                 return False, (u, v, after_u - before_u, after_v - before_v)
     return True, None
+
+
+def iter_all_networks(n, mode):
+    """Every network on n agents, in mask order."""
+    for mask in range(2 ** enumeration_bits(n, mode)):
+        yield net_from_mask(n, mask, mode)
+
+
+def census_by_mask(n, params, targets=ALL_OTHERS):
+    """``(mask, balls)`` for every network on n agents, in mask order, with
+    fresh reach balls per network: the raw enumeration that the census by
+    relabelling class (``equilibrium.census``) is checked against."""
+    for mask, net in enumerate(iter_all_networks(n, params.mode)):
+        yield mask, ReachBalls(net, params, targets)
+
+
+def census_cells_by_mask(n, params):
+    """Every mask's ``netform census`` cells after the mask (welfare, stable,
+    bi_pairwise, complete, symmetric) as CSV text, computed per mask."""
+    for mask, balls in census_by_mask(n, params):
+        report = bi_pairwise(balls)
+        utilities = [balls.scaled_utility(v) for v in range(n)]
+        yield mask, [str(Fraction(sum(utilities), balls.scale)),
+                     str(int(report.stable)), str(int(report.bi_pairwise)),
+                     str(int(all_complete(balls.net))),
+                     str(int(len(set(utilities)) <= 1))]
 
 
 def efficient_search_by_definition(n, params, targets):

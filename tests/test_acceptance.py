@@ -14,11 +14,11 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
                      construct_path, efficient_search, is_bi_pairwise_stable,
                      is_stable, never_readd_check, poa_pos, run,
                      validate_certificate, welfare)
-from netform.equilibrium import iter_all_networks
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
                                 kautz, lift, random_net, unbalanced_flower)
 from netform.metrics import (diameter, has_open_and_closed_triangle,
                              structure_search)
+from scan_oracles import iter_all_networks
 
 
 def report(cid: int, ok: bool, detail: str):

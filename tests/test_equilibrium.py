@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -11,12 +12,14 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
                      efficient_search, is_bi_pairwise_stable, is_stable,
                      poa_pos, welfare)
 from netform.cli import main
-from netform.equilibrium import census, iter_all_networks, net_from_mask
+from netform.equilibrium import census, enumeration_bits, net_from_mask
 from netform.errors import CapacityError
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
                                 kautz, random_net)
 from netform.serialize import format_k
-from scan_oracles import efficient_search_by_definition, poa_pos_by_definition
+from scan_oracles import (census_by_mask, census_cells_by_mask,
+                          efficient_search_by_definition, iter_all_networks,
+                          poa_pos_by_definition)
 
 ROWS = ("_speak_out", "_speak_in", "_listen_out", "_listen_in", "_live_out",
         "_live_in")
@@ -247,7 +250,109 @@ class TestEnumeration:
 
     def test_census_guard(self):
         with pytest.raises(CapacityError):
-            list(iter_all_networks(4, Mode.BIDIRECTED))
+            list(census(4, bi()))
+
+    def test_census_guard_directed_n5(self, tmp_path, capsys):
+        # 20 bits: refused before the walk allocates its 2^bits marks
+        with pytest.raises(CapacityError):
+            next(census(5, di()))
+        assert main(["census", "--n", "5", "--mode", "directed",
+                     "-o", str(tmp_path / "c.csv")]) == 2
+        assert not (tmp_path / "c.csv").exists()
+        capsys.readouterr()
+
+
+# speaking targets kept by exactly one relabelling besides the identity,
+# the swap of agents 0 and 1
+SWAP_01 = TargetSets(speak={0: frozenset({1}), 1: frozenset({0})})
+
+
+def _kept_relabelings(n, mode, targets):
+    """The permutations s of the agents with s(T_v) = T_s(v) for every
+    agent's target set T in each direction the mode reads, from sets."""
+    directions = (True,) if mode is Mode.DIRECTED else (True, False)
+    sets = [[{w for w in range(n) if targets.mask(v, f, n) >> w & 1}
+             for v in range(n)] for f in directions]
+    return [s for s in itertools.permutations(range(n))
+            if all({s[w] for w in t[v]} == t[s[v]]
+                   for t in sets for v in range(n))]
+
+
+def _relabelled(net, s):
+    """The network with agent v renamed s[v], through the checked mutators."""
+    out = BidirectedNetwork(net.n)
+    for u, v in net.speaking:
+        out.add_speaking(s[u], s[v])
+    for v, u in net.listening:
+        out.add_listening(s[v], s[u])
+    return out
+
+
+class TestCensusClasses:
+    @pytest.mark.parametrize("n, params, classes", [
+        (3, di(), 16),
+        (4, di(), 218),  # OEIS A000273
+        (3, bi(), 720),
+    ])
+    def test_class_counts(self, n, params, classes):
+        assert sum(1 for _ in census(n, params)) == classes
+
+    @pytest.mark.parametrize("n, params, targets", [
+        (1, bi(), ALL_OTHERS),
+        (2, bi(), ALL_OTHERS),
+        (3, bi(), ALL_OTHERS),
+        (4, di(), ALL_OTHERS),
+        (3, bi(), SWAP_01),
+        (4, di(), SWAP_01),
+        (3, di(), TargetSets(speak={0: frozenset({1, 2})})),
+        (3, bi(), TargetSets(listen={2: frozenset({0})})),
+    ])
+    def test_orbits_partition_masks_at_least_members(self, n, params,
+                                                     targets):
+        # each orbit is the set of the representative's relabellings that
+        # keep the targets, built with the mutators and decoded
+        # independently; the orbits cover every mask once, each yielded at
+        # its least member, in ascending order
+        mode = params.mode
+        kept = _kept_relabelings(n, mode, targets)
+        index = {net_from_bits(n, m, mode): m
+                 for m in range(2 ** enumeration_bits(n, mode))}
+        covered, last = set(), -1
+        for mask, balls, orbit in census(n, params, targets):
+            assert balls.net == net_from_bits(n, mask, mode)
+            assert orbit == {index[_relabelled(balls.net, s)] for s in kept}
+            assert mask == min(orbit) and mask > last
+            assert not covered & orbit
+            covered |= orbit
+            last = mask
+        assert covered == set(range(len(index)))
+
+    def test_swap_targets_keep_a_proper_subgroup(self):
+        assert len(_kept_relabelings(3, Mode.BIDIRECTED, SWAP_01)) == 2
+        sizes = {len(orbit) for _, _, orbit in census(3, bi(), SWAP_01)}
+        assert sizes == {1, 2}
+
+    @pytest.mark.parametrize("k", [1, 2, INF])
+    @pytest.mark.parametrize("n, mode", [(2, Mode.BIDIRECTED),
+                                         (3, Mode.BIDIRECTED),
+                                         (2, Mode.DIRECTED),
+                                         (3, Mode.DIRECTED),
+                                         (4, Mode.DIRECTED)])
+    def test_csv_cells_match_per_mask_census(self, tmp_path, n, mode, k):
+        # every row of the class census against cells computed per mask
+        costs = [F(0), F(1, 3), F(1), F(3, 2)]
+        for c_s, c_l in zip(costs, costs[1:] + costs[:1]):
+            params = (bi(k=k, cs=c_s, cl=c_l) if mode is Mode.BIDIRECTED
+                      else di(k=k, cs=c_s))
+            out = tmp_path / "c.csv"
+            assert main(["census", "--n", str(n), "--k", str(format_k(k)),
+                         "--cs", str(params.c_s), "--cl", str(params.c_l),
+                         "--mode", mode.value, "-o", str(out)]) == 0
+            rows = out.read_text().splitlines()[1:]
+            head = [str(format_k(k)), str(params.c_s), str(params.c_l)]
+            want = [",".join([*head, str(mask), *cells])
+                    for mask, cells in census_cells_by_mask(n, params)]
+            assert rows == want, params
 
 
 class TestCensusFolds:
@@ -259,6 +364,8 @@ class TestCensusFolds:
         (3, bi(k=1, cs=F(1, 3), cl=F(1, 2)),
          TargetSets(speak={0: frozenset({1})}, listen={2: frozenset({0, 5})})),
         (2, bi(k=1, cs=F(1), cl=F(1)), ALL_OTHERS),  # degenerate
+        (3, bi(k=2, cs=F(1, 3), cl=F(2, 3)), SWAP_01),
+        (4, di(k=2, cs=F(1, 2)), SWAP_01),
     ])
     def test_folds_match_definition(self, n, params, targets):
         assert efficient_search(n, params, targets) == \
@@ -282,7 +389,7 @@ class TestCensusFolds:
         # every agent of every network against the from-scratch utility,
         # and every census row's welfare cell against their sum
         utilities = []
-        for mask, balls in census(n, params):
+        for mask, balls in census_by_mask(n, params):
             assert balls.scale == scale
             assert balls.net == net_from_bits(n, mask, params.mode)
             exact = [agent_utility(balls.net, params, ALL_OTHERS, v)
