@@ -128,11 +128,13 @@ def _strip_inplace(balls: ReachBalls) -> List[CertMove]:
 
 
 def _find_addable(balls: ReachBalls) -> Optional[Tuple[int, int]]:
+    """The first addable speaking edge in ``witnesses`` order, or None: the
+    walk's first witness with every present edge quiet."""
     net = balls.net
-    for u in range(net.n):
-        for v in range(net.n):
-            if u != v and not net.has_speaking(u, v) and _addable(balls, u, v):
-                return (u, v)
+    quiet = ([net.successors(u, Mode.DIRECTED) for u in range(net.n)],
+             [0] * net.n)
+    for _, u, v, _ in balls.witnesses(quiet):
+        return (u, v)
     return None
 
 

@@ -62,6 +62,9 @@ class MoveKind(Enum):
 # [add, speaking]: the move that adds or removes that edge kind
 _MOVES = {(kind.add, kind.speaking): kind for kind in MoveKind
           if kind is not MoveKind.NO_CHANGE}
+# the edge rule's members, bound once: on Python 3.11 a read through the
+# enum class goes through its slow attribute hook
+_SPEAKING, _NO_CHANGE = EdgeKind.SPEAKING, MoveKind.NO_CHANGE
 
 
 class Move(NamedTuple):
@@ -111,15 +114,16 @@ class ReachBalls:
     times a utility, ``scale`` the least common denominator of the costs."""
 
     __slots__ = ("net", "params", "_balls", "_revision", "_masks", "rules",
-                 "scale", "_costs", "_after")
+                 "scale", "_costs", "_after", "_directed")
 
     def __init__(self, net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS):
         self.net, self.params = net, params
         self._balls = ({}, {})  # [forward][vertex], valid at _revision
         self._revision = net.revision
+        self._directed = params.mode is Mode.DIRECTED
         # [forward][vertex]; directed mode reads no backward (listening) mask
-        self._masks = (None if params.mode is Mode.DIRECTED else
+        self._masks = (None if self._directed else
                        [targets.mask(v, False, net.n) for v in range(net.n)],
                        [targets.mask(v, True, net.n) for v in range(net.n)])
         # gains and losses are integers: gain > c iff gain >= floor(c) + 1,
@@ -169,15 +173,14 @@ class ReachBalls:
         net, masks = self.net, self._masks
         u = (self.scale * (self.ball(v, True)[0] & masks[True][v]).bit_count()
              - self._costs[True] * net.out_speak(v))
-        if self.params.mode is Mode.DIRECTED:
+        if self._directed:
             return u
         lr = (self.ball(v, False)[0] & masks[False][v]).bit_count()
         return u + self.scale * lr - self._costs[False] * net.out_listen(v)
 
     def classify(self, kind: EdgeKind, u: int, v: int) -> MoveKind:
         """The edge rule's move on the typed edge (u, v), or NO_CHANGE."""
-        net, forward = self.net, kind is EdgeKind.SPEAKING
-        directed = self.params.mode is Mode.DIRECTED
+        net, forward, directed = self.net, kind is _SPEAKING, self._directed
         if forward:
             present = net._speak_out[u] >> v & 1
             live = directed or net._listen_out[v] >> u & 1
@@ -190,13 +193,13 @@ class ReachBalls:
         if not present:
             return (_MOVES[True, forward]
                     if live and self.gain(u, v, forward) >= add_min
-                    else MoveKind.NO_CHANGE)
+                    else _NO_CHANGE)
         after = (_bfs(net, self.params.k, u, forward, self.params.mode, v)
                  if live else None)
         lost = 0 if after is None else (self.ball(u, forward)[0] & ~after[0]
                                         & self._masks[forward][u]).bit_count()
         if lost > lost_max:
-            return MoveKind.NO_CHANGE
+            return _NO_CHANGE
         self._after = after
         return _MOVES[False, forward]
 
@@ -210,7 +213,7 @@ class ReachBalls:
         other direction likewise for v, and a removal holds u's new ball,
         classify's skip search."""
         move = self.classify(kind, u, v)
-        if move is MoveKind.NO_CHANGE:
+        if move is _NO_CHANGE:
             return move
         net, forward, add = self.net, move.speaking, move.add
         after = None if add else self._after
@@ -236,22 +239,33 @@ class ReachBalls:
         ``quiet`` no pair counts as quiet.  An absent dead pair (bidirected,
         partner half absent) is never addable and is skipped too, and in
         directed mode the walk ends with the speaking pairs: a listening
-        edge there never fires (see ``classify``)."""
-        net, n, no_change = self.net, self.net.n, MoveKind.NO_CHANGE
+        edge there never fires (see ``classify``).  At k = inf reach is a
+        closure: when u's ball holds v it holds v's ball too, so an absent
+        edge from u to v gains nothing.  Such pairs get their bit without a
+        ``classify`` call, from u's ball in the edge's direction, read when
+        the walk comes to u's first absent pair."""
+        net, n, no_change = self.net, self.net.n, _NO_CHANGE
         if quiet is None:
             quiet = ([0] * n, [0] * n)
-        directed = self.params.mode is Mode.DIRECTED
-        # [listening]: (kind, out, partner_in), bit v of out[u] | partner_in[u]
-        # set when the typed edge (u, v) or its partner half (v, u) is present
-        halves = ((EdgeKind.SPEAKING, net._speak_out, net._listen_in),
-                  (EdgeKind.LISTENING, net._listen_out, net._speak_in))
-        for (kind, out, partner_in), q in zip(halves[:1 if directed else 2],
-                                              quiet):
+        directed, closure = self._directed, self.params.k == INF
+        # [listening]: (kind, forward, out, partner_in); bit v of out[u] |
+        # partner_in[u] is set when (u, v) or its partner half is present
+        halves = ((_SPEAKING, True, net._speak_out, net._listen_in),
+                  (EdgeKind.LISTENING, False, net._listen_out, net._speak_in))
+        for (kind, forward, out, partner_in), q in zip(
+                halves[:1 if directed else 2], quiet):
             for u in range(n):
                 todo = (((1 << n) - 1 if directed else out[u] | partner_in[u])
                         & ~q[u] & ~(1 << u))
+                absent = todo & ~out[u] if closure else 0
                 while todo:
                     low = todo & -todo
+                    if low & absent:  # u's first absent pair
+                        reached = absent & self.ball(u, forward)[0]
+                        q[u] |= reached
+                        todo ^= reached
+                        absent = 0
+                        continue
                     todo ^= low
                     v = low.bit_length() - 1
                     move = self.classify(kind, u, v)

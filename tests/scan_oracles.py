@@ -7,7 +7,8 @@ recomputing reach or utility from scratch, the raw census enumeration
 relabelling class replaced, the efficiency and PoA/PoS searches over every
 network with from-scratch welfare and a full witness scan, the typed-pair
 order of the witness walk, the ``randrange`` sampler that ``dynamics.step``
-once called, and the strip that restarts its sweep after every removal."""
+once called, the strip that restarts its sweep after every removal, and the
+pair-by-pair search for the path's next addable edge."""
 
 from fractions import Fraction
 
@@ -87,6 +88,20 @@ def oracle_strip(balls):
                 progress = True
                 break
     return removed
+
+
+def find_addable_by_pairs(balls):
+    """``convergence._find_addable`` as a double loop over the pairs: the
+    first absent speaking edge (u, v), u then v ascending, that ``classify``
+    answers addable, or None."""
+    net = balls.net
+    for u in range(net.n):
+        for v in range(net.n):
+            if u != v and not net.has_speaking(u, v) and \
+                    balls.classify(EdgeKind.SPEAKING, u, v) \
+                    is MoveKind.ADD_SPEAKING:
+                return (u, v)
+    return None
 
 
 def _owner_reach_count(net, params, targets, kind, u):

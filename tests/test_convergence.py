@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netform import (INF, BidirectedNetwork, Mode, Params, ReachBalls,
                      condense, construct_path, is_stable, lemma_checks,
@@ -17,7 +19,7 @@ from netform.scc import condensation
 from netform.serialize import certificate_to_text, document_text, emit_document
 
 from conftest import strip_removables
-from scan_oracles import oracle_strip
+from scan_oracles import find_addable_by_pairs, oracle_strip
 
 
 def di(c=2):
@@ -177,6 +179,29 @@ class TestStripAgainstOracle:
                          for cert in [construct_path(start, p,
                                                      assert_lemmas=False)]])
         assert runs[0] == runs[1]
+
+
+# at, just below and just above integers, on both sides of c = 1
+ADD_COSTS = (F(1, 2), F(9, 10), F(1), F(11, 10), F(3, 2), F(19, 10), F(2),
+             F(21, 10), F(3))
+
+
+class TestAddableAgainstOracle:
+    @given(st.integers(2, 10), st.sampled_from((0.1, 0.2, 0.35, 0.6)),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from(ADD_COSTS),
+           st.sampled_from((1, 2, 3, INF)))
+    @settings(max_examples=300, deadline=None)
+    def test_first_addable_pair(self, n, p, seed, c, k):
+        # on the start, where present edges may be removable, and after the
+        # strip, where construct_path asks; the horizons below INF check
+        # that the walk keeps its reached-head skip to k = inf
+        net = random_net(n, p, 0.0, seed)
+        params = Params(k=k, c_s=c, mode=Mode.DIRECTED)
+        balls = ReachBalls(net, params)
+        for _ in range(2):
+            assert convergence._find_addable(balls) == \
+                find_addable_by_pairs(ReachBalls(net.copy(), params))
+            oracle_strip(balls)
 
 
 class TestConstructPath:

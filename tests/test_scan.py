@@ -16,8 +16,8 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
 from netform import dynamics
 from netform.dynamics import apply_move
 from netform.generators import random_net
-from scan_oracles import (bi_pairwise_by_utility, classify_by_toggle,
-                          iter_typed_pairs)
+from scan_oracles import (bfs_by_sets, bi_pairwise_by_utility,
+                          classify_by_toggle, iter_typed_pairs)
 
 # zero, fractional and integer costs: with integer costs an integer gain or
 # loss can equal the cost exactly, where the strict rule must not fire
@@ -153,15 +153,26 @@ class TestDirectedScan:
         assert not any(kind is EdgeKind.LISTENING for kind, *_ in full)
 
 
-def walked(net, mode, kind, u, v):
-    """Whether the witness walk asks about the typed pair (u, v): every
-    speaking pair in directed mode, and in bidirected mode a pair that is
-    present or whose partner half (v, u) is."""
-    if mode is Mode.DIRECTED:
-        return kind is EdgeKind.SPEAKING
-    if kind is EdgeKind.SPEAKING:
-        return net.has_speaking(u, v) or net.has_listening(v, u)
-    return net.has_listening(u, v) or net.has_speaking(v, u)
+def walked(net, params, kind, u, v):
+    """How the witness walk treats the typed pair (u, v).  None when it
+    passes it by unmarked: a listening pair in directed mode, or in
+    bidirected mode a pair that is absent with its partner half (v, u)
+    absent too.  "reached" when it marks it NO_CHANGE without asking: at
+    k = inf, an absent pair whose head v the owner u already reaches in the
+    edge's direction (``bfs_by_sets``).  Else "asked"."""
+    speaking, mode = kind is EdgeKind.SPEAKING, params.mode
+    if mode is Mode.DIRECTED and not speaking:
+        return None
+    present = (net.has_speaking(u, v) if speaking
+               else net.has_listening(u, v))
+    partner = (net.has_listening(v, u) if speaking
+               else net.has_speaking(v, u))
+    if mode is Mode.BIDIRECTED and not (present or partner):
+        return None
+    if params.k == INF and not present and \
+            v in bfs_by_sets(net, INF, u, speaking, mode)[0]:
+        return "reached"
+    return "asked"
 
 
 class AskedBalls(ReachBalls):
@@ -181,8 +192,9 @@ class TestQuietWalk:
             self, case, data):
         # a random subset of the pairs the oracle answers NO_CHANGE is
         # marked quiet first, as run's record holds them.  The walk yields
-        # the oracle's witnesses in order, asks about each walked pair that
-        # is not marked, once, and marks every one it finds NO_CHANGE
+        # the oracle's witnesses in order, asks about each asked pair that
+        # is not marked, once, and marks every walked pair that answers
+        # NO_CHANGE, the reached ones it never asks included
         net, params, tsets = case
         n, pairs = net.n, list(iter_typed_pairs(net.n))
         answers = {pair: classify_by_toggle(net, params, tsets, *pair)
@@ -197,15 +209,32 @@ class TestQuietWalk:
         balls.asked = []
         assert list(balls.witnesses(quiet)) == \
             oracle_witnesses(net, params, tsets)
+        ways = {pair: walked(net, params, *pair) for pair in pairs}
         assert balls.asked == [
             pair for pair in pairs
-            if walked(net, params.mode, *pair) and pair not in marked]
+            if ways[pair] == "asked" and pair not in marked]
         for kind, u, v in pairs:
             bit = quiet[kind is EdgeKind.LISTENING][u] >> v & 1
             quiet_answer = answers[kind, u, v] is MoveKind.NO_CHANGE
             assert bit <= quiet_answer, (kind, u, v)
-            if walked(net, params.mode, kind, u, v):
+            if ways[kind, u, v] is not None:
                 assert bit == quiet_answer, (kind, u, v)
+
+
+    def test_reached_head_is_skipped_at_unbounded_horizon_only(self):
+        # 0 -> 1 -> 2 -> 3: 0 already reaches 2, but at k = 2 the absent
+        # edge 0 -> 2 brings 3 within two steps, so it is addable there
+        net = BidirectedNetwork(4, [(0, 1), (1, 2), (2, 3)])
+        pair = (EdgeKind.SPEAKING, 0, 2)
+        for k, move in ((2, MoveKind.ADD_SPEAKING), (INF, None)):
+            params = Params(k=k, c_s=F(1, 2), mode=Mode.DIRECTED)
+            balls = AskedBalls(net, params)
+            balls.asked, quiet = [], ([0] * 4, [0] * 4)
+            found = list(balls.witnesses(quiet))
+            assert found == oracle_witnesses(net, params, ALL_OTHERS)
+            assert ((*pair, move) in found) == (move is not None)
+            assert (pair in balls.asked) == (move is not None)
+            assert quiet[0][0] >> 2 & 1 == (move is None)
 
 
 class TestBoundaries:
