@@ -40,16 +40,14 @@ def _write(path: Optional[str], text: str):
 
 
 def _read_doc(path: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not UTF-8/JSON, too deep
-            raise DocumentError(f"{path}: not readable as JSON ({exc})"
-                                ) from None
     try:
-        return serialize.parse_document(doc)
-    except DocumentError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return serialize.parse_document(
+                json.load(fh, object_pairs_hook=serialize.unique_keys))
+    except DocumentError as exc:  # a repeated key or a refused field
         raise DocumentError(f"{path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8/JSON, too deep
+        raise DocumentError(f"{path}: not readable as JSON ({exc})") from None
 
 
 _FLAGS = {"k": "--k", "c_s": "--cs", "c_l": "--cl"}

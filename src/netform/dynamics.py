@@ -8,12 +8,12 @@ from reach balls without touching the network (see ``ReachBalls``).
 
 Runs are driven by Python's ``random.Random`` (MT19937) seeded with the
 64-bit seed recorded in the trace (``seeded_rng``).  A round draws its
-kind, u and v from ``getrandbits`` alone, each an integer below m for
+kind, u and v from ``getrandbits`` alone, each ``_below(bits, m)`` for
 m = 2, n, n - 1 in that order: take ``getrandbits(m.bit_length())`` until
 the value is below m (so the kind takes 2 bits, 0 being speaking), and v
-at or above u is moved up by one.  The draw is what ``randrange(m)`` does, written out here so a
-trace's bytes rest on MT19937's ``getrandbits`` only.  A round yields a
-``Move``, a named tuple.
+at or above u is moved up by one.  ``_below`` is what ``randrange(m)``
+does, written out here so a trace's bytes rest on MT19937's
+``getrandbits`` only.  A round yields a ``Move``, a named tuple.
 """
 
 from __future__ import annotations
@@ -307,6 +307,15 @@ def apply_move(net: BidirectedNetwork, move) -> None:
         raise TraceError(f"inconsistent move {move}: {exc}") from exc
 
 
+def _below(bits, m: int) -> int:
+    """An integer below m from ``bits``, an rng's ``getrandbits``, drawn
+    by the module docstring's rule; ``run`` writes it out inline."""
+    r = m
+    while r >= m:
+        r = bits(m.bit_length())
+    return r
+
+
 def step(balls: ReachBalls, rng: random.Random) -> Move:
     """One dynamics round, drawn as the module docstring says: ``balls.fire``
     decides the sampled edge and, when it fires, changes ``balls.net``.
@@ -318,18 +327,8 @@ def step(balls: ReachBalls, rng: random.Random) -> Move:
     if n < 2:
         raise ValueError(f"a dynamics round needs two agents, got n={n}")
     bits = rng.getrandbits
-    r = bits(2)
-    while r >= 2:
-        r = bits(2)
-    kind = EdgeKind.LISTENING if r else EdgeKind.SPEAKING
-    width = n.bit_length()
-    u = bits(width)
-    while u >= n:
-        u = bits(width)
-    width = (n - 1).bit_length()
-    v = bits(width)
-    while v >= n - 1:
-        v = bits(width)
+    kind = EdgeKind.LISTENING if _below(bits, 2) else EdgeKind.SPEAKING
+    u, v = _below(bits, n), _below(bits, n - 1)
     if v >= u:
         v += 1
     return Move(balls.fire(kind, u, v), kind, u, v)
@@ -343,13 +342,14 @@ def run(initial: BidirectedNetwork, params: Params,
     max_steps: ``run`` on a trace's header, with max_steps
     ``max(1, steps_sampled)``, makes the trace again.  Non-convergence is
     reported, never raised; a seed outside 0..MAX_SEED raises ValueError
-    (``seeded_rng``).  A round is ``step``'s, made here: a dead draw (a
-    listening edge in directed mode, or an absent edge whose partner half is
-    absent) is NO_CHANGE without a ``fire`` call, and every no-change round
-    on one typed edge appends the same ``Move``.  So is a quiet draw, a pair
-    that answered NO_CHANGE since the last fired move, and the scans skip
-    quiet pairs (``witnesses``): ``classify`` reads only the network, which
-    only a fired move changes, so their answer stands."""
+    (``seeded_rng``).  A round is ``step``'s, made here with ``_below``
+    inline as the fast path, which tests check against ``step``: a dead
+    draw (a listening edge in directed mode, or an absent edge whose
+    partner half is absent) is NO_CHANGE without a ``fire`` call, and every
+    no-change round on one typed edge appends the same ``Move``.  So is a
+    quiet draw, a pair that answered NO_CHANGE since the last fired move,
+    and the scans skip quiet pairs (``witnesses``): ``classify`` reads only
+    the network, which only a fired move changes, so their answer stands."""
     n = initial.n
     if max_steps is None:
         max_steps = 50 * n ** 6

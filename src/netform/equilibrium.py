@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Set, Tuple
 from .dynamics import EdgeKind, MoveKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
-                    agent_utility, all_complete)
+                    agent_utility, all_complete, ascending)
 
 
 @dataclass
@@ -70,14 +70,12 @@ def bi_pairwise(balls: ReachBalls) -> StabilityReport:
     # the edge rule's integer thresholds: a gain is > c_s iff it is at least
     # floor(c_s) + 1, and >= c_l iff it is above ceil(c_l) - 1
     (_, listen_max), (speak_min, _) = balls.rules
+    full = (1 << net.n) - 1
     for u in range(net.n):
-        for v in range(net.n):
-            if u == v:
-                continue
+        # the steps u -> v not live yet: a live one changes nothing
+        for v in ascending(full & ~(1 << u) & ~net.successors(u, params.mode)):
             add_s = not net.has_speaking(u, v)
             add_l = not net.has_listening(v, u)
-            if not add_s and (directed or not add_l):
-                continue  # the step u -> v is live already: nothing changes
             gain_u = balls.gain(u, v, True)
             if gain_u < (speak_min if add_s else 1):
                 continue

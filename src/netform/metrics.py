@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .dynamics import run, seeded_rng
+from .dynamics import _below, run, seeded_rng
 from .generators import random_net
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets, _bfs, _transpose, ascending)
@@ -121,13 +121,9 @@ def has_open_and_closed_triangle(net: BidirectedNetwork, mode: Mode) -> bool:
 
 
 def start_density(rng: random.Random) -> float:
-    """One of the densities 0.15, 0.3 and 0.5, drawn as ``dynamics.step``
-    draws: 2 bits until the value is below 3.  ``rng.choice`` of the three
-    draws the same, but through CPython's private ``_randbelow``."""
-    r = rng.getrandbits(2)
-    while r >= 3:
-        r = rng.getrandbits(2)
-    return (0.15, 0.3, 0.5)[r]
+    """One of the densities 0.15, 0.3 and 0.5: ``rng.choice`` of the three,
+    its private ``_randbelow`` written out as ``dynamics._below``."""
+    return (0.15, 0.3, 0.5)[_below(rng.getrandbits, 3)]
 
 
 def structure_search(params: Params, budget: int,

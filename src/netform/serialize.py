@@ -21,11 +21,21 @@ from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
 
 MAX_AGENTS = 10_000  # a network allocates four per-vertex lists up front
 
-_DOC_FIELDS = {"n", "k", "c_s", "c_l", "mode", "speaking", "listening",
-               "targets_s", "targets_l", "meta"}
-_TRACE_FIELDS = {"record", "seed", "rng_id", "converged", "steps_sampled",
-                 "n", "k", "c_s", "c_l", "mode", "initial_speaking",
-                 "initial_listening", "targets_s", "targets_l"}
+_FIELDS = {"document": {"n", "k", "c_s", "c_l", "mode", "speaking",
+                        "listening", "targets_s", "targets_l", "meta"},
+           "trace": {"record", "seed", "rng_id", "converged", "steps_sampled",
+                     "n", "k", "c_s", "c_l", "mode", "initial_speaking",
+                     "initial_listening", "targets_s", "targets_l"}}
+
+
+def unique_keys(pairs: list) -> dict:
+    """``json``'s ``object_pairs_hook``: the object of the ``(key, value)``
+    pairs, or DocumentError naming the first key that repeats."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise DocumentError(f"key {key!r} repeated in one JSON object")
+    return out
 
 
 def parse_cost(text, where: str = "cost") -> Fraction:
@@ -39,7 +49,7 @@ def parse_cost(text, where: str = "cost") -> Fraction:
 def parse_k(value, where: str = "k"):
     if value == "inf":
         return INF
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+    if type(value) is int and value >= 1:
         return value
     raise DocumentError(f"{where}: expected a positive integer or 'inf', "
                         f"got {value!r}")
@@ -54,15 +64,13 @@ def _add_edges(add, raw, where: str):
     if not isinstance(raw, list):
         raise DocumentError(f"{where}: expected a list of [u, v] pairs")
     for idx, item in enumerate(raw):
-        loc = f"{where}[{idx}]"
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool)
-                           for x in item)):
-            raise DocumentError(f"{loc}: expected [u, v] with integer entries")
         try:
+            if (type(item) is not list or len(item) != 2
+                    or not type(item[0]) is type(item[1]) is int):
+                raise ValueError("expected [u, v] with integer entries")
             add(*item)
         except ValueError as exc:
-            raise DocumentError(f"{loc}: {exc}") from None
+            raise DocumentError(f"{where}[{idx}]: {exc}") from None
 
 
 def _parse_targets(raw, n: int, where: str) -> Dict[int, frozenset]:
@@ -80,7 +88,7 @@ def _parse_targets(raw, n: int, where: str) -> Dict[int, frozenset]:
         if not 0 <= v < n:
             raise DocumentError(f"{loc}: vertex out of range")
         if not isinstance(members, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in members):
+                type(x) is int for x in members):
             raise DocumentError(f"{loc}: expected a list of vertex ids")
         if any(not 0 <= x < n for x in members):
             raise DocumentError(f"{loc}: member out of range")
@@ -93,12 +101,16 @@ def _parse_targets(raw, n: int, where: str) -> Dict[int, frozenset]:
 def _parse_game(doc: dict, edge_keys: Tuple[str, str], where: str
                 ) -> Tuple[BidirectedNetwork, Params, TargetSets]:
     """Network, parameters and targets from a document or record header whose
-    edge lists sit under ``edge_keys``."""
+    edge lists sit under ``edge_keys``; ``where``, "document" or "trace",
+    picks the fields it may hold."""
+    unknown = set(doc) - _FIELDS[where]
+    if unknown:
+        raise DocumentError(f"{where}: unknown fields {sorted(unknown)}")
     for req in ("n", "k", "c_s", "c_l", "mode", *edge_keys):
         if req not in doc:
             raise DocumentError(f"{where}: missing field {req!r}")
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if type(n) is not int or n < 1:
         raise DocumentError(f"n: expected a positive integer, got {n!r}")
     if n > MAX_AGENTS:
         raise DocumentError(f"n: {n} exceeds the cap of {MAX_AGENTS} agents")
@@ -135,19 +147,15 @@ def _game_fields(net: BidirectedNetwork, params: Params, targets: TargetSets,
         prefix + "speaking": [list(e) for e in net.edges(speaking=True)],
         prefix + "listening": [list(e) for e in net.edges(speaking=False)],
     }
-    if targets.speak:
-        fields["targets_s"] = {str(v): sorted(t) for v, t in sorted(targets.speak.items())}
-    if targets.listen:
-        fields["targets_l"] = {str(v): sorted(t) for v, t in sorted(targets.listen.items())}
+    for key, sets in (("targets_s", targets.speak), ("targets_l", targets.listen)):
+        if sets:
+            fields[key] = {str(v): sorted(t) for v, t in sorted(sets.items())}
     return fields
 
 
 def parse_document(doc: dict) -> Tuple[BidirectedNetwork, Params, TargetSets, dict]:
     if not isinstance(doc, dict):
         raise DocumentError("document: expected a JSON object")
-    unknown = set(doc) - _DOC_FIELDS
-    if unknown:
-        raise DocumentError(f"document: unknown fields {sorted(unknown)}")
     net, params, targets = _parse_game(doc, ("speaking", "listening"), "document")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -215,7 +223,7 @@ def _trace_field(header: dict, key: str, kind: type):
     if key not in header:
         raise DocumentError(f"trace: missing field {key!r}")
     value = header[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if type(value) is not kind:
         raise DocumentError(f"{key}: expected {kind.__name__}, got {value!r}")
     return value
 
@@ -238,14 +246,13 @@ def trace_from_text(text: str) -> Trace:
     if len(lines) < 2:
         raise DocumentError("trace: missing header or column line")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(lines[0], object_pairs_hook=unique_keys)
+    except DocumentError:  # a repeated key
+        raise
     except (ValueError, RecursionError):  # nested too deep to decode
         raise DocumentError("trace: header line is not JSON") from None
     if not isinstance(header, dict) or header.get("record") != "trace":
         raise DocumentError("trace: not a trace record")
-    unknown = set(header) - _TRACE_FIELDS
-    if unknown:
-        raise DocumentError(f"trace: unknown fields {sorted(unknown)}")
     initial, params, targets = _parse_game(
         header, ("initial_speaking", "initial_listening"), "trace")
     seed = _trace_field(header, "seed", int)

@@ -1,7 +1,7 @@
 """Shared helpers: an independent reachability oracle (simple-path
 enumeration, no BFS), the production reach and strip read through their
-kernels, small strategies for property tests, and a time limit on every
-test."""
+kernels, small strategies for property tests, the usual bidirected and
+directed parameters, and a time limit on every test."""
 
 import os
 import signal
@@ -124,6 +124,16 @@ def net_from_bits(n: int, mask: int, mode: Mode) -> BidirectedNetwork:
             if mask >> (len(pairs) + i) & 1:
                 net.add_listening(u, v)
     return net
+
+
+def bi(k=INF, cs=Fraction(1, 2), cl=Fraction(1, 2)) -> Params:
+    """Bidirected parameters, both costs 1/2 unless given."""
+    return Params(k=k, c_s=cs, c_l=cl)
+
+
+def di(k=INF, cs=Fraction(1)) -> Params:
+    """Directed parameters, speaking cost 1 unless given."""
+    return Params(k=k, c_s=cs, mode=Mode.DIRECTED)
 
 
 @pytest.fixture

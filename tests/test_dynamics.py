@@ -10,18 +10,14 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
                      Move, MoveKind, Params, ReachBalls, TargetSets, Trace,
                      classify, find_witness, never_readd_check, replay, run,
                      scan_witnesses, step)
-from netform.dynamics import apply_move
+from netform.dynamics import _below, apply_move
 from netform.errors import TraceError
 from netform.generators import cycle, empty, random_net
 from netform.metrics import start_density
 from netform.serialize import trace_to_text
 
-from conftest import child_env, net_from_bits, oracle_utility
+from conftest import bi, child_env, net_from_bits, oracle_utility
 from scan_oracles import iter_typed_pairs, sample_by_randrange
-
-
-def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
-    return Params(k=k, c_s=cs, c_l=cl)
 
 
 class TestClassify:
@@ -126,6 +122,16 @@ class TestStep:
             for i in range(500):
                 assert start_density(ours) == oracle.choice(densities), \
                     (seed, i)
+            assert ours.getstate() == oracle.getstate()
+
+    def test_below_draws_as_randrange(self):
+        # the one written draw, for every m up to 64: m = 1 and the powers
+        # of two are where m.bit_length() steps up
+        for seed in range(5):
+            ours, oracle = random.Random(seed), random.Random(seed)
+            for m in range(1, 65):
+                assert [_below(ours.getrandbits, m) for _ in range(20)] == [
+                    oracle.randrange(m) for _ in range(20)], (seed, m)
             assert ours.getstate() == oracle.getstate()
 
     def test_one_agent_raises_promptly(self):

@@ -5,7 +5,7 @@ import pytest
 
 import netform.equilibrium
 import netform.model
-from conftest import net_from_bits
+from conftest import bi, di, net_from_bits
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
                      MoveKind, Params, TargetSets, agent_utility,
                      all_complete, brute_force_nash, check_symmetric,
@@ -23,14 +23,6 @@ from scan_oracles import (census_by_mask, census_cells_by_mask,
 
 ROWS = ("_speak_out", "_speak_in", "_listen_out", "_listen_in", "_live_out",
         "_live_in")
-
-
-def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
-    return Params(k=k, c_s=cs, c_l=cl)
-
-
-def di(k=INF, cs=F(1)):
-    return Params(k=k, c_s=cs, mode=Mode.DIRECTED)
 
 
 class TestIsStable:

@@ -15,16 +15,8 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
 from netform.generators import balanced_flower, cycle, empty
 from netform.model import _count
 
-from conftest import (child_env, held_reach, oracle_speaking_reach,
+from conftest import (bi, child_env, di, held_reach, oracle_speaking_reach,
                       oracle_utility, net_from_bits)
-
-
-def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
-    return Params(k=k, c_s=cs, c_l=cl)
-
-
-def di(k=INF, cs=F(1)):
-    return Params(k=k, c_s=cs, mode=Mode.DIRECTED)
 
 
 class TestParams:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env
+from conftest import bi, child_env
 from netform import (INF, BidirectedNetwork, EdgeKind, Mode, Move, MoveKind,
                      Params, TargetSets, Trace, construct_path, run)
 from netform.cli import build_parser, main
@@ -25,10 +25,6 @@ from netform.metrics import (clustering_coefficient, diameter,
 from netform.serialize import (MAX_AGENTS, certificate_to_text,
                                emit_document, parse_cost, parse_document,
                                parse_k, to_dot, trace_from_text, trace_to_text)
-
-
-def bi(k=INF, cs=F(1, 2), cl=F(1, 2)):
-    return Params(k=k, c_s=cs, c_l=cl)
 
 
 class TestCosts:
@@ -132,6 +128,21 @@ class TestDocuments:
         doc["speaking"] = [[0, 1], [-1, 0]]
         with pytest.raises(DocumentError, match=r"^speaking\[1\]: pair \(-1, 0\) "
                                                 r"out of range for n=2"):
+            parse_document(doc)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n", True, r"^n: expected a positive integer, got True$"),
+        ("k", True, r"^k: expected a positive integer or 'inf', got True$"),
+        ("speaking", [[True, 1]],
+         r"^speaking\[0\]: expected \[u, v\] with integer entries$"),
+        ("targets_s", {"0": [True]},
+         r"^targets_s\['0'\]: expected a list of vertex ids$"),
+    ], ids=["n", "k", "speaking", "targets_s"])
+    def test_bool_for_int_rejected_with_location(self, field, value, match):
+        # JSON true decodes to True, which isinstance counts as an int
+        doc = emit_document(empty(2), bi())
+        doc[field] = value
+        with pytest.raises(DocumentError, match=match):
             parse_document(doc)
 
     def test_missing_field_rejected(self):
@@ -321,6 +332,10 @@ class TestTraceDefects:
                      "^n:", id="string-n"),
         pytest.param(_trace_text("{not json"), DocumentError, "not JSON",
                      id="non-json-header"),
+        # json.loads keeps the last of two equal keys
+        pytest.param(_trace_text(json.dumps(BASE_TRACE)[:-1] + ', "seed": 5}'),
+                     DocumentError, "^key 'seed' repeated in one JSON object$",
+                     id="repeated-seed"),
         pytest.param(_trace_text("[1]"), DocumentError, "not a trace record",
                      id="list-header"),
         pytest.param(_trace_text(BASE_TRACE, ["0,-s,s,1,2"]), TraceError,
@@ -888,6 +903,19 @@ class TestCli:
         assert not (tmp_path / "t").exists()
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: seed must be in 0..2**64-1, got {seed}"] * 2
+
+    @pytest.mark.parametrize("extra, key", [
+        (', "n": 4', "n"), (', "targets_s": {"1": [0], "1": [2]}', "1")],
+        ids=["n", "targets-vertex"])
+    def test_repeated_key_refused(self, tmp_path, capsys, extra, key):
+        # json.load keeps the last of two equal keys, so the text's first
+        # value would be dropped unseen
+        doc = tmp_path / "doc.json"
+        text = json.dumps(emit_document(cycle(3), bi()))
+        doc.write_text(text[:-1] + extra + "}")
+        assert self.run_cli("check", "-i", str(doc)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {doc}: key {key!r} repeated in one JSON object\n")
 
     def test_exit_codes(self, tmp_path, capsys):
         assert self.run_cli("generate", "flower", "--n", "26") == 1  # no finite k
