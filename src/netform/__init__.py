@@ -3,9 +3,9 @@ network-formation game with distance-bounded reach utilities."""
 
 from .model import (ALL_OTHERS, INF, BidirectedNetwork, Mode, Params,
                     TargetSets, agent_utility, utility, welfare)
-from .dynamics import (EdgeKind, Move, MoveKind, NeverReaddResult,
-                       ReachBalls, Trace, classify, find_witness,
-                       never_readd_check, replay, run, scan_witnesses, step)
+from .dynamics import (EdgeKind, Move, MoveKind, ReachBalls, Trace,
+                       classify, find_witness, never_readd_check, replay, run,
+                       scan_witnesses, step)
 from .equilibrium import (EfficiencyReport, PoAResult, StabilityReport,
                           all_complete, brute_force_nash, check_symmetric,
                           efficient_search, is_bi_pairwise_stable, is_stable,

@@ -153,8 +153,7 @@ def _cmd_generate(args) -> int:
     if fam == "empty":
         net = generators.empty(n)
     elif fam == "cycle":
-        net = generators.cycle(
-            n, lifted=args.lifted or params.mode is Mode.BIDIRECTED)
+        net = generators.cycle(n, lifted=params.mode is Mode.BIDIRECTED)
     elif fam == "flower":
         if params.k == INF:
             raise _UsageError("flower requires a finite --k")
@@ -165,14 +164,15 @@ def _cmd_generate(args) -> int:
             raise _UsageError("unbalanced-flower requires a finite --k")
         net = generators.unbalanced_flower(n, params.k)
     elif fam == "kautz":
-        net = generators.kautz(d, D, lifted=args.lifted)
+        net = generators.kautz(d, D)
         meta.update(d=d, D=D)
     elif fam == "random":
         net = generators.random_net(n, args.ps, args.pl, args.seed)
         meta.update(p_s=args.ps, p_l=args.pl, seed=args.seed)
     else:  # complete
-        net = generators.complete_net(
-            n, bidirected=params.mode is Mode.BIDIRECTED)
+        net = generators.complete_net(n, params.mode is Mode.BIDIRECTED)
+    if args.lifted:  # lift is idempotent
+        net = generators.lift(net)
     doc = serialize.emit_document(net, params, meta=meta)
     _write(args.output, serialize.document_text(doc))
     return 0
@@ -209,7 +209,7 @@ def _cmd_check(args) -> int:
         out["bi_pairwise"] = report.bi_pairwise
     if args.nash_oracle:
         out["nash"] = equilibrium.brute_force_nash(net, params, targets)
-    _write(args.output, json.dumps(out, sort_keys=True, indent=2) + "\n")
+    _write(args.output, serialize.document_text(out))
     return 0
 
 
@@ -254,11 +254,12 @@ def _cmd_census(args) -> int:
         with open(args.sweep, "rb") as fh:
             data = fh.read()
         try:  # decoded whole, so a bad byte's line is known
-            reader = csv.DictReader(io.StringIO(data.decode("utf-8"),
+            reader = csv.DictReader(io.StringIO(data.decode("utf-8-sig"),
                                                 newline=None), restval="")
             rows = [(reader.line_num, row) for row in reader]
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            # exc.object is the text after any byte-order mark
+            line = exc.object.count(b"\n", 0, exc.start) + 1
             raise DocumentError(f"{args.sweep}, line {line}: not UTF-8 "
                                 f"({exc.reason})") from None
         except csv.Error as exc:  # a field over csv.field_size_limit(), say
@@ -296,7 +297,7 @@ def _cmd_metrics(args) -> int:
         "edge_count": sum(net.out_speak(v) + net.out_listen(v)
                           for v in range(net.n)),
     }
-    _write(args.output, json.dumps(out, sort_keys=True, indent=2) + "\n")
+    _write(args.output, serialize.document_text(out))
     return 0
 
 

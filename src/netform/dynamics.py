@@ -419,39 +419,20 @@ def replay(trace: Trace) -> BidirectedNetwork:
     return net
 
 
-@dataclass(frozen=True)
-class NeverReaddResult:
-    ok: bool
-    applicable: bool
-
-    def __bool__(self):
-        return self.ok
-
-
-def never_readd_check(trace: Trace) -> NeverReaddResult:
-    """Validates that once both halves of a pair (u, v) -- the speaking edge
-    (u, v) and the listening edge (v, u) -- are simultaneously absent, neither
-    half is ever added later in the trace.  Only meaningful for bidirected
-    runs with strictly positive costs."""
-    if (trace.params.mode is Mode.DIRECTED
-            or trace.params.c_s <= 0 or trace.params.c_l <= 0):
-        return NeverReaddResult(ok=True, applicable=False)
+def never_readd_check(trace: Trace) -> bool:
+    """Whether no move of a bidirected trace adds a half of a pair whose
+    halves -- the speaking edge (u, v) and the listening edge (v, u) -- are
+    both absent: once dead, a pair stays dead.  A directed trace passes.
+    Raises TraceError if the moves do not replay to the recorded final."""
     net = trace.initial.copy()
-    dead = {(u, v) for u in range(net.n) for v in range(net.n)
-            if u != v and not net.has_speaking(u, v)
-            and not net.has_listening(v, u)}
+    bidirected = trace.params.mode is Mode.BIDIRECTED
     for mv in trace.moves:
-        if mv.kind is MoveKind.NO_CHANGE:
-            continue
-        # pair (a, b) is the speaking edge (a, b) plus the listening edge
-        # (b, a), so a listening move on (u, v) belongs to pair (v, u)
-        a, b = (mv.u, mv.v) if mv.kind.speaking else (mv.v, mv.u)
-        if (a, b) in dead and mv.kind.add:
-            return NeverReaddResult(ok=False, applicable=True)
-        apply_move(net, mv)
-        if not net.has_speaking(a, b) and not net.has_listening(b, a):
-            dead.add((a, b))
+        apply_move(net, mv)  # an add's own half was absent, or this raised
+        # the partner of edge (u, v) is the other kind's edge (v, u)
+        if bidirected and mv.kind.add and not (
+                net.has_listening if mv.kind.speaking
+                else net.has_speaking)(mv.v, mv.u):
+            return False
     if net != trace.final:
         raise TraceError("trace does not replay to its recorded final network")
-    return NeverReaddResult(ok=True, applicable=True)
-
+    return True

@@ -7,8 +7,9 @@ recomputing reach or utility from scratch, the raw census enumeration
 relabelling class replaced, the efficiency and PoA/PoS searches over every
 network with from-scratch welfare and a full witness scan, the typed-pair
 order of the witness walk, the ``randrange`` sampler that ``dynamics.step``
-once called, the strip that restarts its sweep after every removal, and the
-pair-by-pair search for the path's next addable edge."""
+once called, the strip that restarts its sweep after every removal, the
+pair-by-pair search for the path's next addable edge, and the re-add check
+that keeps the set of dead pairs."""
 
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from netform import (ALL_OTHERS, EdgeKind, EfficiencyReport, Mode, PoAResult,
                      ReachBalls, agent_utility, all_complete, is_stable,
                      welfare)
 from netform.convergence import CertMove
-from netform.dynamics import MoveKind
+from netform.dynamics import MoveKind, apply_move
 from netform.equilibrium import bi_pairwise, enumeration_bits, net_from_mask
 
 
@@ -102,6 +103,30 @@ def find_addable_by_pairs(balls):
                     is MoveKind.ADD_SPEAKING:
                 return (u, v)
     return None
+
+
+def never_readd_by_dead_set(trace):
+    """``dynamics.never_readd_check`` as a set of the dead pairs: every pair
+    (a, b) with neither the speaking edge (a, b) nor the listening edge
+    (b, a), taken from the initial network and from each move; an add into
+    the set fails.  A directed trace passes without a replay."""
+    if trace.params.mode is Mode.DIRECTED:
+        return True
+    net = trace.initial.copy()
+    dead = {(u, v) for u in range(net.n) for v in range(net.n)
+            if u != v and not net.has_speaking(u, v)
+            and not net.has_listening(v, u)}
+    for mv in trace.moves:
+        if mv.kind is MoveKind.NO_CHANGE:
+            continue
+        # a listening move on (u, v) belongs to pair (v, u)
+        a, b = (mv.u, mv.v) if mv.kind.speaking else (mv.v, mv.u)
+        if (a, b) in dead and mv.kind.add:
+            return False
+        apply_move(net, mv)
+        if not net.has_speaking(a, b) and not net.has_listening(b, a):
+            dead.add((a, b))
+    return True
 
 
 def _owner_reach_count(net, params, targets, kind, u):

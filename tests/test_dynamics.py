@@ -2,6 +2,7 @@ import hashlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -323,8 +324,16 @@ class TestNeverReadd:
         # [PAPER] once both halves of a pair are gone, nothing re-adds them
         for seed in range(10):
             tr = run(random_net(6, 0.4, 0.4, seed), bi(), seed=seed)
-            res = never_readd_check(tr)
-            assert res.applicable and res.ok
+            assert never_readd_check(tr) is True
+
+    @pytest.mark.parametrize("k", [1, 2, INF])
+    def test_passes_at_zero_costs(self, k):
+        # [DERIVED] a dead pair moves no reach, so it is never addable, at
+        # any cost: the ban needs no positive cost
+        for seed in range(10):
+            tr = run(random_net(5, 0.3, 0.3, seed), bi(k, F(0), F(0)),
+                     seed=seed, max_steps=2000)
+            assert never_readd_check(tr) is True
 
     def test_negative_control(self):
         # hand-built trace that re-adds a dead pair must fail
@@ -333,8 +342,7 @@ class TestNeverReadd:
         tr = Trace(seed=0, params=bi(), initial=initial,
                    moves=[Move(MoveKind.ADD_SPEAKING, EdgeKind.SPEAKING, 0, 1)],
                    final=final, converged=False)
-        res = never_readd_check(tr)
-        assert res.applicable and not res.ok and not res
+        assert never_readd_check(tr) is False
 
     @pytest.mark.parametrize("readd, final", [
         (Move(MoveKind.ADD_SPEAKING, EdgeKind.SPEAKING, 0, 1),
@@ -347,14 +355,12 @@ class TestNeverReadd:
                    moves=[Move(MoveKind.REMOVE_LISTENING, EdgeKind.LISTENING,
                                1, 0), readd],
                    final=final, converged=False)
-        res = never_readd_check(tr)
-        assert res.applicable and not res.ok
+        assert never_readd_check(tr) is False
 
-    def test_vacuous_for_directed(self):
+    def test_passes_for_directed(self):
         p = Params(k=INF, c_s=F(1), mode=Mode.DIRECTED)
         tr = run(empty(3), p, seed=0, max_steps=5)
-        res = never_readd_check(tr)
-        assert res.ok and not res.applicable
+        assert never_readd_check(tr) is True
 
     def test_malformed_trace_raises(self):
         tr = Trace(seed=0, params=bi(), initial=empty(2),
@@ -362,6 +368,28 @@ class TestNeverReadd:
                    final=empty(2), converged=False)
         with pytest.raises(TraceError):
             never_readd_check(tr)
+
+    def test_malformed_directed_trace_raises(self):
+        # a directed trace is replayed too, so its inconsistency is found
+        tr = Trace(seed=0, params=Params(k=INF, c_s=F(1), mode=Mode.DIRECTED),
+                   initial=empty(2), moves=[], final=cycle(2, lifted=False),
+                   converged=False)
+        with pytest.raises(TraceError):
+            never_readd_check(tr)
+
+    def test_memory_flat_in_agents(self):
+        # no per-pair container: an empty 800-agent trace with no moves
+        # has 639,200 dead pairs, and the check holds none of them
+        net = empty(800)
+        tr = Trace(seed=0, params=bi(), initial=net, moves=[], final=net,
+                   converged=True)
+        tracemalloc.start()
+        try:
+            assert never_readd_check(tr) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestPotential:

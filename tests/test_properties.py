@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from conftest import (held_reach, net_from_bits, oracle_speaking_reach,
                       oracle_utility)
 from lemma_suite import bidirected_violations, directed_violations
-from scan_oracles import iter_typed_pairs
-from netform import (ALL_OTHERS, INF, EdgeKind, Mode, MoveKind, Params,
-                     agent_utility, classify, run, welfare)
+from scan_oracles import iter_typed_pairs, never_readd_by_dead_set
+from netform import (ALL_OTHERS, INF, EdgeKind, Move, Mode, MoveKind, Params,
+                     Trace, agent_utility, classify, never_readd_check, run,
+                     welfare)
+from netform.dynamics import apply_move
 from netform.serialize import trace_from_text, trace_to_text
 
 COSTS = (F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(3))
@@ -36,6 +38,27 @@ def directed_cases(draw, max_n=6, ks=KS):
     c_s = draw(st.sampled_from(COSTS))
     return (net_from_bits(n, mask, Mode.DIRECTED),
             Params(k=k, c_s=c_s, mode=Mode.DIRECTED))
+
+
+@st.composite
+def flip_traces(draw, max_n=4):
+    """A bidirected trace of random rows: each flips a random typed edge,
+    dead pairs' re-adds included, or is a no-change row."""
+    net, params = draw(bidirected_cases(max_n))
+    final, moves = net.copy(), []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        edge = draw(st.sampled_from(EdgeKind))
+        u = draw(st.integers(min_value=0, max_value=net.n - 1))
+        v = (u + draw(st.integers(min_value=1, max_value=net.n - 1))) % net.n
+        kind = MoveKind.NO_CHANGE
+        if draw(st.booleans()):
+            present = (final.has_speaking if edge is EdgeKind.SPEAKING
+                       else final.has_listening)(u, v)
+            kind = MoveKind(("-" if present else "+") + edge.value)
+        moves.append(Move(kind, edge, u, v))
+        apply_move(final, moves[-1])
+    return Trace(seed=0, params=params, initial=net, moves=moves,
+                 final=final, converged=False)
 
 
 class TestReach:
@@ -155,6 +178,11 @@ class TestDynamicsProperties:
         tr = run(net, params, seed=seed, max_steps=200)
         assert trace_to_text(trace_from_text(trace_to_text(tr))) == \
             trace_to_text(tr)
+
+    @given(flip_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_readd_verdict_matches_dead_set(self, trace):
+        assert never_readd_check(trace) is never_readd_by_dead_set(trace)
 
 
 class TestInvariantSuite:

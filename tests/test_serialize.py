@@ -811,6 +811,34 @@ class TestCli:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 1 + 2 * 4 and rows[1].startswith("1,1/2,0,0,")
 
+    def test_sweep_with_byte_order_mark(self, tmp_path):
+        # a spreadsheet export starts with a UTF-8 byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(self.CENSUS_SWEEP, encoding="utf-8")
+        marked.write_text(self.CENSUS_SWEEP, encoding="utf-8-sig")
+        outs = []
+        for sweep in (plain, marked):
+            outs.append(tmp_path / f"{sweep.stem}.out")
+            assert self.run_cli("census", "--n", "2", "--sweep", str(sweep),
+                                "-o", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ("empty", "--n", "4"), ("cycle", "--n", "5", "--mode", "directed"),
+        ("flower", "--n", "9", "--k", "4"),
+        ("unbalanced-flower", "--n", "8", "--k", "4"),
+        ("kautz", "--d", "2", "--D", "2"),
+        ("random", "--n", "6", "--ps", "0.4", "--pl", "0.2"),
+        ("complete", "--n", "4", "--mode", "directed"),
+        ("complete", "--n", "4", "--cl", "1")],
+        ids=["empty", "directed-cycle", "flower", "unbalanced-flower",
+             "kautz", "random", "directed-complete", "complete"])
+    def test_lifted_gives_every_speaking_edge_its_partner(self, capsys, argv):
+        assert self.run_cli("generate", *argv, "--lifted") == 0
+        net = parse_document(json.loads(capsys.readouterr().out))[0]
+        assert all(net.has_listening(v, u) for u, v in net.speaking)
+        assert net.speaking or argv[0] == "empty"
+
     @pytest.mark.parametrize("argv", [["check", "-i"],
                                       ["generate", "cycle", "--n", "3", "-o"],
                                       ["census", "--n", "2", "--sweep"]])
@@ -841,7 +869,8 @@ class TestCli:
         (b"k,c_s,c_l\n1,1,0\n2,\xff,0\n", 3),
         (b"k,c_s,c_l\n1,1,0\n2," + b"1" * 200_000 + b",0\n", 3),
         (b"k," + b"c" * 200_000 + b"\n", 1),
-    ], ids=["not-utf8", "huge-field", "huge-header"])
+        (b"\xef\xbb\xbfk,c_s,c_l\n\n2,\xff,0\n", 3),
+    ], ids=["not-utf8", "huge-field", "huge-header", "marked-not-utf8"])
     def test_unreadable_sweep_named(self, tmp_path, content, line):
         # a byte that is not UTF-8 or a field over the csv module's size
         # limit: an error line naming the file and the line, exit code 1
