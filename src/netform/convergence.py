@@ -9,8 +9,8 @@ fixed step discipline:
   3. condense into strongly connected components and split them at the
      largeness threshold;
   5. if a large root can reach a distinct large leaf, connect leaf to root;
-  6. else if several large components exist, connect two of them (both ways
-     when needed);
+  6. else if several large components exist, none reaches another: connect
+     the first two both ways;
   7. else if a small leaf component exists (an isolated vertex), connect it
      into the unique large component;
   8. else connect the large component down into a qualifying small root
@@ -252,17 +252,24 @@ def construct_path(start: BidirectedNetwork, params: Params,
                 if not ok:
                     raise LemmaCheckError(f"lemma predicate {name} failed")
 
-    # Each network state is condensed once: before the first strip, after
-    # each proof step's add and after each strip that removed an edge.  The
-    # graph after a strip drives the next step and is the "after" of both
-    # checks around it.
-    cg_start = condense(balls)
-    stripped = _strip_inplace(balls)
-    moves.extend(stripped)
-    cg = condense(balls) if stripped else cg_start
-    record(lemma_checks(cg_start, cg, 1, balls))
-
+    # Each network state is condensed once: the start, each proof step's
+    # add and each strip that removed an edge.  The graph after a strip
+    # drives the next step and is the "after" of both checks around it.
+    label = None
     while True:
+        cg_before = condense(balls)
+        stripped = _strip_inplace(balls)
+        moves.extend(stripped)
+        cg_after = condense(balls) if stripped else cg_before
+        if label is not None:
+            record(lemma_checks(cg, cg_after, label, balls))
+        record(lemma_checks(cg_before, cg_after, 1, balls))
+        if label == 7 and params.c_s > 1:
+            # At c <= 1 every removable edge has zero reach loss, so the
+            # strip after step 7 may fire without changing any reach set;
+            # only for c > 1 does step 7 leave nothing removable.
+            record([("L35_step7_leaves_nothing_removable", not stripped)])
+        cg = cg_after
         if len(moves) > max_moves:
             raise ConstructionError(
                 f"move budget {max_moves} exceeded (n={n}, c={params.c_s})")
@@ -274,18 +281,6 @@ def construct_path(start: BidirectedNetwork, params: Params,
                 record([("L25_retired_edge_never_addable_again", False)])
         record(_pre_step_checks(balls, cg, addable))
         label = _one_proof_step(balls, cg, moves, retired, addable)
-        cg_add = condense(balls)
-        stripped = _strip_inplace(balls)
-        moves.extend(stripped)
-        cg_after = condense(balls) if stripped else cg_add
-        record(lemma_checks(cg, cg_after, label, balls))
-        record(lemma_checks(cg_add, cg_after, 1, balls))
-        if label == 7 and params.c_s > 1:
-            # At c <= 1 every removable edge has zero reach loss, so the
-            # strip after step 7 may fire without changing any reach set;
-            # only for c > 1 does step 7 leave nothing removable.
-            record([("L35_step7_leaves_nothing_removable", not stripped)])
-        cg = cg_after
 
     return PathCertificate(moves=moves, final=net, retired_edges=retired,
                            lemma_results=lemma_results)
@@ -316,20 +311,13 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
             _apply_add(balls, moves, l_i, r_i, 5)
             return 5
 
-    # Step 6: several mutually unreachable large components; merge two.
+    # Step 6: no large component reaches another (else step 5 fired), so
+    # connect the first two both ways.
     if len(large) > 1:
-        for t1 in large:
-            for t2 in large:
-                if t1 == t2 or cg.reaches(t2, t1):
-                    continue
-                r1 = _lowest(cg.components[t1])
-                r2 = _lowest(cg.components[t2])
-                _apply_add(balls, moves, r2, r1, 6)
-                if cg.components[t2] & ~balls.ball(r1, True)[0]:
-                    _apply_add(balls, moves, r1, r2, 6)
-                return 6
-        raise ConstructionError("multiple large components but none unreachable "
-                                "from another")
+        r1, r2 = (_lowest(cg.components[t]) for t in large[:2])
+        _apply_add(balls, moves, r2, r1, 6)
+        _apply_add(balls, moves, r1, r2, 6)
+        return 6
 
     t1_vertices = cg.components[large[0]]
     r1 = _lowest(t1_vertices)
@@ -347,7 +335,7 @@ def _one_proof_step(balls: ReachBalls, cg: ComponentGraph,
     c = balls.params.c_s
     for i in cg.full_roots():
         outside = cg.reach[i] & ~t1_vertices
-        if i == large[0] or outside.bit_count() <= c:
+        if outside.bit_count() <= c:
             continue
         # the entry point of a path from the small root into the large
         # component: the head r_k of the first edge (t_k, r_k) crossing in

@@ -79,10 +79,9 @@ def balanced_flower(n: int, k: int) -> Tuple[BidirectedNetwork, FlowerSpec]:
                          f"got n={n}, k={k}")
     p, petals, rest = _petal_partition(n, k)
     if rest:
-        needed = (p - 1) - len(rest)
-        if needed > len(petals):
-            raise ValueError(f"cannot balance flower for n={n}, k={k}")
-        for i in range(needed):
+        # k * k <= 4 * n leaves at least p - 1 full petals, enough to steal
+        # the at most p - 2 nodes the remainder lacks
+        for i in range((p - 1) - len(rest)):
             rest.append(petals[i].pop())
         petals.append(rest)
     q = len(petals)

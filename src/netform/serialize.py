@@ -33,7 +33,8 @@ def unique_keys(pairs: list) -> dict:
     pairs, or DocumentError naming the first key that repeats."""
     out = dict(pairs)
     if len(out) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
         raise DocumentError(f"key {key!r} repeated in one JSON object")
     return out
 

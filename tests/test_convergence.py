@@ -19,7 +19,8 @@ from netform.scc import condensation
 from netform.serialize import certificate_to_text, document_text, emit_document
 
 from conftest import strip_removables
-from scan_oracles import find_addable_by_pairs, oracle_strip
+from scan_oracles import (find_addable_by_pairs, iter_all_networks,
+                          oracle_strip)
 
 
 def di(c=2):
@@ -265,6 +266,47 @@ class TestConstructPath:
     def test_requires_directed_unbounded(self):
         with pytest.raises(ValueError):
             construct_path(empty(3), Params(k=INF, c_s=F(1), c_l=F(1)))
+
+    def test_step6_joins_first_two_large_components_both_ways(self):
+        # three disjoint 3-cycles at c = 2: no large component reaches
+        # another, so step 6 wires the first two together, (3, 0) then (0, 3)
+        start = BidirectedNetwork(9, [(b + i, b + (i + 1) % 3)
+                                      for b in (0, 3, 6) for i in range(3)])
+        p = di(2)
+        cert = construct_path(start, p)
+        assert [(m.kind, m.u, m.v, m.step_label) for m in cert.moves[:2]] == \
+            [(MoveKind.ADD_SPEAKING, 3, 0, 6), (MoveKind.ADD_SPEAKING, 0, 3, 6)]
+        assert validate_certificate(cert, start, p)
+
+
+# two costs in each cost class of n = 3: (0, 1), 1, (1, 2), 2 and (2, inf)
+N3_COST_CLASSES = [("1/3", "2/3"), ("1", "1"), ("5/4", "7/4"), ("2", "2"),
+                   ("5/2", "7")]
+
+
+class TestEveryStart:
+    def test_n3_every_start_each_cost_class(self):
+        # construct_path reads c_s only through comparisons with integers,
+        # so two costs of one class give the same moves and retired edges
+        for c1, c2 in N3_COST_CLASSES:
+            for start in iter_all_networks(3, Mode.DIRECTED):
+                runs = []
+                for c in (c1, c2):
+                    cert = construct_path(start, di(c), assert_lemmas=True)
+                    assert validate_certificate(cert, start, di(c)), (c, start)
+                    runs.append((cert.moves, cert.retired_edges))
+                assert runs[0] == runs[1], (c1, c2, start)
+
+    @pytest.mark.parametrize("c, labels", [("1/2", {1, 5, 6}),
+                                           ("1", {1, 4, 5, 6, 7, 8})])
+    def test_n4_every_start(self, c, labels):
+        # together the two costs use every step label; c = 1 alone does
+        used = set()
+        for start in iter_all_networks(4, Mode.DIRECTED):
+            cert = construct_path(start, di(c), assert_lemmas=True)
+            assert validate_certificate(cert, start, di(c)), start
+            used |= {m.step_label for m in cert.moves}
+        assert used == labels
 
 
 # (n, c_s, speaking density, seed) of random directed starts; together their

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations, permutations
+from math import isqrt
 
 import pytest
 
@@ -62,6 +63,23 @@ class TestFlower:
             for n in range(max(3, (k * k + 3) // 4), 40):
                 net, _ = balanced_flower(n, k)
                 assert diameter(net, Mode.DIRECTED) <= k, (n, k)
+
+    def test_every_admitted_size_balances(self):
+        # [DERIVED] k * k <= 4 * n leaves enough full petals to top up any
+        # remainder: every petal has floor(k/2) or floor(k/2) - 1 nodes
+        for n in range(3, 301):
+            for k in range(4, isqrt(4 * n) + 1):
+                net, spec = balanced_flower(n, k)
+                edges = list(net.edges(speaking=True))
+                nxt = {u: v for u, v in edges if u}
+                sizes = []
+                for _, v in edges[:net.out_speak(0)]:  # the center's edges
+                    sizes.append(1)
+                    while nxt[v]:
+                        v = nxt[v]
+                        sizes[-1] += 1
+                assert len(sizes) == spec.q and sum(sizes) == n - 1, (n, k)
+                assert set(sizes) <= {k // 2, k // 2 - 1}, (n, k)
 
     def test_unbalanced_remainder(self):
         # [DERIVED] n=8, k=6: non-center petal sizes 3, 3, 1

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -945,6 +946,19 @@ class TestCli:
         assert self.run_cli("check", "-i", str(doc)) == 1
         assert capsys.readouterr().err == (
             f"error: {doc}: key {key!r} repeated in one JSON object\n")
+
+    def test_repeated_key_search_is_linear(self, tmp_path, capsys):
+        # the repeat is found in one pass over the object's keys: a meta
+        # object of 100,000 keys whose last repeats the first is refused fast
+        doc = tmp_path / "doc.json"
+        meta = "".join(f'"{i}": 0, ' for i in range(99_999)) + '"0": 1'
+        text = json.dumps(emit_document(cycle(3), bi()))
+        doc.write_text(text[:-1] + ', "meta": {' + meta + "}}")
+        start = time.perf_counter()
+        assert self.run_cli("check", "-i", str(doc)) == 1
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err == (
+            f"error: {doc}: key '0' repeated in one JSON object\n")
 
     def test_exit_codes(self, tmp_path, capsys):
         assert self.run_cli("generate", "flower", "--n", "26") == 1  # no finite k
