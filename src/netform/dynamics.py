@@ -105,7 +105,9 @@ class ReachBalls:
     u -> v gives u the new targets ``(inner(v) | 1<<v) & ~(ball(u) | 1<<u)``,
     inner being the ball one step short (a shortest path from v never
     re-enters v); removing a present live step takes one BFS that skips it,
-    ``kept``, and loses ``ball(u) & ~kept``.  A dead pair (bidirected,
+    ``kept``, and loses ``ball(u) & ~kept``, or nothing when the search
+    answers None (at k = inf, it reached v).  At k = inf a ball search
+    reads the balls held in its direction.  A dead pair (bidirected,
     partner half absent) moves no reach: a present dead edge is removable
     iff its cost is above 0, an absent one is never addable.  So a scan runs
     one BFS per vertex and direction plus one per present live edge.
@@ -114,7 +116,7 @@ class ReachBalls:
     times a utility, ``scale`` the least common denominator of the costs."""
 
     __slots__ = ("net", "params", "_balls", "_revision", "_masks", "rules",
-                 "scale", "_costs", "_after", "_directed")
+                 "scale", "_costs", "_after", "_directed", "_closure")
 
     def __init__(self, net: BidirectedNetwork, params: Params,
                  targets: TargetSets = ALL_OTHERS):
@@ -122,6 +124,7 @@ class ReachBalls:
         self._balls = ({}, {})  # [forward][vertex], valid at _revision
         self._revision = net.revision
         self._directed = params.mode is Mode.DIRECTED
+        self._closure = params.k == INF  # ball searches read held balls
         # [forward][vertex]; directed mode reads no backward (listening) mask
         self._masks = (None if self._directed else
                        [targets.mask(v, False, net.n) for v in range(net.n)],
@@ -156,7 +159,8 @@ class ReachBalls:
         got = self._balls[forward].get(x)
         if got is None:
             seen, last = _bfs(self.net, self.params.k, x, forward,
-                              self.params.mode)
+                              self.params.mode, None,
+                              self._balls[forward] if self._closure else None)
             got = self._balls[forward][x] = (seen, seen & ~last)
         return got
 
@@ -206,12 +210,12 @@ class ReachBalls:
     def fire(self, kind: EdgeKind, u: int, v: int) -> MoveKind:
         """Make the move ``classify`` answers for the typed edge (u, v) and
         return it; NO_CHANGE changes nothing.  Every held ball stays when
-        the step is dead or, at k = inf, the removal keeps v in u's ball (a
-        path through the step can detour).  Else a ball in the edge's
-        direction stays when its owner is not u and its inner ball lacks u
-        (a path through the step reaches u within k - 1 steps), one in the
-        other direction likewise for v, and a removal holds u's new ball,
-        classify's skip search."""
+        the step is dead or the skip search answered None (at k = inf the
+        removal keeps v in u's ball, so a path through the step can detour).
+        Else a ball in the edge's direction stays when its owner is not u
+        and its inner ball lacks u (a path through the step reaches u within
+        k - 1 steps), one in the other direction likewise for v, and a
+        removal holds u's new ball, classify's skip search."""
         move = self.classify(kind, u, v)
         if move is _NO_CHANGE:
             return move
@@ -221,7 +225,7 @@ class ReachBalls:
             self._balls = ({}, {})
         net._flip(forward, u, v, add)
         self._revision = net.revision
-        if add or after and not (self.params.k == INF and after[0] >> v & 1):
+        if add or after:
             pivots = (v, u) if forward else (u, v)  # [forward]
             self._balls = tuple({x: got for x, got in balls.items()
                                  if x != pivot and not got[1] >> pivot & 1}
@@ -247,7 +251,7 @@ class ReachBalls:
         net, n, no_change = self.net, self.net.n, _NO_CHANGE
         if quiet is None:
             quiet = ([0] * n, [0] * n)
-        directed, closure = self._directed, self.params.k == INF
+        directed, closure = self._directed, self._closure
         # [listening]: (kind, forward, out, partner_in); bit v of out[u] |
         # partner_in[u] is set when (u, v) or its partner half is present
         halves = ((_SPEAKING, True, net._speak_out, net._listen_in),

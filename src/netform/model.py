@@ -296,26 +296,36 @@ def _transpose(rows: list) -> list:
 
 
 def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,
-         skip=None):
+         skip=None, held=None):
     """The only reach search: the ball of v, vertices within k live steps
     (never v), and its last layer, those at distance exactly k (0 when the
     search ran out first, so always for k = INF), both as bitsets.  ``skip``
     leaves out v's own step to that vertex: the ball after removing that
-    live edge.  Each layer ORs the rows of the frontier's vertices."""
+    live edge, or None at k = INF once the search reaches that vertex (v
+    then loses nothing).  Each layer ORs the rows of the frontier's
+    vertices.  ``held`` (k = INF only, where reach is a closure) maps
+    vertices to their balls ``(B, _)``: a held vertex adds B, not its row."""
     rows = net._rows(forward, mode)
     seen = 1 << v
     frontier = rows[v]  # no row holds its own vertex
+    stop = 0
     if skip is not None:
         frontier &= ~(1 << skip)  # only here: a longer path may reach it
+        stop = 1 << skip if k == INF else 0
     depth = 1
     while frontier and depth < k:
+        if frontier & stop:
+            return None
         seen |= frontier
         depth += 1
         nxt = 0
         while frontier:
             x = frontier.bit_length() - 1
-            nxt |= rows[x]
             frontier ^= 1 << x
+            if held is not None and x in held:
+                seen |= held[x][0]
+            else:
+                nxt |= rows[x]
         frontier = nxt & ~seen
     return (seen | frontier) & ~(1 << v), frontier
 

@@ -445,6 +445,76 @@ class TestStaleBalls:
             assert validate_certificate(cert, start, params)
 
 
+class CountedRows(list):
+    """A row list that counts its reads, for ``net._speak_out``."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return super().__getitem__(x)
+
+
+def counting(net):
+    """``net`` with its speaking out-rows counting their reads."""
+    net._speak_out = CountedRows(net._speak_out)
+    return net
+
+
+def chain(n):
+    return counting(BidirectedNetwork(n, [(x, x + 1) for x in range(n - 1)]))
+
+
+class TestClosureReads:
+    """At k = inf a ball search adds the balls already held instead of
+    reading their rows, and a skip search that reaches the removed edge's
+    head stops there; at a finite horizon every row is read."""
+
+    def test_ball_search_reads_no_row_of_a_held_ball(self):
+        net = chain(10)
+        balls = ReachBalls(net, Params(k=INF, c_s=F(1), mode=Mode.DIRECTED))
+        balls.ball(1, True)
+        net._speak_out.reads = 0
+        assert balls.ball(0, True) == ((1 << 10) - 2, (1 << 10) - 2)
+        assert net._speak_out.reads == 1  # its own row; 10 with no balls held
+
+    def test_lossless_removal_stops_at_the_head_and_keeps_every_ball(
+            self, monkeypatch):
+        # 0 -> 2 -> 1 still reaches 1 once the edge (0, 1) is removed
+        net = counting(BidirectedNetwork(10, [(0, 1), (0, 2), (2, 1), (1, 3)]
+                                         + [(x, x + 1) for x in range(3, 9)]))
+        balls = ReachBalls(net, Params(k=INF, c_s=F(2), mode=Mode.DIRECTED))
+        for x in range(net.n):
+            balls.ball(x, True)
+        held = dict(balls._balls[True])
+        reads = []
+
+        def counted(*args):
+            before = net._speak_out.reads
+            got = bfs(*args)
+            reads.append(net._speak_out.reads - before)
+            return got
+
+        bfs = dynamics._bfs
+        monkeypatch.setattr(dynamics, "_bfs", counted)
+        assert balls.fire(EdgeKind.SPEAKING, 0, 1) is \
+            MoveKind.REMOVE_SPEAKING
+        assert reads == [2]  # rows 0 and 2, then 1 is in the frontier
+        assert balls._balls[True] == held
+        fresh = ReachBalls(net, balls.params)
+        assert all(held[x] == fresh.ball(x, True) for x in held)
+
+    def test_finite_horizon_reads_every_row(self):
+        net = chain(10)
+        balls = ReachBalls(net, Params(k=3, c_s=F(1), mode=Mode.DIRECTED))
+        balls.ball(1, True)
+        net._speak_out.reads = 0
+        assert balls.ball(0, True) == (0b1110, 0b0110)
+        assert net._speak_out.reads == 3  # rows 0, 1 and 2
+
+
 def test_target_masks_built_only_where_read(monkeypatch):
     # directed mode never reads a backward (listening) mask, so a ReachBalls
     # there builds the n forward masks alone
