@@ -214,7 +214,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    net, params, _, _ = _read_doc(args.input)
+    net, params, targets, _ = _read_doc(args.input)
+    if targets.speak or targets.listen:  # the proof counts every other agent
+        raise DocumentError(f"{args.input}: path takes no target sets")
     cert = convergence.construct_path(net, params,
                                       assert_lemmas=args.assert_lemmas)
     verdict = convergence.validate_certificate(cert, net, params)

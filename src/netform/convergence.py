@@ -95,7 +95,7 @@ def condense(balls: ReachBalls) -> ComponentGraph:
     """The condensation of the held network, read from its forward balls at
     the current revision, which the edge rule then reuses."""
     _require(balls.params)
-    closed = [balls.ball(v, True)[0] | 1 << v for v in range(balls.net.n)]
+    closed = [balls.ball(v, True)[0] for v in range(balls.net.n)]
     comps, comp_of = condensation(closed)
     c = balls.params.c_s
     return ComponentGraph(
@@ -159,7 +159,7 @@ def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
             for x in ascending(r & ~comp))))
         # L28: with no removable edges, every edge head's reach closure
         # (head included) holds at least c vertices.
-        ok28 = all(1 + balls.ball(v, True)[0].bit_count() >= c
+        ok28 = all(balls.ball(v, True)[0].bit_count() >= c
                    for (_, v) in net_after.edges(speaking=True))
         results.append(("L28_edge_heads_reach_at_least_c", ok28))
         # L29: small leaf components are singletons, and edgeless ones when

@@ -100,11 +100,11 @@ class ReachBalls:
     the network's life and mutate it through ``fire``; ``net.revision`` only
     guards against a change made outside it, which drops every ball.  Balls
     and target sets are bitsets (see ``model``), with one target mask per
-    direction and owner.  A speaking edge moves only its owner's forward
-    ball, a listening edge only the backward one.  Adding the live step
-    u -> v gives u the new targets ``(inner(v) | 1<<v) & ~(ball(u) | 1<<u)``,
-    inner being the ball one step short (a shortest path from v never
-    re-enters v); removing a present live step takes one BFS that skips it,
+    direction and owner.  A ball is closed, holding its owner, and a mask
+    never holds it.  A speaking edge moves only its owner's forward ball, a
+    listening edge only the backward one.  Adding the live step u -> v
+    gives u the new targets ``inner(v) & ~ball(u)``, inner being the ball
+    one step short; removing a present live step takes one BFS that skips it,
     ``kept``, and loses ``ball(u) & ~kept``, or nothing when the search
     answers None (at k = inf, it reached v).  At k = inf a ball search
     reads the balls held in its direction.  A dead pair (bidirected,
@@ -152,23 +152,21 @@ class ReachBalls:
         return other
 
     def ball(self, x: int, forward: bool) -> Tuple[int, int]:
-        """``(B_k(x), B_{k-1}(x))`` as bitsets, neither holding x."""
+        """``(B_k(x), B_{k-1}(x))`` as ``_bfs`` returns them, x in both."""
         if self._revision != self.net.revision:
             self._balls = ({}, {})
             self._revision = self.net.revision
         got = self._balls[forward].get(x)
         if got is None:
-            seen, last = _bfs(self.net, self.params.k, x, forward,
-                              self.params.mode, None,
-                              self._balls[forward] if self._closure else None)
-            got = self._balls[forward][x] = (seen, seen & ~last)
+            got = self._balls[forward][x] = _bfs(
+                self.net, self.params.k, x, forward, self.params.mode, None,
+                self._balls[forward] if self._closure else None)
         return got
 
     def gain(self, u: int, v: int, forward: bool) -> int:
         """Targets u newly reaches when the live step between u and v
         (u -> v forward, v -> u backward) is added."""
-        added = ((self.ball(v, forward)[1] | 1 << v)
-                 & ~(self.ball(u, forward)[0] | 1 << u))
+        added = self.ball(v, forward)[1] & ~self.ball(u, forward)[0]
         return (added & self._masks[forward][u]).bit_count()
 
     def scaled_utility(self, v: int) -> int:
@@ -212,10 +210,10 @@ class ReachBalls:
         return it; NO_CHANGE changes nothing.  Every held ball stays when
         the step is dead or the skip search answered None (at k = inf the
         removal keeps v in u's ball, so a path through the step can detour).
-        Else a ball in the edge's direction stays when its owner is not u
-        and its inner ball lacks u (a path through the step reaches u within
-        k - 1 steps), one in the other direction likewise for v, and a
-        removal holds u's new ball, classify's skip search."""
+        Else a ball in the edge's direction stays when its inner ball lacks
+        u (a path through the step reaches u within k - 1 steps; u's own
+        inner ball holds u), one in the other direction likewise for v, and
+        a removal holds u's new ball, classify's skip search, as returned."""
         move = self.classify(kind, u, v)
         if move is _NO_CHANGE:
             return move
@@ -228,10 +226,10 @@ class ReachBalls:
         if add or after:
             pivots = (v, u) if forward else (u, v)  # [forward]
             self._balls = tuple({x: got for x, got in balls.items()
-                                 if x != pivot and not got[1] >> pivot & 1}
+                                 if not got[1] >> pivot & 1}
                                 for balls, pivot in zip(self._balls, pivots))
             if not add:
-                self._balls[forward][u] = (after[0], after[0] & ~after[1])
+                self._balls[forward][u] = after
         return move
 
     def witnesses(self, quiet=None):

@@ -33,7 +33,7 @@ def diameter(net: BidirectedNetwork, mode: Mode):
     everyone = (1 << net.n) - 1
 
     def covers(k) -> bool:
-        return all(_bfs(net, k, s, True, mode)[0] | 1 << s == everyone
+        return all(_bfs(net, k, s, True, mode)[0] == everyone
                    for s in range(net.n))
 
     if not covers(INF):
@@ -90,7 +90,7 @@ def metrics(net: BidirectedNetwork, params: Params,
             targets: TargetSets = ALL_OTHERS) -> StructureMetrics:
     mode = params.mode
     live, adj = _live_rows(net, mode)
-    comps, _ = condensation([_bfs(net, INF, v, True, mode)[0] | 1 << v
+    comps, _ = condensation([_bfs(net, INF, v, True, mode)[0]
                              for v in range(net.n)])
     speak = [net.successors(v, Mode.DIRECTED) for v in range(net.n)]
     said = sum(map(int.bit_count, speak))

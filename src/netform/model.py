@@ -297,14 +297,14 @@ def _transpose(rows: list) -> list:
 
 def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,
          skip=None, held=None):
-    """The only reach search: the ball of v, vertices within k live steps
-    (never v), and its last layer, those at distance exactly k (0 when the
-    search ran out first, so always for k = INF), both as bitsets.  ``skip``
-    leaves out v's own step to that vertex: the ball after removing that
-    live edge, or None at k = INF once the search reaches that vertex (v
-    then loses nothing).  Each layer ORs the rows of the frontier's
-    vertices.  ``held`` (k = INF only, where reach is a closure) maps
-    vertices to their balls ``(B, _)``: a held vertex adds B, not its row."""
+    """The only reach search: ``(B_k(v), B_{k-1}(v))``, the vertices within
+    k and k - 1 live steps of v, v included, as bitsets (equal when the
+    search runs out first, so always for k = INF).  ``skip`` leaves out v's
+    own step to that vertex: the balls after removing that live edge, or
+    None at k = INF once the search reaches that vertex (v then loses
+    nothing).  Each layer ORs the rows of the frontier's vertices.  ``held``
+    (k = INF only, where reach is a closure) maps vertices to their balls
+    ``(B, _)``: a held vertex adds B, not its row."""
     rows = net._rows(forward, mode)
     seen = 1 << v
     frontier = rows[v]  # no row holds its own vertex
@@ -327,7 +327,7 @@ def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,
             else:
                 nxt |= rows[x]
         frontier = nxt & ~seen
-    return (seen | frontier) & ~(1 << v), frontier
+    return seen | frontier, seen
 
 
 def _count(net: BidirectedNetwork, params: Params, targets: TargetSets,

@@ -1,9 +1,9 @@
 """Strongly connected components from closed reach.
 
-With ``R(v) = ball(v) | 1<<v`` the closed reach of v, two vertices share a
-strongly connected component exactly when ``R(u) == R(w)``: each reaches
-the other iff each reach holds the other, and then the reaches coincide.
-The rule needs reach to be transitive, i.e. taken with an unbounded horizon
+With ``R(v)`` the closed reach of v, its ball (v included), two vertices
+share a component exactly when ``R(u) == R(w)``: each reaches the other
+iff each reach holds the other, and then the reaches coincide.  The rule
+needs reach to be transitive, i.e. taken with an unbounded horizon
 (k = inf); a bounded ball is not a closure and groups the wrong vertices.
 """
 

@@ -87,9 +87,10 @@ def oracle_speaking_reach(net: BidirectedNetwork, params: Params, s: int) -> set
 
 def held_reach(net: BidirectedNetwork, params: Params, v: int,
                forward: bool = True) -> set:
-    """v's speaking (forward) or listening reach as ``ReachBalls.ball``, the
-    production kernel, holds it."""
-    return members(ReachBalls(net, params).ball(v, forward)[0])
+    """v's speaking (forward) or listening reach as the paper counts it,
+    without v, from the closed ball ``ReachBalls.ball``, the production
+    kernel, holds."""
+    return members(ReachBalls(net, params).ball(v, forward)[0] & ~(1 << v))
 
 
 def strip_removables(net: BidirectedNetwork, params: Params):

@@ -23,9 +23,10 @@ from netform.equilibrium import bi_pairwise, enumeration_bits, net_from_mask
 
 
 def bfs_by_sets(net, k, v, forward, mode, skip=None):
-    """``model._bfs`` over vertex sets, one live step at a time: the ball
-    of v within k steps (never v) and the layer at distance exactly k, with
-    v's own step to ``skip`` left out.  Steps come from edge queries
+    """Reach over vertex sets, one live step at a time: the ball of v
+    within k steps (never v) and the layer at distance exactly k, with v's
+    own step to ``skip`` left out; ``model._bfs`` returns the ball with v
+    and without that layer.  Steps come from edge queries
     (``conftest.oracle_live``), so no row is read."""
     nbrs = [{y for y in range(net.n) if oracle_live(net, mode, x, y)}
             for x in range(net.n)]

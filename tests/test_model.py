@@ -223,8 +223,15 @@ class TestReach:
         assert held_reach(net, p, 0) == {1, 2}
 
     def test_reach_excludes_self(self):
-        net = cycle(3)
-        assert 0 not in held_reach(net, bi(), 0)
+        # the closed ball holds its owner and no target mask does, so the
+        # reach a utility counts leaves the owner out
+        balls = netform.ReachBalls(cycle(3), bi())
+        for forward in (True, False):
+            ball = balls.ball(0, forward)[0]
+            assert ball == 0b111
+            assert ball & ALL_OTHERS.mask(0, forward, 3) == 0b110
+        with pytest.raises(ValueError, match="contains itself"):
+            TargetSets(speak={0: frozenset({0, 1})})
 
     def test_against_path_enumeration_oracle(self):
         # [DERIVED] independent simple-path enumeration over a dense sample

@@ -139,10 +139,12 @@ class TestReachKernel:
     @given(kernel_cases())
     @settings(max_examples=150, deadline=None)
     def test_bfs_matches_set_oracle_and_networkx(self, case):
-        # ball and last layer, with and without a skipped step, in both
-        # directions; networkx sees the skipped edge removed.  At k = inf a
-        # ball search reads a held map of true balls of some other vertices,
-        # and a skip search that still reaches its head answers None
+        # the closed ball and closed inner ball, with and without a skipped
+        # step, in both directions: the oracle's ball plus v, and its last
+        # layer as their difference; networkx sees the skipped edge removed.
+        # At k = inf a ball search reads a held map of true closed balls of
+        # some other vertices, and a skip search that still reaches its
+        # head answers None
         net, mode, k, sources, rng = case
         g = live_graph(net, mode)
         cutoff = None if k == INF else k
@@ -155,7 +157,8 @@ class TestReachKernel:
                     held = {}
                     for x in rng.sample(range(net.n), rng.randint(0, net.n)):
                         if x != v:
-                            b = bits(bfs_by_sets(net, k, x, forward, mode)[0])
+                            b = bits(bfs_by_sets(net, k, x, forward, mode)[0]
+                                     | {x})
                             held[x] = (b, b)
                 whole = bfs_by_sets(net, k, v, forward, mode)[0]
                 for skip in [None] + ([rng.choice(succ)] if succ else []):
@@ -167,10 +170,11 @@ class TestReachKernel:
                         assert got is None
                         assert expect_ball == whole
                     else:
-                        ball, last = got
-                        assert isinstance(ball, int) and isinstance(last, int)
-                        assert members(ball) == expect_ball
-                        assert members(last) == expect_last
+                        ball, inner = got
+                        assert isinstance(ball, int) and isinstance(inner, int)
+                        assert members(ball) == expect_ball | {v}
+                        assert inner >> v & 1 and not inner & ~ball
+                        assert members(ball & ~inner) == expect_last
                     h = gv.copy()
                     if skip is not None:
                         h.remove_edge(v, skip)

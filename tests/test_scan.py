@@ -423,6 +423,22 @@ class TestStaleBalls:
             ReachBalls(net, balls.params).ball(u, True)
         assert len(searches) == 2
 
+    def test_add_keeps_a_ball_that_reaches_the_tail_only_at_k(self):
+        # k = 2 on the chain 0 -> 1 -> 2 and vertex 3: adding 2 -> 3 moves
+        # no ball whose inner ball lacks 2.  0's ball holds 2 at distance 2,
+        # so it stays though its outer ball holds the tail; 1's inner ball
+        # holds 2 and 2's holds itself, so theirs go
+        net = BidirectedNetwork(4, [(0, 1), (1, 2)])
+        balls = ReachBalls(net, Params(k=2, c_s=F(1, 2), mode=Mode.DIRECTED))
+        for x in range(net.n):
+            balls.ball(x, True)
+        assert balls.ball(0, True) == (0b0111, 0b0011)
+        assert balls.fire(EdgeKind.SPEAKING, 2, 3) is MoveKind.ADD_SPEAKING
+        assert sorted(balls._balls[True]) == [0, 3]
+        fresh = ReachBalls(net, balls.params)
+        assert all(balls.ball(x, True) == fresh.ball(x, True)
+                   for x in range(net.n))
+
     def test_nothing_mutates_held_network_behind_its_balls(self, monkeypatch):
         # every ball read finds the balls at the network's revision: each
         # mutation of a held network went through ReachBalls.fire
@@ -477,7 +493,7 @@ class TestClosureReads:
         balls = ReachBalls(net, Params(k=INF, c_s=F(1), mode=Mode.DIRECTED))
         balls.ball(1, True)
         net._speak_out.reads = 0
-        assert balls.ball(0, True) == ((1 << 10) - 2, (1 << 10) - 2)
+        assert balls.ball(0, True) == ((1 << 10) - 1, (1 << 10) - 1)
         assert net._speak_out.reads == 1  # its own row; 10 with no balls held
 
     def test_lossless_removal_stops_at_the_head_and_keeps_every_ball(
@@ -511,7 +527,7 @@ class TestClosureReads:
         balls = ReachBalls(net, Params(k=3, c_s=F(1), mode=Mode.DIRECTED))
         balls.ball(1, True)
         net._speak_out.reads = 0
-        assert balls.ball(0, True) == (0b1110, 0b0110)
+        assert balls.ball(0, True) == (0b1111, 0b0111)
         assert net._speak_out.reads == 3  # rows 0, 1 and 2
 
 

@@ -649,6 +649,25 @@ class TestCli:
                             "-o", str(cert)) == 0
         assert cert.read_text().splitlines()[1] == "step,kind,u,v,step_label"
 
+    @pytest.mark.parametrize("key", ["targets_s", "targets_l"])
+    def test_path_refuses_target_sets(self, tmp_path, capsys, key):
+        # the construction and its lemmas count every other agent: here the
+        # directed 4-cycle, each agent targeting its successor only, has four
+        # removable edges, so an empty certificate would be wrong
+        doc, cert = tmp_path / "t.json", tmp_path / "t.cert"
+        doc.write_text(json.dumps({
+            "n": 4, "k": "inf", "c_s": "3/2", "c_l": "0", "mode": "directed",
+            "speaking": [[0, 1], [1, 2], [2, 3], [3, 0]], "listening": [],
+            key: {"0": [1], "1": [2], "2": [3], "3": [0]}}))
+        assert self.run_cli("check", "-i", str(doc)) == 0
+        assert json.loads(capsys.readouterr().out)["stable"] is (
+            key == "targets_l")  # directed mode reads no listening targets
+        assert self.run_cli("path", "-i", str(doc), "--assert-lemmas",
+                            "-o", str(cert)) == 1
+        assert capsys.readouterr().err == \
+            f"error: {doc}: path takes no target sets\n"
+        assert not cert.exists()
+
     def test_census_and_export_dot(self, tmp_path, capsys):
         doc = tmp_path / "c.json"
         census = tmp_path / "census.csv"
