@@ -19,7 +19,7 @@ from . import convergence, dynamics, equilibrium, generators, serialize
 from .metrics import metrics as compute_metrics
 from .errors import (CapacityError, ConstructionError, DocumentError,
                      LemmaCheckError, TraceError)
-from .model import INF, Mode, Params
+from .model import INF, Mode, Params, all_complete
 
 
 class _UsageError(Exception):
@@ -202,7 +202,7 @@ def _cmd_check(args) -> int:
         "stable": not witnesses,
         "witnesses": [[k.value, u, v, "addable" if move.add else "removable"]
                       for k, u, v, move in witnesses],
-        "all_complete": equilibrium.all_complete(net),
+        "all_complete": all_complete(net),
         "symmetric": len(set(map(balls.scaled_utility, range(net.n)))) <= 1,
     }
     if args.bi_pairwise:
@@ -217,6 +217,10 @@ def _cmd_path(args) -> int:
     net, params, targets, _ = _read_doc(args.input)
     if targets.speak or targets.listen:  # the proof counts every other agent
         raise DocumentError(f"{args.input}: path takes no target sets")
+    try:  # the regime the proof covers: directed, k = inf and c_s > 0
+        convergence._require(params)
+    except ValueError as exc:
+        raise DocumentError(f"{args.input}: {exc}") from None
     cert = convergence.construct_path(net, params,
                                       assert_lemmas=args.assert_lemmas)
     verdict = convergence.validate_certificate(cert, net, params)
@@ -238,8 +242,7 @@ def _census_rows(n: int, params: Params, writer):
         # columns, one Fraction for the welfare
         utilities = [balls.scaled_utility(v) for v in range(n)]
         row = [str(Fraction(sum(utilities), balls.scale)), int(report.stable),
-               int(bool(report.bi_pairwise)),
-               int(equilibrium.all_complete(balls.net)),
+               int(bool(report.bi_pairwise)), int(all_complete(balls.net)),
                int(len(set(utilities)) <= 1)]
         for mask in orbit:
             cells[mask] = row

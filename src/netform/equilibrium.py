@@ -1,8 +1,9 @@
-"""Stability, bi-pairwise stability, efficiency, and small-n oracles.
+"""Stability, bi-pairwise stability, the small-n census and its oracles.
 
 The production stability check is the edge scan (no addable or removable
 typed edge); ``brute_force_nash`` enumerates whole strategy spaces and is
 used to validate the scan on small instances rather than trusted blindly.
+Efficiency, PoA and PoS at small n are folds of the ``netform census`` CSV.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator, List, Optional, Set, Tuple
 from .dynamics import EdgeKind, MoveKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
 from .model import (ALL_OTHERS, BidirectedNetwork, Mode, Params, TargetSets,
-                    agent_utility, all_complete, ascending)
+                    agent_utility, ascending)
 
 
 @dataclass
@@ -24,22 +25,6 @@ class StabilityReport:
     witnesses: List[Tuple[EdgeKind, int, int, MoveKind]]
     bi_pairwise: Optional[bool] = None
     bi_pairwise_witness: Optional[Tuple[int, int, Fraction, Fraction]] = None
-
-
-@dataclass
-class EfficiencyReport:
-    best_welfare: Fraction
-    argmax_nets: List[BidirectedNetwork]
-
-
-@dataclass
-class PoAResult:
-    poa: Optional[Fraction]
-    pos: Optional[Fraction]
-    degenerate: bool
-    best_welfare: Fraction
-    worst_stable_welfare: Optional[Fraction]
-    best_stable_welfare: Optional[Fraction]
 
 
 def is_stable(net: BidirectedNetwork, params: Params,
@@ -194,40 +179,6 @@ def census(n: int, params: Params, targets: TargetSets = ALL_OTHERS
                  else balls.with_net(net))
         yield mask, balls, orbit
         mask = seen.find(0, mask + 1)
-
-
-def efficient_search(n: int, params: Params,
-                     targets: TargetSets = ALL_OTHERS) -> EfficiencyReport:
-    """Welfare maxima over all networks on n agents (exhaustive), the
-    argmax in ascending mask order."""
-    best, argmax = None, []
-    for _, balls, orbit in census(n, params, targets):
-        w = sum(map(balls.scaled_utility, range(n)))  # scale times welfare
-        if best is None or w > best:
-            best, argmax = w, list(orbit)
-        elif w == best:
-            argmax.extend(orbit)
-    nets = [net_from_mask(n, m, params.mode) for m in sorted(argmax)]
-    return EfficiencyReport(Fraction(best, balls.scale), nets)
-
-
-def poa_pos(n: int, params: Params,
-            targets: TargetSets = ALL_OTHERS) -> PoAResult:
-    """Price of anarchy and stability over the full census: worst and best
-    stable welfare divided by the optimum."""
-    welfares, stable = [], []  # scale times each class's welfare
-    for _, balls, _ in census(n, params, targets):
-        welfares.append(sum(map(balls.scaled_utility, range(n))))
-        if next(balls.witnesses(), None) is None:
-            stable.append(welfares[-1])
-    best, scale = max(welfares), balls.scale
-    degenerate = best <= 0 or not stable
-    return PoAResult(
-        poa=None if degenerate else Fraction(min(stable), best),
-        pos=None if degenerate else Fraction(max(stable), best),
-        degenerate=degenerate, best_welfare=Fraction(best, scale),
-        worst_stable_welfare=Fraction(min(stable), scale) if stable else None,
-        best_stable_welfare=Fraction(max(stable), scale) if stable else None)
 
 
 def check_symmetric(net: BidirectedNetwork, params: Params,

@@ -1,22 +1,16 @@
-"""Structural metrics on the live rows and stable-structure search."""
+"""Structural metrics on the live rows: diameter, SCC sizes, clustering,
+reciprocity, degree histograms and polarization."""
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .dynamics import _below, run, seeded_rng
-from .generators import random_net
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
                     TargetSets, _bfs, _transpose, ascending)
 from .scc import condensation
-
-#: Network sizes ``structure_search`` cycles through, and its step cap per run.
-SEARCH_SIZES = (4, 5, 6, 7, 8)
-SEARCH_MAX_STEPS = 4000
 
 
 def _live_rows(net: BidirectedNetwork, mode: Mode):
@@ -70,11 +64,6 @@ def _transitivity(adj: List[int]) -> Fraction:
     return Fraction(closed, wedges) if wedges else Fraction(0)
 
 
-def clustering_coefficient(net: BidirectedNetwork, mode: Mode) -> Fraction:
-    """Global clustering (transitivity) of the undirected live projection."""
-    return _transitivity(_live_rows(net, mode)[1])
-
-
 def _groups_from_targets(net: BidirectedNetwork, targets: TargetSets
                          ) -> Optional[List[frozenset]]:
     if not targets.speak:
@@ -113,41 +102,3 @@ def metrics(net: BidirectedNetwork, params: Params,
         in_listen_hist=Counter(net.in_listen(v) for v in range(net.n)),
         polarization=polarization,
     )
-
-
-def has_open_and_closed_triangle(net: BidirectedNetwork, mode: Mode) -> bool:
-    """Some wedge of the live projection is closed and some is open."""
-    return 0 < clustering_coefficient(net, mode) < 1
-
-
-def start_density(rng: random.Random) -> float:
-    """One of the densities 0.15, 0.3 and 0.5: ``rng.choice`` of the three,
-    its private ``_randbelow`` written out as ``dynamics._below``."""
-    return (0.15, 0.3, 0.5)[_below(rng.getrandbits, 3)]
-
-
-def structure_search(params: Params, budget: int,
-                     targets: TargetSets = ALL_OTHERS, seed: int = 0
-                     ) -> Optional[BidirectedNetwork]:
-    """Random-restart search over dynamics fixed points for a STABLE network
-    with both an open and a closed triangle.  The budget counts network states
-    examined (every dynamics step plus every start); returns the first hit
-    or None once the budget is exhausted."""
-    rng = seeded_rng(seed)
-    spent = 0
-    attempt = 0
-    while spent < budget:
-        n = SEARCH_SIZES[attempt % len(SEARCH_SIZES)]
-        attempt += 1
-        p = start_density(rng)
-        start = random_net(n, p, p if params.mode is Mode.BIDIRECTED else 0,
-                           rng.getrandbits(63))
-        spent += 1
-        trace = run(start, params, targets,
-                    seed=rng.getrandbits(63),
-                    max_steps=min(SEARCH_MAX_STEPS, max(1, budget - spent)))
-        spent += trace.steps_sampled
-        if trace.converged and has_open_and_closed_triangle(trace.final,
-                                                            params.mode):
-            return trace.final
-    return None

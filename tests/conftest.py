@@ -1,8 +1,13 @@
 """Shared helpers: an independent reachability oracle (simple-path
 enumeration, no BFS), the production reach and strip read through their
-kernels, small strategies for property tests, the usual bidirected and
-directed parameters, and a time limit on every test."""
+kernels, the ``netform census`` CSV read in-process and folded into the
+optimum and the stable welfare range, small strategies for property tests,
+the usual bidirected and directed parameters, and a time limit on every
+test."""
 
+import contextlib
+import csv
+import io
 import os
 import signal
 from fractions import Fraction
@@ -12,8 +17,11 @@ import pytest
 
 import netform
 from netform import INF, BidirectedNetwork, Mode, Params, ReachBalls
+from netform.cli import main
 from netform.convergence import _strip_inplace
+from netform.equilibrium import net_from_mask
 from netform.model import ascending
+from netform.serialize import format_k
 
 
 #: Seconds one test may take; the slowest takes about 6.
@@ -125,6 +133,37 @@ def net_from_bits(n: int, mask: int, mode: Mode) -> BidirectedNetwork:
             if mask >> (len(pairs) + i) & 1:
                 net.add_listening(u, v)
     return net
+
+
+def census_rows(n: int, params: Params) -> list:
+    """``netform census`` at ``params``, run in-process: its CSV rows as
+    ``(mask, welfare, stable)``, the welfare a ``Fraction``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["census", "--n", str(n), "--k", str(format_k(params.k)),
+                     "--cs", str(params.c_s), "--cl", str(params.c_l),
+                     "--mode", params.mode.value]) == 0
+    return [(int(row["bitmask"]), Fraction(row["welfare"]),
+             row["stable"] == "1")
+            for row in csv.DictReader(io.StringIO(out.getvalue()))]
+
+
+def census_fold(n: int, params: Params) -> tuple:
+    """The census CSV's optimum, its argmax masks in ascending order, and
+    the worst and best stable welfare (``None`` when no row is stable):
+    price of anarchy and stability are the last two over the first."""
+    rows = census_rows(n, params)
+    best = max(w for _, w, _ in rows)
+    stable = [w for _, w, s in rows if s]
+    return (best, [m for m, w, _ in rows if w == best],
+            min(stable, default=None), max(stable, default=None))
+
+
+def argmax_nets(n: int, params: Params) -> tuple:
+    """The census CSV's optimum and the networks of its argmax masks, in
+    ascending mask order."""
+    best, argmax, _, _ = census_fold(n, params)
+    return best, [net_from_mask(n, m, params.mode) for m in argmax]
 
 
 def bi(k=INF, cs=Fraction(1, 2), cl=Fraction(1, 2)) -> Params:

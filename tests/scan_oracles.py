@@ -14,9 +14,8 @@ that keeps the set of dead pairs."""
 from fractions import Fraction
 
 from conftest import oracle_live
-from netform import (ALL_OTHERS, EdgeKind, EfficiencyReport, Mode, PoAResult,
-                     ReachBalls, agent_utility, all_complete, is_stable,
-                     welfare)
+from netform import (ALL_OTHERS, EdgeKind, Mode, ReachBalls, agent_utility,
+                     all_complete, is_stable, welfare)
 from netform.convergence import CertMove
 from netform.dynamics import MoveKind, apply_move
 from netform.equilibrium import bi_pairwise, enumeration_bits, net_from_mask
@@ -216,19 +215,22 @@ def census_cells_by_mask(n, params):
 
 
 def efficient_search_by_definition(n, params, targets):
-    """``efficient_search`` with ``welfare`` recomputed per network."""
+    """The welfare optimum over every network on n agents and its argmax
+    masks in ascending order, with ``welfare`` recomputed per network."""
     best, argmax = None, []
-    for net in iter_all_networks(n, params.mode):
+    for mask, net in enumerate(iter_all_networks(n, params.mode)):
         w = welfare(net, params, targets)
         if best is None or w > best:
-            best, argmax = w, [net]
+            best, argmax = w, [mask]
         elif w == best:
-            argmax.append(net)
-    return EfficiencyReport(best_welfare=best, argmax_nets=argmax)
+            argmax.append(mask)
+    return best, argmax
 
 
 def poa_pos_by_definition(n, params, targets):
-    """``poa_pos`` from ``welfare`` and ``is_stable`` per network."""
+    """The welfare optimum and the worst and best stable welfare (``None``
+    when no network is stable), from ``welfare`` and ``is_stable`` per
+    network."""
     best = worst_stable = best_stable = None
     for net in iter_all_networks(n, params.mode):
         w = welfare(net, params, targets)
@@ -239,11 +241,4 @@ def poa_pos_by_definition(n, params, targets):
                 worst_stable = w
             if best_stable is None or w > best_stable:
                 best_stable = w
-    if best <= 0 or worst_stable is None:
-        return PoAResult(poa=None, pos=None, degenerate=True,
-                         best_welfare=best, worst_stable_welfare=worst_stable,
-                         best_stable_welfare=best_stable)
-    return PoAResult(poa=worst_stable / best, pos=best_stable / best,
-                     degenerate=False, best_welfare=best,
-                     worst_stable_welfare=worst_stable,
-                     best_stable_welfare=best_stable)
+    return best, worst_stable, best_stable

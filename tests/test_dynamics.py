@@ -14,7 +14,6 @@ from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
 from netform.dynamics import _below, apply_move
 from netform.errors import TraceError
 from netform.generators import cycle, empty, random_net
-from netform.metrics import start_density
 from netform.serialize import trace_to_text
 
 from conftest import bi, child_env, net_from_bits, oracle_utility
@@ -113,16 +112,6 @@ class TestStep:
                 mv = step(balls, ours)
                 assert (mv.edge_kind, mv.u, mv.v) == sample_by_randrange(
                     oracle, n), (n, seed, i)
-            assert ours.getstate() == oracle.getstate()
-
-    def test_start_density_draws_as_choice(self):
-        # structure_search's density draw takes the bits rng.choice takes
-        densities = (0.15, 0.3, 0.5)
-        for seed in range(10):
-            ours, oracle = random.Random(seed), random.Random(seed)
-            for i in range(500):
-                assert start_density(ours) == oracle.choice(densities), \
-                    (seed, i)
             assert ours.getstate() == oracle.getstate()
 
     def test_below_draws_as_randrange(self):

@@ -5,12 +5,11 @@ import pytest
 
 import netform.equilibrium
 import netform.model
-from conftest import bi, di, net_from_bits
+from conftest import argmax_nets, bi, census_fold, di, net_from_bits
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
                      MoveKind, Params, TargetSets, agent_utility,
                      all_complete, brute_force_nash, check_symmetric,
-                     efficient_search, is_bi_pairwise_stable, is_stable,
-                     poa_pos, welfare)
+                     is_bi_pairwise_stable, is_stable, welfare)
 from netform.cli import main
 from netform.equilibrium import census, enumeration_bits, net_from_mask
 from netform.errors import CapacityError
@@ -155,52 +154,50 @@ class TestEfficiency:
     def test_bidirected_3cycle_is_argmax(self):
         # [PAPER] the cycle is the efficient network at n=3, c=1/2;
         # both rotations attain the maximum (uniqueness up to orientation)
-        rep = efficient_search(3, bi())
-        assert rep.best_welfare == 9
-        assert any(net == cycle(3) for net in rep.argmax_nets)
+        best, nets = argmax_nets(3, bi())
+        assert best == 9
+        assert any(net == cycle(3) for net in nets)
         lifted_cycles = {cycle(3).canonical(),
                          BidirectedNetwork(3, [(0, 2), (2, 1), (1, 0)],
                                            [(2, 0), (1, 2), (0, 1)]).canonical()}
-        assert {net.canonical() for net in rep.argmax_nets} == lifted_cycles
+        assert {net.canonical() for net in nets} == lifted_cycles
 
     def test_directed_4cycle_argmax(self):
         # [DERIVED] exhaustive over 2^12 directed graphs on 4 vertices
-        p = Params(k=INF, c_s=F(1, 2), mode=Mode.DIRECTED)
-        rep = efficient_search(4, p)
-        assert rep.best_welfare == 10
-        assert any(net == cycle(4, lifted=False) for net in rep.argmax_nets)
+        best, nets = argmax_nets(4, Params(k=INF, c_s=F(1, 2),
+                                           mode=Mode.DIRECTED))
+        assert best == 10
+        assert any(net == cycle(4, lifted=False) for net in nets)
 
     def test_high_cost_argmax_is_empty(self):
         # [PAPER] k=1 with costs above 1: the empty network is efficient
-        rep = efficient_search(2, bi(k=1, cs=F(2), cl=F(2)))
-        assert rep.best_welfare == 0
-        assert rep.argmax_nets == [empty(2)]
+        assert argmax_nets(2, bi(k=1, cs=F(2), cl=F(2))) == (0, [empty(2)])
 
     def test_efficient_nets_all_complete(self):
         # [PAPER] with positive costs every exhaustive argmax is complete
-        for rep in (efficient_search(3, bi()),
-                    efficient_search(2, bi(k=1, cs=F(2), cl=F(2)))):
-            assert all(all_complete(net) for net in rep.argmax_nets)
+        for n, params in ((3, bi()), (2, bi(k=1, cs=F(2), cl=F(2)))):
+            assert all(map(all_complete, argmax_nets(n, params)[1]))
 
 
 class TestPoAPoS:
+    # price of anarchy and stability: the worst and the best stable welfare
+    # over the optimum, degenerate when the optimum is not positive or no
+    # network is stable
     def test_unit_cost_poa_zero_pos_one(self):
         # [PAPER] empty is stable at welfare 0, cycle is stable and efficient
-        r = poa_pos(3, bi(cs=F(1), cl=F(1)))
-        assert r.poa == 0 and r.pos == 1 and not r.degenerate
-        assert r.best_welfare == 6
+        best, _, worst, top = census_fold(3, bi(cs=F(1), cl=F(1)))
+        assert best == 6 and worst / best == 0 and top / best == 1
 
     def test_k1_cheap_pos_one(self):
         # [PAPER] complete network stable and efficient at k=1, c=1/2
-        r = poa_pos(2, bi(k=1))
-        assert r.pos == 1 and r.best_welfare == 2
+        best, _, _, top = census_fold(2, bi(k=1))
+        assert best == 2 and top / best == 1
 
     def test_k1_unit_all_stable_and_efficient(self):
         # [PAPER] at k=1, c_s=c_l=1 both ratios collapse to 1 among the
         # complete-pair networks; welfare optimum is 0
-        r = poa_pos(2, bi(k=1, cs=F(1), cl=F(1)))
-        assert r.degenerate and r.best_welfare == 0
-        assert r.worst_stable_welfare == 0 and r.best_stable_welfare == 0
+        best, _, worst, top = census_fold(2, bi(k=1, cs=F(1), cl=F(1)))
+        assert best == 0 and worst == 0 and top == 0
 
 
 class TestSymmetry:
@@ -360,10 +357,23 @@ class TestCensusFolds:
         (4, di(k=2, cs=F(1, 2)), SWAP_01),
     ])
     def test_folds_match_definition(self, n, params, targets):
-        assert efficient_search(n, params, targets) == \
-            efficient_search_by_definition(n, params, targets)
-        assert poa_pos(n, params, targets) == \
-            poa_pos_by_definition(n, params, targets)
+        if targets is ALL_OTHERS:
+            # the optimum, argmax and stable range read off the CLI's CSV
+            best, argmax, worst, top = census_fold(n, params)
+            assert (best, argmax) == \
+                efficient_search_by_definition(n, params, targets)
+            assert (best, worst, top) == \
+                poa_pos_by_definition(n, params, targets)
+            return
+        # no CLI flag sets targets: each class's welfare and stability,
+        # from its held balls, hold for every member of its orbit
+        for mask, balls, orbit in census(n, params, targets):
+            w = F(sum(map(balls.scaled_utility, range(n))), balls.scale)
+            stable = next(balls.witnesses(), None) is None
+            for m in orbit:
+                net = net_from_bits(n, m, params.mode)
+                assert welfare(net, params, targets) == w, (mask, m)
+                assert is_stable(net, params, targets).stable is stable, m
 
     # costs whose least common denominator is 1, 2, 3 and 6, zero among them
     @pytest.mark.parametrize("n, params, scale", [
@@ -411,8 +421,6 @@ class TestCensusFolds:
         calls.clear()
         assert main(["census", "--n", "2", "--k", "2", "--cs", "1/2",
                      "--cl", "1", "-o", str(tmp_path / "c.csv")]) == 0
-        efficient_search(2, p)
-        poa_pos(3, di())
         assert calls == []
 
     @pytest.mark.parametrize("flags", [(), ("--bi-pairwise",)])

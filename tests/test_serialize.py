@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bi, child_env
+from conftest import bi, child_env, di
 from netform import (INF, BidirectedNetwork, EdgeKind, Mode, Move, MoveKind,
                      Params, TargetSets, Trace, construct_path, run)
 from netform.cli import build_parser, main
@@ -20,9 +20,7 @@ from netform.dynamics import apply_move, scan_witnesses
 from netform.errors import DocumentError, TraceError
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
                                 kautz, random_net)
-from netform.metrics import (clustering_coefficient, diameter,
-                             has_open_and_closed_triangle, metrics,
-                             structure_search)
+from netform.metrics import diameter, metrics
 from netform.serialize import (MAX_AGENTS, certificate_to_text,
                                emit_document, parse_cost, parse_document,
                                parse_k, to_dot, trace_from_text, trace_to_text)
@@ -514,14 +512,14 @@ class TestFuzz:
 
 class TestMetrics:
     def test_complete_clustering_one(self):
-        assert clustering_coefficient(complete_net(4), Mode.BIDIRECTED) == 1
+        assert metrics(complete_net(4), bi()).clustering == 1
 
     def test_star_clustering_zero(self):
         net = BidirectedNetwork(4)
         for leaf in (1, 2, 3):
             net.add_speaking(0, leaf)
             net.add_listening(leaf, 0)
-        assert clustering_coefficient(net, Mode.BIDIRECTED) == 0
+        assert metrics(net, bi()).clustering == 0
 
     def test_clustering_decreasing_in_wedges(self):
         # one closed triangle with d attached open wedges: transitivity
@@ -531,7 +529,7 @@ class TestMetrics:
             net = BidirectedNetwork(3 + d, [(0, 1), (1, 2), (2, 0)])
             for i in range(d):
                 net.add_speaking(0, 3 + i)
-            values.append(clustering_coefficient(net, Mode.DIRECTED))
+            values.append(metrics(net, di()).clustering)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_polarization_zero_for_disjoint_cliques(self):
@@ -563,20 +561,13 @@ class TestMetrics:
 
 
 class TestStructureSearch:
-    def test_zero_budget_finds_nothing(self):
-        p = Params(k=2, c_s=F(3, 2), mode=Mode.DIRECTED)
-        assert structure_search(p, budget=0) is None  # [TRIVIAL]
-
-    def test_negative_seed_refused(self):
-        p = Params(k=2, c_s=F(3, 2), mode=Mode.DIRECTED)
-        with pytest.raises(ValueError, match="seed must be in"):
-            structure_search(p, budget=0, seed=-1)
-
     def test_triangle_predicate(self):
+        # the structure criterion 8 counts: some wedge of the live projection
+        # closed and some open, so clustering strictly between 0 and 1
         net = BidirectedNetwork(4, [(0, 1), (1, 2), (2, 0)])
-        assert not has_open_and_closed_triangle(net, Mode.DIRECTED)
+        assert metrics(net, di()).clustering == 1
         net.add_speaking(0, 3)  # wedge 3-0-1 is open, triangle 0-1-2 closed
-        assert has_open_and_closed_triangle(net, Mode.DIRECTED)
+        assert 0 < metrics(net, di()).clustering < 1
 
 
 class TestCli:
@@ -666,6 +657,25 @@ class TestCli:
                             "-o", str(cert)) == 1
         assert capsys.readouterr().err == \
             f"error: {doc}: path takes no target sets\n"
+        assert not cert.exists()
+
+    @pytest.mark.parametrize("flags, reason", [
+        (("--cs", "1/2", "--cl", "1/2"),
+         "is defined for the directed-reduced mode"),
+        (("--k", "2", "--mode", "directed"), "requires an unbounded horizon"),
+        (("--cs", "0", "--mode", "directed"),
+         "requires a positive speaking cost"),
+    ])
+    def test_path_refusal_names_the_file(self, tmp_path, capsys, flags,
+                                         reason):
+        # a document outside the proof's regime is refused like any other
+        # document: an error line naming the file, exit 1, no certificate
+        doc, cert = tmp_path / "c.json", tmp_path / "c.cert"
+        assert self.run_cli("generate", "cycle", "--n", "4", *flags,
+                            "-o", str(doc)) == 0
+        assert self.run_cli("path", "-i", str(doc), "-o", str(cert)) == 1
+        assert capsys.readouterr().err == \
+            f"error: {doc}: path construction {reason}\n"
         assert not cert.exists()
 
     def test_census_and_export_dot(self, tmp_path, capsys):
