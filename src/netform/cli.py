@@ -40,10 +40,11 @@ def _write(path: Optional[str], text: str):
 
 
 def _read_doc(path: str):
+    """The document's network, parameters and targets; its meta is dropped."""
     try:
         with open(path, encoding="utf-8") as fh:
             return serialize.parse_document(
-                json.load(fh, object_pairs_hook=serialize.unique_keys))
+                json.load(fh, object_pairs_hook=serialize.unique_keys))[:3]
     except DocumentError as exc:  # a repeated key or a refused field
         raise DocumentError(f"{path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # not UTF-8/JSON, too deep
@@ -79,12 +80,25 @@ def _add_param_flags(sub):
     sub.add_argument("--mode", choices=["bidirected", "directed"], default=None)
 
 
+def _command(subs, name, handler, help, document=True):
+    """A subcommand writing its handler's text to ``-o``: a document
+    command's handler takes the ``-i`` document's network, parameters and
+    targets after ``args``."""
+    sub = subs.add_parser(name, help=help)
+    if document:
+        sub.add_argument("-i", "--input", required=True)
+    sub.add_argument("-o", "--output", default=None)
+    sub.set_defaults(handler=handler, document=document)
+    return sub
+
+
 @functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="netform")
     subs = p.add_subparsers(dest="command", required=True)
 
-    g = subs.add_parser("generate", help="emit a named network document")
+    g = _command(subs, "generate", _cmd_generate,
+                 "emit a named network document", document=False)
     g.add_argument("family", choices=["empty", "cycle", "flower",
                                       "unbalanced-flower", "kautz", "random",
                                       "complete"])
@@ -95,45 +109,34 @@ def build_parser() -> _Parser:
     g.add_argument("--pl", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--lifted", action="store_true")
-    g.add_argument("-o", "--output", default=None)
     _add_param_flags(g)
 
-    r = subs.add_parser("run", help="run the edge dynamics on a document")
-    r.add_argument("-i", "--input", required=True)
+    r = _command(subs, "run", _cmd_run, "run the edge dynamics on a document")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--max-steps", type=int, default=None)
-    r.add_argument("-o", "--output", default=None)
 
-    c = subs.add_parser("check", help="stability / oracle checks")
-    c.add_argument("-i", "--input", required=True)
+    c = _command(subs, "check", _cmd_check, "stability / oracle checks")
     c.add_argument("--nash-oracle", action="store_true")
     c.add_argument("--bi-pairwise", action="store_true")
-    c.add_argument("-o", "--output", default=None)
 
-    pa = subs.add_parser("path", help="construct a convergence path certificate")
-    pa.add_argument("-i", "--input", required=True)
+    pa = _command(subs, "path", _cmd_path,
+                  "construct a convergence path certificate")
     pa.add_argument("--assert-lemmas", action="store_true")
-    pa.add_argument("-o", "--output", default=None)
 
-    ce = subs.add_parser("census", help="exhaustive small-n network census")
+    ce = _command(subs, "census", _cmd_census,
+                  "exhaustive small-n network census", document=False)
     ce.add_argument("--n", type=int, required=True)
     ce.add_argument("--sweep", default=None,
                     help="CSV of k,c_s,c_l rows to sweep")
-    ce.add_argument("-o", "--output", default=None)
     _add_param_flags(ce)
 
-    m = subs.add_parser("metrics", help="structural metrics of a document")
-    m.add_argument("-i", "--input", required=True)
-    m.add_argument("-o", "--output", default=None)
-
-    d = subs.add_parser("export-dot", help="deterministic DOT export")
-    d.add_argument("-i", "--input", required=True)
+    _command(subs, "metrics", _cmd_metrics, "structural metrics of a document")
+    d = _command(subs, "export-dot", _cmd_export_dot, "deterministic DOT export")
     d.add_argument("--annotate", action="store_true")
-    d.add_argument("-o", "--output", default=None)
     return p
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> str:
     params = _params(args.k, args.cs, args.cl, args.mode)
     meta = {"generator": args.family}
     fam = args.family
@@ -150,18 +153,16 @@ def _cmd_generate(args) -> int:
     if n > cap:
         raise _UsageError(f"{flag}: the {fam} network would have more than "
                           f"{cap} agents, the cap of a document")
+    if fam in ("flower", "unbalanced-flower") and params.k == INF:
+        raise _UsageError(f"{fam} requires a finite --k")
     if fam == "empty":
         net = generators.empty(n)
     elif fam == "cycle":
         net = generators.cycle(n, lifted=params.mode is Mode.BIDIRECTED)
     elif fam == "flower":
-        if params.k == INF:
-            raise _UsageError("flower requires a finite --k")
         net, spec = generators.balanced_flower(n, params.k)
         meta.update(petal_len=spec.petal_len, q=spec.q, center=spec.center)
     elif fam == "unbalanced-flower":
-        if params.k == INF:
-            raise _UsageError("unbalanced-flower requires a finite --k")
         net = generators.unbalanced_flower(n, params.k)
     elif fam == "kautz":
         net = generators.kautz(d, D)
@@ -174,8 +175,7 @@ def _cmd_generate(args) -> int:
     if args.lifted:  # lift is idempotent
         net = generators.lift(net)
     doc = serialize.emit_document(net, params, meta=meta)
-    _write(args.output, serialize.document_text(doc))
-    return 0
+    return serialize.document_text(doc)
 
 
 def _req(value, flag):
@@ -184,16 +184,13 @@ def _req(value, flag):
     return value
 
 
-def _cmd_run(args) -> int:
-    net, params, targets, _ = _read_doc(args.input)
+def _cmd_run(args, net, params, targets) -> str:
     trace = dynamics.run(net, params, targets, seed=args.seed,
                          max_steps=args.max_steps)
-    _write(args.output, serialize.trace_to_text(trace))
-    return 0
+    return serialize.trace_to_text(trace)
 
 
-def _cmd_check(args) -> int:
-    net, params, targets, _ = _read_doc(args.input)
+def _cmd_check(args, net, params, targets) -> str:
     # one set of reach balls for the witnesses and the utilities
     balls = dynamics.ReachBalls(net, params, targets)
     report = equilibrium.bi_pairwise(balls) if args.bi_pairwise else None
@@ -209,12 +206,10 @@ def _cmd_check(args) -> int:
         out["bi_pairwise"] = report.bi_pairwise
     if args.nash_oracle:
         out["nash"] = equilibrium.brute_force_nash(net, params, targets)
-    _write(args.output, serialize.document_text(out))
-    return 0
+    return serialize.document_text(out)
 
 
-def _cmd_path(args) -> int:
-    net, params, targets, _ = _read_doc(args.input)
+def _cmd_path(args, net, params, targets) -> str:
     if targets.speak or targets.listen:  # the proof counts every other agent
         raise DocumentError(f"{args.input}: path takes no target sets")
     try:  # the regime the proof covers: directed, k = inf and c_s > 0
@@ -227,8 +222,7 @@ def _cmd_path(args) -> int:
     if not verdict:
         raise LemmaCheckError(
             f"constructed certificate failed replay validation: {verdict}")
-    _write(args.output, serialize.certificate_to_text(cert, net, params))
-    return 0
+    return serialize.certificate_to_text(cert, net, params)
 
 
 def _census_rows(n: int, params: Params, writer):
@@ -250,7 +244,7 @@ def _census_rows(n: int, params: Params, writer):
         writer.writerow(head + [mask] + row)
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "c_s", "c_l", "bitmask", "welfare", "stable",
@@ -283,12 +277,10 @@ def _cmd_census(args) -> int:
     else:
         _census_rows(args.n, _params(args.k, args.cs, args.cl, args.mode),
                      writer)
-    _write(args.output, buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
-def _cmd_metrics(args) -> int:
-    net, params, targets, _ = _read_doc(args.input)
+def _cmd_metrics(args, net, params, targets) -> str:
     m = compute_metrics(net, params, targets)
     out = {
         "clustering": str(m.clustering),
@@ -302,33 +294,20 @@ def _cmd_metrics(args) -> int:
         "edge_count": sum(net.out_speak(v) + net.out_listen(v)
                           for v in range(net.n)),
     }
-    _write(args.output, serialize.document_text(out))
-    return 0
+    return serialize.document_text(out)
 
 
-def _cmd_export_dot(args) -> int:
-    net, params, targets, _ = _read_doc(args.input)
+def _cmd_export_dot(args, net, params, targets) -> str:
     annot = dynamics.scan_witnesses(net, params, targets) if args.annotate else None
-    _write(args.output, serialize.to_dot(net, annot))
-    return 0
-
-
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "run": _cmd_run,
-    "check": _cmd_check,
-    "path": _cmd_path,
-    "census": _cmd_census,
-    "metrics": _cmd_metrics,
-    "export-dot": _cmd_export_dot,
-}
+    return serialize.to_dot(net, annot)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        doc = _read_doc(args.input) if args.document else ()
+        _write(args.output, args.handler(args, *doc))
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -116,7 +116,7 @@ def kautz_order(d: int, D: int) -> int:
     return (d + 1) * d ** (D - 1)
 
 
-def kautz(d: int, D: int, lifted: bool = False) -> BidirectedNetwork:
+def kautz(d: int, D: int) -> BidirectedNetwork:
     """Shift-register graph on length-D no-repeat strings over {0..d}:
     (d+1)*d^(D-1) vertices, uniform out-degree d, measured diameter D."""
     n = kautz_order(d, D)
@@ -127,7 +127,7 @@ def kautz(d: int, D: int, lifted: bool = False) -> BidirectedNetwork:
         for y in range(d + 1):
             if y != lab[-1]:
                 net.add_speaking(index[lab], index[lab[1:] + (y,)])
-    return lift(net) if lifted else net
+    return net
 
 
 def random_net(n: int, p_s: float, p_l: float, seed: int) -> BidirectedNetwork:

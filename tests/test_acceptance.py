@@ -165,7 +165,7 @@ def _bidirected_suite_inputs():
     nets = [cycle(n) for n in (3, 4, 5, 6, 8)]
     nets += [complete_net(n) for n in (3, 4, 5)]
     nets += [empty(n) for n in (2, 5)]
-    nets += [kautz(2, 2, lifted=True), kautz(2, 3, lifted=True)]
+    nets += [lift(kautz(2, 2)), lift(kautz(2, 3))]
     nets += [lift(balanced_flower(10, 4)[0])]
     nets += [random_net(n, ps, pl, seed) for n in (4, 5, 6)
              for ps, pl in ((0.3, 0.3), (0.6, 0.4)) for seed in range(3)]

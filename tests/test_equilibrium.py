@@ -14,7 +14,7 @@ from netform.cli import main
 from netform.equilibrium import census, enumeration_bits, net_from_mask
 from netform.errors import CapacityError
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
-                                kautz, random_net)
+                                kautz, lift, random_net)
 from netform.serialize import format_k
 from scan_oracles import (census_by_mask, census_cells_by_mask,
                           efficient_search_by_definition, iter_all_networks,
@@ -59,7 +59,7 @@ class TestBiPairwise:
 
     def test_kautz_lifted_bi_pairwise(self):
         # [PAPER] lifted Kautz stays pairwise stable for c <= 1
-        net = kautz(2, 4, lifted=True)
+        net = lift(kautz(2, 4))
         assert is_bi_pairwise_stable(net, bi(k=4)).bi_pairwise
 
     def test_bi_pairwise_implies_stable_on_census(self):

@@ -130,7 +130,7 @@ class TestKautz:
         assert all(a != b for lab in labels for a, b in zip(lab, lab[1:]))
 
     def test_lift_adds_reverse_listening(self):
-        net = kautz(2, 2, lifted=True)
+        net = lift(kautz(2, 2))
         assert len(net.listening) == len(net.speaking)
         assert all(net.has_listening(v, u) for (u, v) in net.speaking)
 

@@ -678,6 +678,63 @@ class TestCli:
             f"error: {doc}: path construction {reason}\n"
         assert not cert.exists()
 
+    @pytest.mark.parametrize("family", ["flower", "unbalanced-flower"])
+    def test_flower_refuses_unbounded_horizon(self, tmp_path, capsys, family):
+        doc = tmp_path / "f.json"
+        assert self.run_cli("generate", family, "--n", "10",
+                            "-o", str(doc)) == 1
+        assert capsys.readouterr().err == \
+            f"usage error: {family} requires a finite --k\n"
+        assert not doc.exists()
+
+    # one job per command; the document commands read a directed random
+    # document, which path accepts
+    WRITE_JOBS = [
+        ("generate", "random", "--n", "7", "--seed", "5", "--ps", "0.3",
+         "--cs", "2", "--mode", "directed"),
+        ("run", "--seed", "3"),
+        ("check", "--bi-pairwise"),
+        ("path", "--assert-lemmas"),
+        ("census", "--n", "3", "--cs", "1/2"),
+        ("metrics",),
+        ("export-dot", "--annotate"),
+    ]
+
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path, capsys):
+        # main writes each command's text once, to -o FILE or to stdout
+        doc = tmp_path / "d.json"
+        assert self.run_cli(*self.WRITE_JOBS[0], "-o", str(doc)) == 0
+        commands = re.search(r"\{(.*?)\}", build_parser().format_usage())
+        assert [job[0] for job in self.WRITE_JOBS] == \
+            commands.group(1).split(",")
+        for job in self.WRITE_JOBS:
+            argv = list(job)
+            if job[0] not in ("generate", "census"):
+                argv += ["-i", str(doc)]
+            out = tmp_path / f"{job[0]}.out"
+            assert self.run_cli(*argv, "-o", str(out)) == 0
+            assert capsys.readouterr().out == ""
+            assert self.run_cli(*argv, "-o", "-") == 0
+            assert capsys.readouterr().out.encode() == out.read_bytes(), job
+
+    def test_refusal_writes_nothing(self, tmp_path, capsys):
+        # a refused command leaves no -o file and prints nothing on stdout,
+        # here a check that fails only after its stability fields are found
+        bad, doc = tmp_path / "bad.json", tmp_path / "c8.json"
+        bad.write_text("{")
+        assert self.run_cli("generate", "cycle", "--n", "8",
+                            "-o", str(doc)) == 0
+        refusals = [(("metrics", "-i", str(bad)), 1),
+                    (("census", "--n", "5"), 2),
+                    (("check", "-i", str(doc), "--nash-oracle"), 2)]
+        for argv, code in refusals:
+            out = tmp_path / "out"
+            for target in (str(out), "-"):
+                assert self.run_cli(*argv, "-o", target) == code, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err, argv
+                assert not out.exists(), argv
+
     def test_census_and_export_dot(self, tmp_path, capsys):
         doc = tmp_path / "c.json"
         census = tmp_path / "census.csv"
