@@ -225,23 +225,27 @@ def _cmd_path(args, net, params, targets) -> str:
     return serialize.certificate_to_text(cert, net, params)
 
 
-def _census_rows(n: int, params: Params, writer):
+def _census_rows(n: int, params: Params, classes, writer):
     """One row per mask, in mask order: each relabelling class's cells are
-    computed once, from its least mask, and shared by its masks."""
+    computed once, from its least mask (``classes(mode)``, the space's
+    index), and shared by its masks."""
     head = [serialize.format_k(params.k), str(params.c_s), str(params.c_l)]
-    cells = [None] * 2 ** equilibrium.enumeration_bits(n, params.mode)
-    for _, balls, orbit in equilibrium.census(n, params):
+    least, class_of = classes(params.mode)
+    rows, balls = [], None
+    for mask in least:
+        net = equilibrium.net_from_mask(n, mask, params.mode)
+        # the classes' balls share their target masks and cost constants
+        balls = (dynamics.ReachBalls(net, params) if balls is None
+                 else balls.with_net(net))
         report = equilibrium.bi_pairwise(balls)
         # one list of scaled integer utilities for the welfare and symmetric
         # columns, one Fraction for the welfare
         utilities = [balls.scaled_utility(v) for v in range(n)]
-        row = [str(Fraction(sum(utilities), balls.scale)), int(report.stable),
-               int(bool(report.bi_pairwise)), int(all_complete(balls.net)),
-               int(len(set(utilities)) <= 1)]
-        for mask in orbit:
-            cells[mask] = row
-    for mask, row in enumerate(cells):  # the orbits partition the masks
-        writer.writerow(head + [mask] + row)
+        rows.append([str(Fraction(sum(utilities), balls.scale)),
+                     int(report.stable), int(bool(report.bi_pairwise)),
+                     int(all_complete(net)), int(len(set(utilities)) <= 1)])
+    for mask, c in enumerate(class_of):
+        writer.writerow(head + [mask] + rows[c])
 
 
 def _cmd_census(args) -> str:
@@ -249,6 +253,8 @@ def _cmd_census(args) -> str:
     writer = csv.writer(buf)
     writer.writerow(["k", "c_s", "c_l", "bitmask", "welfare", "stable",
                      "bi_pairwise", "complete", "symmetric"])
+    # one class index per mode: a sweep walks each space once
+    index = functools.cache(functools.partial(equilibrium.classes, args.n))
     if args.sweep:
         with open(args.sweep, "rb") as fh:
             data = fh.read()
@@ -273,10 +279,10 @@ def _cmd_census(args) -> str:
             where = {column: f"{args.sweep}, line {line}, column {column}"
                      for column in _FLAGS}
             _census_rows(args.n, _params(row["k"], row["c_s"], row["c_l"],
-                                         args.mode, where), writer)
+                                         args.mode, where), index, writer)
     else:
         _census_rows(args.n, _params(args.k, args.cs, args.cl, args.mode),
-                     writer)
+                     index, writer)
     return buf.getvalue()
 
 

@@ -140,6 +140,16 @@ def _find_addable(balls: ReachBalls) -> Optional[Tuple[int, int]]:
 
 # -- invariant predicates for the constructed path ---------------------------
 
+# the large-count lemma of each step label: (name, whether the count of
+# large components must fall, or only not rise); L35 also implies the strip
+# after step 7 removes nothing, which callers verify from the move stream
+_LARGE_COUNT = {1: ("L32_strip_large_count_nonincreasing", False),
+                5: ("L33_step5_large_count_decreases", True),
+                6: ("L34_step6_large_count_decreases", True),
+                7: ("L35_step7_large_count_nonincreasing", False),
+                8: ("L25_step8_large_count_nonincreasing", False)}
+
+
 def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
                  step_label: int, balls: ReachBalls) -> List[Tuple[str, bool]]:
     """Concrete pass/fail predicates around one proof step.  ``cg_before``
@@ -147,9 +157,6 @@ def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
     after the step plus the following strip, which ``balls`` holds."""
     net_after, c = balls.net, balls.params.c_s
     results: List[Tuple[str, bool]] = []
-    before_large = len(cg_before.large)
-    after_large = len(cg.large)
-
     if step_label == 1:
         # L27: the condensation is acyclic: no component reaches another
         # component that reaches back into it.
@@ -177,27 +184,14 @@ def lemma_checks(cg_before: ComponentGraph, cg: ComponentGraph,
                     continue
             ok29 = False
         results.append(("L29_leaves_isolated_or_large", ok29))
-        # L32: stripping never increases the number of large components.
-        results.append(("L32_strip_large_count_nonincreasing",
-                        after_large <= before_large))
     elif step_label == 4:
         # Fallback add: only legitimate in the small-cost regime where no
         # strictly-large component needs to exist.
         results.append(("L30_fallback_only_when_c_at_most_1", c <= 1))
-    elif step_label == 5:
-        results.append(("L33_step5_large_count_decreases",
-                        after_large < before_large))
-    elif step_label == 6:
-        results.append(("L34_step6_large_count_decreases",
-                        after_large < before_large))
-    elif step_label == 7:
-        results.append(("L35_step7_large_count_nonincreasing",
-                        after_large <= before_large))
-        # L35 also implies the strip after step 7 removes nothing; callers
-        # verify that from the move stream.
-    elif step_label == 8:
-        results.append(("L25_step8_large_count_nonincreasing",
-                        after_large <= before_large))
+    if step_label in _LARGE_COUNT:
+        name, must_fall = _LARGE_COUNT[step_label]
+        results.append((name, len(cg.large) <= len(cg_before.large)
+                        - must_fall))
     return results
 
 

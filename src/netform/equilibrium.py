@@ -1,9 +1,11 @@
-"""Stability, bi-pairwise stability, the small-n census and its oracles.
+"""Stability, bi-pairwise stability, census classes and the Nash oracle.
 
 The production stability check is the edge scan (no addable or removable
 typed edge); ``brute_force_nash`` enumerates whole strategy spaces and is
 used to validate the scan on small instances rather than trusted blindly.
-Efficiency, PoA and PoS at small n are folds of the ``netform census`` CSV.
+``classes`` indexes the networks on n agents by relabelling class, one
+index for every (k, cost) row of the ``netform census`` CSV, whose folds
+give efficiency, PoA and PoS at small n.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .dynamics import EdgeKind, MoveKind, ReachBalls, scan_witnesses
 from .errors import CapacityError
@@ -158,27 +160,24 @@ def _relabelings(n: int, mode: Mode, targets: TargetSets) -> List[list]:
     return out
 
 
-def census(n: int, params: Params, targets: TargetSets = ALL_OTHERS
-           ) -> Iterator[Tuple[int, ReachBalls, Set[int]]]:
-    """Every relabelling class of the networks on n agents as ``(mask,
-    balls, orbit)``: its least mask, one ``ReachBalls`` of that network and
-    the class's masks.  A relabelling keeps the targets, so each agent's
-    utility moves with it and welfare, stability, bi-pairwise stability,
-    completeness and symmetry hold one value per class.  The balls share
-    their target masks and cost constants (``with_net``)."""
-    seen = bytearray(2 ** enumeration_bits(n, params.mode))
-    relabelings = _relabelings(n, params.mode, targets)
-    mask, balls = 0, None
-    while mask >= 0:
-        orbit = {sum(t[mask >> 8 * i & 255] for i, t in enumerate(tables))
-                 for tables in relabelings}
-        for m in orbit:
-            seen[m] = 1
-        net = net_from_mask(n, mask, params.mode)
-        balls = (ReachBalls(net, params, targets) if balls is None
-                 else balls.with_net(net))
-        yield mask, balls, orbit
-        mask = seen.find(0, mask + 1)
+def classes(n: int, mode: Mode, targets: TargetSets = ALL_OTHERS
+            ) -> Tuple[List[int], List[int]]:
+    """The relabelling classes of the networks on n agents as ``(least,
+    class_of)``: each class's least mask, in ascending order, and the index
+    in ``least`` of every mask's class.  A relabelling keeps the targets, so
+    each agent's utility moves with it and welfare, stability, bi-pairwise
+    stability, completeness and symmetry hold one value per class."""
+    class_of = [None] * 2 ** enumeration_bits(n, mode)
+    relabelings = _relabelings(n, mode, targets)
+    least = []
+    for mask in range(len(class_of)):
+        if class_of[mask] is None:  # the least mask of a new class
+            c = len(least)  # one int object for the whole class
+            least.append(mask)
+            for tables in relabelings:
+                class_of[sum(t[mask >> 8 * i & 255]
+                             for i, t in enumerate(tables))] = c
+    return least, class_of
 
 
 def check_symmetric(net: BidirectedNetwork, params: Params,

@@ -9,15 +9,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .model import (ALL_OTHERS, BidirectedNetwork, INF, Mode, Params,
-                    TargetSets, _bfs, _transpose, ascending)
+                    TargetSets, _bfs, ascending)
 from .scc import condensation
-
-
-def _live_rows(net: BidirectedNetwork, mode: Mode):
-    """The live out-rows and the rows of the undirected projection, where
-    u and v are adjacent when a step between them is live either way."""
-    live = [net.successors(v, mode) for v in range(net.n)]
-    return live, [row | back for row, back in zip(live, _transpose(live))]
 
 
 def diameter(net: BidirectedNetwork, mode: Mode):
@@ -78,13 +71,16 @@ def _groups_from_targets(net: BidirectedNetwork, targets: TargetSets
 def metrics(net: BidirectedNetwork, params: Params,
             targets: TargetSets = ALL_OTHERS) -> StructureMetrics:
     mode = params.mode
-    live, adj = _live_rows(net, mode)
+    live = [net.successors(v, mode) for v in range(net.n)]
+    # the undirected projection: u and v are adjacent when a step between
+    # them is live either way
+    adj = [row | net.predecessors(v, mode) for v, row in enumerate(live)]
     comps, _ = condensation([_bfs(net, INF, v, True, mode)[0]
                              for v in range(net.n)])
     speak = [net.successors(v, Mode.DIRECTED) for v in range(net.n)]
     said = sum(map(int.bit_count, speak))
-    mutual = sum((row & back).bit_count()  # u speaks to v and v to u
-                 for row, back in zip(speak, _transpose(speak)))
+    mutual = sum((row & net.predecessors(v, Mode.DIRECTED)).bit_count()
+                 for v, row in enumerate(speak))  # u speaks to v and v to u
     groups = _groups_from_targets(net, targets)
     steps = sum(map(int.bit_count, live))
     polarization = None

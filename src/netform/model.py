@@ -227,6 +227,10 @@ class BidirectedNetwork:
         """x's live out-row: bit v when the step x -> v is live in ``mode``."""
         return self._rows(True, mode)[x]
 
+    def predecessors(self, x: int, mode: Mode) -> int:
+        """x's live in-row: bit u when the step u -> x is live in ``mode``."""
+        return self._rows(False, mode)[x]
+
     def out_speak(self, v: int) -> int:
         return self._speak_out[v].bit_count()
 
@@ -333,7 +337,7 @@ def _bfs(net: BidirectedNetwork, k, v: int, forward: bool, mode: Mode,
 def _count(net: BidirectedNetwork, params: Params, targets: TargetSets,
            v: int, forward: bool) -> int:
     """How many of v's targets its speaking (forward) or listening reach
-    holds, from a fresh search: the only from-scratch reach reader."""
+    holds, from a fresh search, as in ``metrics`` and ``diameter``."""
     if not 0 <= v < net.n:
         raise ValueError(f"vertex {v} out of range")
     return (_bfs(net, params.k, v, forward, params.mode)[0]

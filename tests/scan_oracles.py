@@ -197,7 +197,8 @@ def iter_all_networks(n, mode):
 def census_by_mask(n, params, targets=ALL_OTHERS):
     """``(mask, balls)`` for every network on n agents, in mask order, with
     fresh reach balls per network: the raw enumeration that the census by
-    relabelling class (``equilibrium.census``) is checked against."""
+    relabelling class (``equilibrium.classes`` and the CLI's rows over
+    it) is checked against."""
     for mask, net in enumerate(iter_all_networks(n, params.mode)):
         yield mask, ReachBalls(net, params, targets)
 

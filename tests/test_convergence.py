@@ -379,6 +379,22 @@ class TestLemmaChecks:
             results = dict(lemma_checks(cg, cg, 1, balls))
             assert results["L27_condensation_acyclic"] is acyclic
 
+    def test_large_count_lemmas_strict_only_at_steps_5_and_6(self):
+        # negative control: an unchanged count of large components flunks
+        # the two lemmas where it must fall and passes the three where it
+        # must not rise; one large component more flunks all five
+        balls = ReachBalls(two_cycles(3), di(2))
+        cg = condense(balls)
+        assert len(cg.large) == 2
+        fewer = ComponentGraph(cg.components, cg.comp_of, cg.reach,
+                               frozenset({min(cg.large)}))
+        for label, must_fall in ((1, False), (5, True), (6, True),
+                                 (7, False), (8, False)):
+            for before, ok in ((cg, not must_fall), (fewer, False)):
+                assert [passed for name, passed
+                        in lemma_checks(before, cg, label, balls)
+                        if "large_count" in name] == [ok], (label, before)
+
     def test_tampered_certificate_rejected(self):
         # negative control: injecting a non-addable move must fail replay
         start = two_cycles(3)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +8,11 @@ import netform.equilibrium
 import netform.model
 from conftest import argmax_nets, bi, census_fold, di, net_from_bits
 from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
-                     MoveKind, Params, TargetSets, agent_utility,
+                     MoveKind, Params, ReachBalls, TargetSets, agent_utility,
                      all_complete, brute_force_nash, check_symmetric,
                      is_bi_pairwise_stable, is_stable, welfare)
 from netform.cli import main
-from netform.equilibrium import census, enumeration_bits, net_from_mask
+from netform.equilibrium import classes, enumeration_bits, net_from_mask
 from netform.errors import CapacityError
 from netform.generators import (balanced_flower, complete_net, cycle, empty,
                                 kautz, lift, random_net)
@@ -239,12 +240,12 @@ class TestEnumeration:
 
     def test_census_guard(self):
         with pytest.raises(CapacityError):
-            list(census(4, bi()))
+            classes(4, Mode.BIDIRECTED)
 
     def test_census_guard_directed_n5(self, tmp_path, capsys):
-        # 20 bits: refused before the walk allocates its 2^bits marks
+        # 20 bits: refused before the index allocates its 2^bits classes
         with pytest.raises(CapacityError):
-            next(census(5, di()))
+            classes(5, Mode.DIRECTED)
         assert main(["census", "--n", "5", "--mode", "directed",
                      "-o", str(tmp_path / "c.csv")]) == 2
         assert not (tmp_path / "c.csv").exists()
@@ -278,13 +279,14 @@ def _relabelled(net, s):
 
 
 class TestCensusClasses:
-    @pytest.mark.parametrize("n, params, classes", [
+    @pytest.mark.parametrize("n, params, count", [
         (3, di(), 16),
         (4, di(), 218),  # OEIS A000273
         (3, bi(), 720),
     ])
-    def test_class_counts(self, n, params, classes):
-        assert sum(1 for _ in census(n, params)) == classes
+    def test_class_counts(self, n, params, count):
+        least, _ = classes(n, params.mode)
+        assert len(least) == count
 
     @pytest.mark.parametrize("n, params, targets", [
         (1, bi(), ALL_OTHERS),
@@ -298,18 +300,23 @@ class TestCensusClasses:
     ])
     def test_orbits_partition_masks_at_least_members(self, n, params,
                                                      targets):
-        # each orbit is the set of the representative's relabellings that
-        # keep the targets, built with the mutators and decoded
-        # independently; the orbits cover every mask once, each yielded at
-        # its least member, in ascending order
+        # each orbit, the masks of one class, is the set of the
+        # representative's relabellings that keep the targets, built with
+        # the mutators and decoded independently; the orbits cover every
+        # mask once, each listed at its least member, in ascending order
         mode = params.mode
         kept = _kept_relabelings(n, mode, targets)
         index = {net_from_bits(n, m, mode): m
                  for m in range(2 ** enumeration_bits(n, mode))}
+        least, class_of = classes(n, mode, targets)
+        assert len(class_of) == len(index)
+        orbits = [set() for _ in least]
+        for m, c in enumerate(class_of):
+            orbits[c].add(m)
         covered, last = set(), -1
-        for mask, balls, orbit in census(n, params, targets):
-            assert balls.net == net_from_bits(n, mask, mode)
-            assert orbit == {index[_relabelled(balls.net, s)] for s in kept}
+        for mask, orbit in zip(least, orbits):
+            net = net_from_bits(n, mask, mode)
+            assert orbit == {index[_relabelled(net, s)] for s in kept}
             assert mask == min(orbit) and mask > last
             assert not covered & orbit
             covered |= orbit
@@ -318,8 +325,8 @@ class TestCensusClasses:
 
     def test_swap_targets_keep_a_proper_subgroup(self):
         assert len(_kept_relabelings(3, Mode.BIDIRECTED, SWAP_01)) == 2
-        sizes = {len(orbit) for _, _, orbit in census(3, bi(), SWAP_01)}
-        assert sizes == {1, 2}
+        _, class_of = classes(3, Mode.BIDIRECTED, SWAP_01)
+        assert set(Counter(class_of).values()) == {1, 2}
 
     @pytest.mark.parametrize("k", [1, 2, INF])
     @pytest.mark.parametrize("n, mode", [(2, Mode.BIDIRECTED),
@@ -366,14 +373,20 @@ class TestCensusFolds:
                 poa_pos_by_definition(n, params, targets)
             return
         # no CLI flag sets targets: each class's welfare and stability,
-        # from its held balls, hold for every member of its orbit
-        for mask, balls, orbit in census(n, params, targets):
-            w = F(sum(map(balls.scaled_utility, range(n))), balls.scale)
-            stable = next(balls.witnesses(), None) is None
-            for m in orbit:
-                net = net_from_bits(n, m, params.mode)
-                assert welfare(net, params, targets) == w, (mask, m)
-                assert is_stable(net, params, targets).stable is stable, m
+        # from its representative's balls, hold for every member
+        least, class_of = classes(n, params.mode, targets)
+        cells = []
+        for mask in least:
+            balls = ReachBalls(net_from_mask(n, mask, params.mode), params,
+                               targets)
+            cells.append((F(sum(map(balls.scaled_utility, range(n))),
+                            balls.scale),
+                          next(balls.witnesses(), None) is None))
+        for m, c in enumerate(class_of):
+            w, stable = cells[c]
+            net = net_from_bits(n, m, params.mode)
+            assert welfare(net, params, targets) == w, (least[c], m)
+            assert is_stable(net, params, targets).stable is stable, m
 
     # costs whose least common denominator is 1, 2, 3 and 6, zero among them
     @pytest.mark.parametrize("n, params, scale", [

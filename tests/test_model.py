@@ -160,7 +160,15 @@ class TestNetworkModel:
             for b in range(-2, n + 2):
                 assert net.has_speaking(a, b) is ((a, b) in model[True])
                 assert net.has_listening(a, b) is ((a, b) in model[False])
-        same = BidirectedNetwork(n, model[True], model[False])
+        for mode in Mode:  # the live rows, out and in, from the pairs
+            live = [(u, v) for u, v in model[True]
+                    if mode is Mode.DIRECTED or (v, u) in model[False]]
+            for x in range(n):
+                assert net.successors(x, mode) == \
+                    sum(1 << v for u, v in live if u == x)
+                assert net.predecessors(x, mode) == \
+                    sum(1 << u for u, v in live if v == x)
+        same =BidirectedNetwork(n, model[True], model[False])
         assert net == same and hash(net) == hash(same)
         copy = net.copy()
         assert copy == net and copy.canonical() == net.canonical()

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netform.equilibrium
 from conftest import bi, child_env, di
-from netform import (INF, BidirectedNetwork, EdgeKind, Mode, Move, MoveKind,
-                     Params, TargetSets, Trace, construct_path, run)
+from netform import (ALL_OTHERS, INF, BidirectedNetwork, EdgeKind, Mode,
+                     Move, MoveKind, Params, TargetSets, Trace,
+                     construct_path, run)
 from netform.cli import build_parser, main
 from netform.dynamics import apply_move, scan_witnesses
 from netform.errors import DocumentError, TraceError
@@ -823,6 +825,20 @@ class TestCli:
         argv = [str(sweep) if a == "{sweep}" else a for a in argv]
         assert self.run_cli("census", *argv, "-o", str(out)) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_sweep_walks_each_space_once(self, tmp_path, monkeypatch):
+        # the sweep's six rows mix two modes through c_l = 0: one class
+        # index per mode, each built from one set of relabellings
+        calls = []
+        relabelings = netform.equilibrium._relabelings
+        monkeypatch.setattr(netform.equilibrium, "_relabelings",
+                            lambda *a: calls.append(a) or relabelings(*a))
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(self.CENSUS_SWEEP)
+        assert self.run_cli("census", "--n", "2", "--sweep", str(sweep),
+                            "-o", str(tmp_path / "c.csv")) == 0
+        assert calls == [(2, Mode.DIRECTED, ALL_OTHERS),
+                         (2, Mode.BIDIRECTED, ALL_OTHERS)]
 
     # generate arguments of the documents behind the emitter golden: random
     # nets in both modes (one past 64 agents, so rows span machine words),
